@@ -234,6 +234,9 @@ def sa_optimize(
     current = score(pts, labs)
     best = current
     best_pts, best_labs = pts.copy(), labs.copy()
+    # A label swap leaves the PAMI table unchanged: hold the table of the
+    # accepted state (and of the best, for re-heats) so swaps reuse it.
+    evaluator.held_table = best_table = evaluator.last_table
 
     n_steps = config.iterations
     col_step = np.arange(n_steps, dtype=np.int64)
@@ -249,6 +252,7 @@ def sa_optimize(
             # Re-heat from the incumbent best.
             pts, labs = best_pts.copy(), best_labs.copy()
             current = best
+            evaluator.held_table = best_table
         for local in range(p_len):
             temp = _geometric(local, p_len, config.t_initial, config.t_final)
             disp = _geometric(local, p_len, config.d_initial, config.d_final)
@@ -278,9 +282,11 @@ def sa_optimize(
                 accepted = metropolis_accept(delta, temp, draw)
                 if accepted:
                     pts, labs, current = cand_pts, cand_labs, cand
+                    evaluator.held_table = evaluator.last_table
                     if current > best:
                         best = current
                         best_pts, best_labs = pts.copy(), labs.copy()
+                        best_table = evaluator.held_table
             col_temp[g] = temp
             col_cur[g] = current
             col_best[g] = best

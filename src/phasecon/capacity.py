@@ -16,6 +16,7 @@ rate of a given labeling, never above AMI.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -69,20 +70,11 @@ class QuadratureGrid:
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=np.float64)
         weights = np.array(self.weights, dtype=np.float64)
-        k = nodes.size
-        i1, i2, i3 = np.meshgrid(np.arange(k), np.arange(k), np.arange(k), indexing="ij")
-        prod3 = (
-            nodes[i1.ravel()],
-            nodes[i2.ravel()],
-            nodes[i3.ravel()],
-            weights[i1.ravel()] * weights[i2.ravel()] * weights[i3.ravel()],
-        )
-        j1, j2 = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        prod2 = (
-            nodes[j1.ravel()],
-            nodes[j2.ravel()],
-            weights[j1.ravel()] * weights[j2.ravel()],
-        )
+        k = np.arange(nodes.size)
+        i1, i2, i3 = (i.ravel() for i in np.meshgrid(k, k, k, indexing="ij"))
+        prod3 = (nodes[i1], nodes[i2], nodes[i3], weights[i1] * weights[i2] * weights[i3])
+        j1, j2 = (j.ravel() for j in np.meshgrid(k, k, indexing="ij"))
+        prod2 = (nodes[j1], nodes[j2], weights[j1] * weights[j2])
         for arr in (nodes, weights, *prod3, *prod2):
             arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -144,6 +136,10 @@ def _warn_wide_phase(params: ChannelParams) -> None:
             "quadrature nodes loses accuracy there",
             stacklevel=3,
         )
+
+
+# One pool per thread count, reused by every evaluation.
+_pool = functools.cache(ThreadPoolExecutor)
 
 
 def _bit_match_masks(labels: np.ndarray, m: int) -> np.ndarray:
@@ -214,78 +210,82 @@ class QuadEvaluator:
             self.noise = _SQRT2 * sigma * (t1 + 1j * t2)
             self.rotation = None
             self.norm_weights = w / math.pi
+        # PAMI tables (points, exp(metric - peak), log of its sum over h): the
+        # last one scored, and one a caller holds for label swaps to reuse.
+        self.last_table = self.held_table = None
 
-    def _metric_rows(self, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Metric table, shape (len(rows), G, M): transmitted rows[r] at
-        grid node g scored against every hypothesis."""
+    def _table_pass(self, points: np.ndarray, rows: slice, out=None):
+        """Metric table (hypothesis h, sent point rows[r], grid node g), made
+        exp(metric - peak) in place, in `out` if given.  Returns the log of
+        its sum over h, the peak and the sent point's own metric."""
         params = self.params
-        sent = points[rows][:, None]
-        if self.rotation is not None:
-            y = sent * self.rotation[None, :] + self.noise[None, :]
-        else:
-            y = sent + self.noise[None, :]
-        z = np.conj(y)[:, :, None] * points[None, None, :]
+        x = points[rows, None]
+        y = x * self.rotation + self.noise if self.rotation is not None else x + self.noise
+        z = np.conj(y)[None] * points[:, None, None]
         if params.has_phase_noise:
-            w_re = params.k_phi + params.k_n * z.real
-            w_im = params.k_n * z.imag
-            metric = np.sqrt(w_re * w_re + w_im * w_im)
+            # |w|^2 on a real view of z, re and im interleaved: complex
+            # `np.abs` would go through hypot, several times slower.
+            w = z.view(np.float64).reshape(*z.shape, 2)
+            w *= params.k_n
+            w[..., 0] += params.k_phi
+            w *= w
+            metric = np.add(w[..., 0], w[..., 1], out=out)
+            np.sqrt(metric, out=metric)
         else:
-            metric = params.k_n * z.real
-        metric -= 0.5 * params.k_n * (np.abs(points) ** 2)[None, None, :]
-        return metric
+            metric = np.multiply(z.real, params.k_n, out=out)
+        metric -= 0.5 * params.k_n * (np.abs(points) ** 2)[:, None, None]
+        sent = metric[np.arange(points.size)[rows], np.arange(metric.shape[1])]
+        peak = np.maximum.reduce(metric, axis=0)
+        metric -= peak
+        np.exp(metric, out=metric)
+        return np.log(np.add.reduce(metric, axis=0)), peak, sent
 
-    def _ami_row_means(self, points: np.ndarray, rows: np.ndarray) -> list[float]:
-        metric = self._metric_rows(points, rows)
-        peak = metric.max(axis=-1)
-        exp_shift = np.exp(metric - peak[:, :, None])
-        lse = peak + np.log(exp_shift.sum(axis=-1))
-        sent = metric[np.arange(rows.size), :, rows]
-        integrand = lse - sent
-        return [float(np.dot(integrand[r], self.norm_weights)) for r in range(rows.size)]
-
-    def _pami_row_means(
-        self, points: np.ndarray, labels: np.ndarray, rows: np.ndarray
-    ) -> list[float]:
-        m = points.size.bit_length() - 1
-        masks = _bit_match_masks(labels, m)
-        metric = self._metric_rows(points, rows)
-        peak = metric.max(axis=-1)
-        lse = peak + np.log(np.exp(metric - peak[:, :, None]).sum(axis=-1))
-        total = np.zeros_like(lse)
-        for i in range(m):
-            row_mask = masks[i][rows][:, None, :]
-            # Per-subset peak keeps the matched sum from underflowing when
-            # the matched hypotheses sit far below the overall best one.
-            sub = np.where(row_mask, metric, -np.inf)
-            sub_peak = sub.max(axis=-1)
-            sub_sum = np.exp(sub - sub_peak[:, :, None]).sum(axis=-1)
-            total += lse - (sub_peak + np.log(sub_sum))
-        return [float(np.dot(total[r], self.norm_weights)) for r in range(rows.size)]
-
-    def _mean_over_symbols(self, points: np.ndarray, row_fn, threads: int) -> float:
-        n = points.size
-        if threads <= 1:
-            partials = row_fn(np.arange(n))
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = pool.map(lambda r: row_fn(np.array([r])), range(n))
-                partials = [value for chunk in chunks for value in chunk]
-        return math.fsum(partials) / n
+    def _mean_over_blocks(self, n: int, integrand_fn, threads: int) -> float:
+        """Weighted mean over nodes and sent rows of `integrand_fn(rows)`,
+        called on up to `threads` contiguous blocks of rows on a reused
+        pool.  Each row is computed alike whatever the split: blocks keep
+        two rows or more, as numpy would sum a lone row on a one-node grid
+        pairwise rather than in hypothesis order."""
+        k = max(1, min(threads, n // 2))
+        blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
+        parts = map(integrand_fn, blocks) if k == 1 else _pool(k).map(integrand_fn, blocks)
+        return math.fsum(np.dot(row, self.norm_weights) for part in parts for row in part) / n
 
     def ami_bits(self, points: np.ndarray, threads: int = 1) -> float:
         points = _canonical_points(points)
-        m = points.size.bit_length() - 1
-        mean = self._mean_over_symbols(
-            points, lambda rows: self._ami_row_means(points, rows), threads
-        )
-        return m - mean / _LN2
+        n = points.size
+
+        def integrand(rows: slice) -> np.ndarray:
+            log_sum, peak, sent = self._table_pass(points, rows)
+            return peak + log_sum - sent
+
+        return (n.bit_length() - 1) - self._mean_over_blocks(n, integrand, threads) / _LN2
 
     def pami_bits(self, points: np.ndarray, labels: np.ndarray, threads: int = 1) -> float:
-        points = _canonical_points(points)
-        m = points.size.bit_length() - 1
-        mean = self._mean_over_symbols(
-            points, lambda rows: self._pami_row_means(points, labels, rows), threads
-        )
+        """Bitwise rate.  The table does not depend on the labels: it is
+        reused when `points` equal those of `held_table` or `last_table`,
+        and otherwise built and kept as `last_table`."""
+        n, size = points.size, self.norm_weights.size
+        m = n.bit_length() - 1
+        kept = [t for t in (self.held_table, self.last_table) if t and np.array_equal(t[0], points)]
+        table = kept[0] if kept else (points.copy(), np.empty((n, n, size)), np.empty((n, size)))
+        _, exp_table, log_sum = table
+        bits = (labels[:, None] >> np.arange(m)) & 1
+        # Row 2i + b of the indicator marks the hypotheses whose bit i is b.
+        indicator = (bits.T[:, None, :] == np.arange(2)[:, None]).reshape(2 * m, n) * 1.0
+
+        def integrand(rows: slice) -> np.ndarray:
+            if not kept:
+                canonical = _canonical_points(points)
+                log_sum[rows] = self._table_pass(canonical, rows, exp_table[:, rows])[0]
+            # All 2m subset sums by one (2m x M) @ (M x G) product per sent
+            # row, whatever block the row is in.
+            sums = np.matmul(indicator, exp_table[:, rows].transpose(1, 0, 2))
+            matched = sums[np.arange(sums.shape[0])[:, None], 2 * np.arange(m) + bits[rows]]
+            return np.add.reduce(log_sum[rows, None] - np.log(matched), axis=1)
+
+        mean = self._mean_over_blocks(n, integrand, threads)
+        self.last_table = table
         return m - mean / _LN2
 
 

@@ -335,7 +335,7 @@ def cmd_campaign(cfg: RunConfig) -> int:
         for j, pnsd in enumerate(pnsds):
             params = ChannelParams.from_snr_pnsd(snr, pnsd)
             seed = campaign_cell_seed(base.seed, i, j)
-            best, _ = sa_optimize(
+            best, trace = sa_optimize(
                 cfg.m_points, params, cfg.objective, grid, with_seed(base, seed)
             )
             name = _design_filename(snr, pnsd)
@@ -346,7 +346,10 @@ def cmd_campaign(cfg: RunConfig) -> int:
                 "seed": seed,
             }
             save_constellation(os.path.join(cfg.out_dir, name), best, meta)
-            cells.append({"snr_db": snr, "pnsd_deg": pnsd, "seed": seed, "file": name})
+            cells.append({
+                "snr_db": snr, "pnsd_deg": pnsd, "seed": seed, "file": name,
+                "best_bits": float(trace.best_bits[-1]),
+            })
     manifest = {
         "version": CAMPAIGN_SCHEMA,
         "m_points": cfg.m_points,

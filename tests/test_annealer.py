@@ -17,6 +17,7 @@ from phasecon import (
     swap_labels,
     with_seed,
 )
+from phasecon.capacity import QuadEvaluator
 from conftest import channel
 
 
@@ -271,3 +272,55 @@ def test_trace_csv_round_trips(grid7, tmp_path):
     path = tmp_path / "trace.csv"
     trace.save(path)
     assert path.read_text(encoding="ascii") == text
+
+
+# --- golden runs -------------------------------------------------------------
+
+# Recorded from the symbol-major quadrature kernel: design fingerprint, final
+# best rate and accepted-move count of two 300-step runs.  The kernel sums in
+# another order now, so rates may move by rounding (1e-12 bits at most), but
+# every accept decision and hence the design must be the same.
+GOLDEN_RUNS = [
+    ("PAMI", 12.0, 20.0, 11, "4b2d4323785bc464", 2.505483222938205, 158),
+    ("AMI", 9.0, 0.0, 12, "b718d1e80b985175", 2.5333537771275947, 181),
+]
+
+
+@pytest.mark.parametrize("objective, snr, pnsd, seed, fingerprint, best_bits, accepted", GOLDEN_RUNS)
+def test_golden_runs_are_unchanged(
+    objective, snr, pnsd, seed, fingerprint, best_bits, accepted, grid7
+):
+    cfg = SAConfig(iterations=300, seed=seed)
+    best, trace = sa_optimize(8, channel(snr, pnsd), objective, grid7, cfg)
+    assert best.fingerprint() == fingerprint
+    assert abs(trace.best_bits[-1] - best_bits) <= 1e-12
+    assert int(trace.accepted.sum()) == accepted
+
+
+def test_label_swaps_never_rebuild_the_table(grid7, monkeypatch):
+    passes, scored = [], []
+    original_pass, original_pami = QuadEvaluator._table_pass, QuadEvaluator.pami_bits
+
+    def counted_pass(*args, **kwargs):
+        passes.append(len(scored))
+        return original_pass(*args, **kwargs)
+
+    def counted_pami(*args, **kwargs):
+        scored.append(1)
+        return original_pami(*args, **kwargs)
+
+    monkeypatch.setattr(QuadEvaluator, "_table_pass", counted_pass)
+    monkeypatch.setattr(QuadEvaluator, "pami_bits", counted_pami)
+    cfg = SAConfig(iterations=300, seed=42, label_swap_prob=0.3)
+    _, trace = sa_optimize(8, channel(12.0, 20.0), "PAMI", grid7, cfg)
+    swap = trace.move_type == "swap"
+    # Call k + 1 scores step k (no collisions in this run); a table pass
+    # during that call must be a point move's.
+    assert len(scored) == trace.step.size + 1
+    assert all(k == 1 or not swap[k - 2] for k in passes)
+    assert len(passes) == 1 + int((~swap).sum())
+    # The run covers a swap after a rejected point move, and one that opens
+    # a pass re-heated from a best state that was not the current one.
+    after_reject = swap[1:] & ~swap[:-1] & ~trace.accepted[:-1]
+    assert after_reject.any()
+    assert swap[200] and trace.current_bits[199] != trace.best_bits[199]

@@ -1,6 +1,7 @@
 """Tests for the rate evaluators: quadrature rules, AMI/PAMI, sampling."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -330,6 +331,31 @@ def test_parallel_evaluation_matches_serial(psk8, grid7):
     mc_serial = ami_monte_carlo(psk8, p, 20000, seed=3, threads=1).bits
     mc_parallel = ami_monte_carlo(psk8, p, 20000, seed=3, threads=4).bits
     assert abs(mc_serial - mc_parallel) < 1e-10
+
+
+@pytest.mark.parametrize("pnsd", [0.0, 20.0])
+@pytest.mark.parametrize("kind, size", [("psk", 8), ("qam", 64)])
+def test_quadrature_is_bit_identical_for_any_thread_count(kind, size, pnsd, grid7):
+    c = reference_constellation(kind, size)
+    p = channel(12.0, pnsd)
+    # Blocks write disjoint slices of one PAMI table; a short switch
+    # interval makes a lost or misplaced write more likely to show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rate in (ami_quadrature, pami_quadrature):
+            bits = [rate(c, p, grid7, threads=t).bits for t in (1, 2, 3)]
+            assert bits[1] == bits[0] and bits[2] == bits[0], (rate.__name__, bits)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_node_grid_is_bit_identical_for_any_thread_count():
+    c = reference_constellation("qam", 16)
+    p = channel(12.0, 0.0)
+    grid = QuadratureGrid.of_degree(1)
+    bits = {pami_quadrature(c, p, grid, threads=t).bits for t in range(1, 17)}
+    assert len(bits) == 1, bits
 
 
 def test_thread_count_env_override(psk8, grid7, monkeypatch):

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from phasecon import campaign_cell_seed, load_constellation, save_constellation
+from phasecon import (
+    ChannelParams,
+    QuadratureGrid,
+    campaign_cell_seed,
+    load_constellation,
+    pami_quadrature,
+    save_constellation,
+)
 from phasecon.cli import RunConfig, build_parser, main
 
 
@@ -278,6 +285,18 @@ def test_campaign_writes_manifest_and_designs(tmp_path, capsys):
             c, meta = load_constellation(out_dir / cell["file"])
             assert c.size == 4
             assert meta["seed"] == cell["seed"]
+
+
+def test_campaign_manifest_records_each_cells_rate(tmp_path, capsys):
+    out_dir = tmp_path / "camp"
+    code, _, _ = run(capsys, *CAMPAIGN_ARGS, "--objective", "PAMI", "--out-dir", str(out_dir))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    grid = QuadratureGrid.of_degree(manifest["quad_degree"])
+    for cell in manifest["cells"]:
+        c, _ = load_constellation(out_dir / cell["file"])
+        params = ChannelParams.from_snr_pnsd(cell["snr_db"], cell["pnsd_deg"])
+        assert abs(cell["best_bits"] - pami_quadrature(c, params, grid).bits) <= 1e-12
 
 
 def test_single_cell_campaign_equals_direct_optimize(tmp_path, capsys):
