@@ -137,6 +137,38 @@ def campaign_cell_seed(base_seed: int, snr_index: int, pnsd_index: int) -> int:
     return (base_seed ^ int.from_bytes(digest, "big")) & (2**63 - 1)
 
 
+def campaign_cells(
+    size: int,
+    snr_db_list,
+    pnsd_deg_list,
+    objective: str,
+    grid: QuadratureGrid,
+    config: SAConfig,
+):
+    """Check a campaign grid, then return an iterator that anneals its cells.
+
+    Both axes must be non-empty and strictly increasing, and every cell a
+    valid channel; all of this is checked before the first cell runs.  The
+    iterator yields (snr_db, pnsd_deg, seed, best, trace) per cell, SNR-major,
+    where ``seed`` is the cell's seed derived from ``config.seed``.
+    """
+    snrs = _check_axis(snr_db_list, "snr_db_list")
+    pnsds = _check_axis(pnsd_deg_list, "pnsd_deg_list")
+    cells = [
+        (float(snr), float(pnsd), campaign_cell_seed(config.seed, i, j))
+        for i, snr in enumerate(snrs)
+        for j, pnsd in enumerate(pnsds)
+    ]
+    params = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd, _ in cells]
+
+    def run():
+        for (snr, pnsd, seed), cell_params in zip(cells, params):
+            best, trace = sa_optimize(size, cell_params, objective, grid, with_seed(config, seed))
+            yield snr, pnsd, seed, best, trace
+
+    return run()
+
+
 def design_campaign(
     size: int,
     snr_db_list,
@@ -151,20 +183,8 @@ def design_campaign(
     campaign is reproducible cell-by-cell and a 1x1 campaign equals a
     single direct optimization with the derived seed.
     """
-    snrs = _check_axis(snr_db_list, "snr_db_list")
-    pnsds = np.asarray(pnsd_deg_list, dtype=np.float64)
-    if pnsds.ndim != 1 or pnsds.size == 0:
-        raise ValueError("pnsd_deg_list must be a non-empty 1-D sequence")
-    if pnsds.size > 1 and not np.all(np.diff(pnsds) > 0):
-        raise ValueError("pnsd_deg_list must be strictly increasing")
-    designs: dict[tuple[float, float], Constellation] = {}
-    for i, snr in enumerate(snrs):
-        for j, pnsd in enumerate(pnsds):
-            params = ChannelParams.from_snr_pnsd(float(snr), float(pnsd))
-            cell_cfg = with_seed(config, campaign_cell_seed(config.seed, i, j))
-            best, _ = sa_optimize(size, params, objective, grid, cell_cfg)
-            designs[(float(snr), float(pnsd))] = best
-    return designs
+    cells = campaign_cells(size, snr_db_list, pnsd_deg_list, objective, grid, config)
+    return {(snr, pnsd): best for snr, pnsd, _, best, _ in cells}
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,9 @@ grid (phase nodes are placed like a Gaussian of matching spread, then
 reweighted by the von Mises / Gaussian density ratio so the circular prior
 carries no surrogate bias) and scores hypotheses with the fast
 phase-matched metric.  The Monte Carlo route samples the channel exactly,
-including the von Mises phase, and scores hypotheses with the numerically
-integrated true likelihood; it is the reference the quadrature route is
-validated against.
+including the von Mises phase, and scores hypotheses with the closed-form
+exact likelihood of :mod:`phasecon.likelihood`; it is the reference the
+quadrature route is validated against.
 
 AMI is the symbol-wise achievable rate; PAMI is the bitwise (pragmatic)
 rate of a given labeling, never above AMI.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e
 
-from .likelihood import log_bessel_i0
+from .likelihood import hypothesis_log_terms
 from .model import ChannelParams, Constellation, ConstellationError
 
 AMI = "AMI"
@@ -405,62 +405,31 @@ def _draw_channel_samples(
     return idx, y
 
 
-def _suggest_phase_grid_mc(peak_max: float) -> int:
-    target = max(512.0, 1.3 * peak_max + 64.0)
-    return 1 << max(9, math.ceil(math.log2(target)))
-
-
 def _mc_sample_bits(
     c: Constellation,
     params: ChannelParams,
     n_samples: int,
     seed: int,
     objective: str,
-    oracle_grid: int | None,
     chunk: int,
     threads: int,
 ) -> np.ndarray:
     """Per-sample information in bits under the exact likelihood."""
     pts = _canonical_points(c.points)
     idx, y = _draw_channel_samples(pts, params, n_samples, seed)
-    m = c.m
-    k_n = params.k_n
-    half_u2 = 0.5 * k_n * np.abs(pts) ** 2
-    masks = _bit_match_masks(c.labels, m) if objective == PAMI else None
+    masks = _bit_match_masks(c.labels, c.m) if objective == PAMI else None
     out = np.empty(n_samples)
 
-    if params.has_phase_noise:
-        w = params.k_phi + k_n * (np.conj(y)[:, None] * pts[None, :])
-        peak = np.abs(w)
-        n_grid = oracle_grid or _suggest_phase_grid_mc(float(peak.max()))
-        step = 2.0 * math.pi / n_grid
-        grid = -math.pi + step * np.arange(n_grid)
-        cos_g, sin_g = np.cos(grid), np.sin(grid)
-
-        def fill(sl: slice) -> None:
-            expo = (
-                w.real[sl, :, None] * cos_g
-                - w.imag[sl, :, None] * sin_g
-                - peak[sl, :, None]
-            )
-            np.exp(expo, out=expo)
-            # log of the phase integral, up to constants shared by all u
-            vals = peak[sl] + np.log(expo.sum(axis=-1) * step) - half_u2[None, :]
-            out[sl] = _scores_from_values(vals, idx[sl], m, masks)
-
-    else:
-
-        def fill(sl: slice) -> None:
-            vals = k_n * (np.conj(y[sl])[:, None] * pts[None, :]).real - half_u2[None, :]
-            out[sl] = _scores_from_values(vals, idx[sl], m, masks)
+    def fill(sl: slice) -> None:
+        vals = hypothesis_log_terms(y[sl, None], pts, params)
+        out[sl] = _scores_from_values(vals, idx[sl], c.m, masks)
 
     slices = [slice(s, min(s + chunk, n_samples)) for s in range(0, n_samples, chunk)]
     if threads <= 1:
         for sl in slices:
             fill(sl)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, slices))
+        list(_pool(threads).map(fill, slices))
     return out
 
 
@@ -495,16 +464,13 @@ def _monte_carlo(
     n_samples: int,
     seed: int,
     objective: str,
-    oracle_grid: int | None,
     chunk: int,
     threads: int | None,
 ) -> CapacityResult:
     _require_normalized(c)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_MC_SAMPLES}, got {n_samples}")
-    bits = _mc_sample_bits(
-        c, params, n_samples, seed, objective, oracle_grid, chunk, _resolve_threads(threads)
-    )
+    bits = _mc_sample_bits(c, params, n_samples, seed, objective, chunk, _resolve_threads(threads))
     mean = float(np.mean(bits))
     stderr = float(np.std(bits, ddof=1) / math.sqrt(n_samples))
     return _wrap_result(mean, "monte_carlo", stderr, params, c, objective)
@@ -516,16 +482,16 @@ def ami_monte_carlo(
     n_samples: int,
     seed: int,
     *,
-    oracle_grid: int | None = None,
     chunk: int = 2048,
     threads: int | None = None,
 ) -> CapacityResult:
     """Symbol-wise rate estimated by sampling the exact channel.
 
     Reproducible for a fixed seed; `stderr` is the standard error of the
-    per-sample mean.
+    per-sample mean.  Samples are scored `chunk` at a time, which bounds the
+    (chunk, M) temporaries; `threads` scores chunks in parallel.
     """
-    return _monte_carlo(c, params, n_samples, seed, AMI, oracle_grid, chunk, threads)
+    return _monte_carlo(c, params, n_samples, seed, AMI, chunk, threads)
 
 
 def pami_monte_carlo(
@@ -534,9 +500,8 @@ def pami_monte_carlo(
     n_samples: int,
     seed: int,
     *,
-    oracle_grid: int | None = None,
     chunk: int = 2048,
     threads: int | None = None,
 ) -> CapacityResult:
     """Bitwise rate estimated by sampling the exact channel."""
-    return _monte_carlo(c, params, n_samples, seed, PAMI, oracle_grid, chunk, threads)
+    return _monte_carlo(c, params, n_samples, seed, PAMI, chunk, threads)

@@ -17,8 +17,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-from .analysis import campaign_cell_seed, mismatch_matrix, pnsd_sweep, snr_sweep
-from .annealer import SAConfig, sa_optimize, with_seed
+from .analysis import campaign_cells, mismatch_matrix, pnsd_sweep, snr_sweep
+from .annealer import SAConfig, sa_optimize
 from .capacity import (
     AMI,
     OBJECTIVES,
@@ -325,31 +325,24 @@ def _design_filename(snr_db: float, pnsd_deg: float) -> str:
 
 
 def cmd_campaign(cfg: RunConfig) -> int:
-    snrs = cfg.snr_list
-    pnsds = [_check_pnsd(v) for v in cfg.pnsd_list]
     grid = QuadratureGrid.of_degree(cfg.quad_degree)
     base = _sa_config(cfg)
+    runs = campaign_cells(cfg.m_points, cfg.snr_list, cfg.pnsd_list, cfg.objective, grid, base)
     os.makedirs(cfg.out_dir, exist_ok=True)
     cells = []
-    for i, snr in enumerate(snrs):
-        for j, pnsd in enumerate(pnsds):
-            params = ChannelParams.from_snr_pnsd(snr, pnsd)
-            seed = campaign_cell_seed(base.seed, i, j)
-            best, trace = sa_optimize(
-                cfg.m_points, params, cfg.objective, grid, with_seed(base, seed)
-            )
-            name = _design_filename(snr, pnsd)
-            meta = {
-                "objective": cfg.objective,
-                "snr_db": snr,
-                "pnsd_deg": pnsd,
-                "seed": seed,
-            }
-            save_constellation(os.path.join(cfg.out_dir, name), best, meta)
-            cells.append({
-                "snr_db": snr, "pnsd_deg": pnsd, "seed": seed, "file": name,
-                "best_bits": float(trace.best_bits[-1]),
-            })
+    for snr, pnsd, seed, best, trace in runs:
+        name = _design_filename(snr, pnsd)
+        meta = {
+            "objective": cfg.objective,
+            "snr_db": snr,
+            "pnsd_deg": pnsd,
+            "seed": seed,
+        }
+        save_constellation(os.path.join(cfg.out_dir, name), best, meta)
+        cells.append({
+            "snr_db": snr, "pnsd_deg": pnsd, "seed": seed, "file": name,
+            "best_bits": float(trace.best_bits[-1]),
+        })
     manifest = {
         "version": CAMPAIGN_SCHEMA,
         "m_points": cfg.m_points,

@@ -1,30 +1,29 @@
-"""Per-symbol likelihood kernels for the AWGN channel with phase jitter.
+"""Exact per-symbol likelihood of the AWGN channel with phase jitter.
 
 The received sample is y = x e^{j phi} + n, with n complex Gaussian of
 per-dimension variance 1/k_n and phi von Mises (Tikhonov) distributed with
 concentration k_phi.  The marginal likelihood p(y | u) integrates phi out.
-The fast decision metric replaces the log of that integral by the maximum
-of its log-integrand, which is attained at a closed-form phase estimate;
-:func:`exact_log_likelihood` keeps the full integral and serves as the
-independent reference for everything built on the fast metric.
+With w = k_phi + k_n conj(y) u the phase integral has the closed form
+
+    int_{-pi}^{pi} exp(Re(w e^{j phi})) dphi = 2 pi I_0(|w|)
+
+(Abramowitz & Stegun 9.6.16), so log p(y | u) is log I_0(|w|) - (k_n/2)|u|^2
+plus terms that do not depend on u.  The quadrature route of
+:mod:`phasecon.capacity` replaces log I_0(|w|) by its leading term |w|; the
+Monte Carlo route scores with the exact term from
+:func:`hypothesis_log_terms`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, logsumexp
+from scipy.special import i0e
 
 from .model import ChannelParams
 
 _TWO_PI = 2.0 * math.pi
-
-# exact_log_likelihood refinement: doubling stops once two successive grids
-# agree this closely, or once the grid reaches the hard cap.
-_REFINE_ATOL = 1e-8
-_MAX_PHASE_GRID = 1 << 21
 
 
 def log_bessel_i0(x):
@@ -36,227 +35,33 @@ def log_bessel_i0(x):
     return float(out) if out.ndim == 0 else out
 
 
-def tikhonov_log_pdf(phi, k_phi: float):
-    """Log density of the von Mises phase prior at angle `phi` (radians).
+def hypothesis_log_terms(y, u, params: ChannelParams):
+    """log p(y | u) up to terms shared by every hypothesis u.
 
-    k_phi = 0 degenerates to the uniform density on (-pi, pi].
+    That is log I_0(|k_phi + k_n conj(y) u|) - (k_n/2)|u|^2 with phase
+    jitter, and k_n Re(conj(y) u) - (k_n/2)|u|^2 without.  Broadcasts over
+    `y` and `u`.
     """
-    if not math.isfinite(k_phi) or k_phi < 0:
-        raise ValueError(f"k_phi must be finite and >= 0, got {k_phi}")
-    out = k_phi * np.cos(phi) - (math.log(_TWO_PI) + log_bessel_i0(k_phi))
-    return float(out) if np.ndim(out) == 0 else out
+    z = np.conj(np.asarray(y, dtype=np.complex128)) * np.asarray(u, dtype=np.complex128)
+    half_u2 = 0.5 * params.k_n * np.abs(u) ** 2
+    if params.has_phase_noise:
+        return log_bessel_i0(np.abs(params.k_phi + params.k_n * z)) - half_u2
+    return params.k_n * z.real - half_u2
 
 
-def phase_estimate(z: complex, a_ratio: float) -> float:
-    """Maximizer of k_phi cos(p) + k_n Re(z e^{jp}) over p in (-pi, pi].
+def exact_log_likelihood(y, u, params: ChannelParams):
+    """True log p(y | u), constants included; broadcasts over `y` and `u`.
 
-    Args:
-        z: correlator output conj(y) * u.
-        a_ratio: k_n / k_phi (0 recovers the prior peak at 0).
-
-    The stationary condition gives p = -atan2(a Im z, 1 + a Re z); the
-    two-argument arctangent lands on the maximizing branch, which a
-    curvature check confirms (falling back to comparing the two
-    stationary points directly if it ever does not).
-    """
-    if a_ratio < 0 or not math.isfinite(a_ratio):
-        raise ValueError(f"a_ratio must be finite and >= 0, got {a_ratio}")
-    if a_ratio == 0.0:
-        return 0.0
-    num = -a_ratio * z.imag
-    den = 1.0 + a_ratio * z.real
-    phi = math.atan2(num, den)
-    # Objective divided by k_phi: cos(p) + a Re(z e^{jp}).
-    def objective(p: float) -> float:
-        return math.cos(p) + a_ratio * (z.real * math.cos(p) - z.imag * math.sin(p))
-
-    curvature = -objective(phi)
-    if curvature > 0.0:
-        alt = phi + math.pi if phi <= 0.0 else phi - math.pi
-        if objective(alt) > objective(phi):
-            phi = alt
-    if phi <= -math.pi:
-        phi += _TWO_PI
-    return phi
-
-
-@dataclass(frozen=True, eq=False)
-class MetricContext:
-    """Channel parameters plus per-hypothesis constants for metric evaluation.
-
-    ``hypothesis_terms[i]`` caches -(k_n/2)|u_i|^2 for hypothesis point i.
-    """
-
-    params: ChannelParams
-    hypotheses: np.ndarray
-    hypothesis_terms: np.ndarray
-
-    @classmethod
-    def for_points(cls, points, params: ChannelParams) -> "MetricContext":
-        pts = np.asarray(points, dtype=np.complex128)
-        terms = -0.5 * params.k_n * np.abs(pts) ** 2
-        pts.setflags(write=False)
-        terms.setflags(write=False)
-        return cls(params=params, hypotheses=pts, hypothesis_terms=terms)
-
-
-def decision_metric(y: complex, u: complex, ctx: MetricContext) -> float:
-    """Fast log-likelihood surrogate for hypothesis u, up to a constant in u.
-
-    Requires finite k_phi; use :func:`awgn_metric` for the jitter-free case.
-    Only metric differences across hypotheses are meaningful.
-    """
-    params = ctx.params
-    if not params.has_phase_noise:
-        raise ValueError("decision_metric requires finite k_phi; use awgn_metric")
-    z = y.conjugate() * u
-    phi = phase_estimate(z, params.a_ratio)
-    matched = z.real * math.cos(phi) - z.imag * math.sin(phi)
-    return (
-        -0.5 * params.k_n * abs(u) ** 2
-        + params.k_phi * math.cos(phi)
-        + params.k_n * matched
-    )
-
-
-def awgn_metric(y: complex, u: complex, ctx: MetricContext) -> float:
-    """Jitter-free counterpart of :func:`decision_metric`."""
-    k_n = ctx.params.k_n
-    return k_n * (y.conjugate() * u).real - 0.5 * k_n * abs(u) ** 2
-
-
-def log_ratio(y: complex, u: complex, x: complex, ctx: MetricContext) -> float:
-    """Approximate log p(y|u) - log p(y|x) under the fast metric.
-
-    Evaluates the grouped form in which the prior terms at the two phase
-    estimates appear explicitly; it agrees with the difference of
-    :func:`decision_metric` values to rounding.
-    """
-    params = ctx.params
-    if not params.has_phase_noise:
-        m_u = awgn_metric(y, u, ctx)
-        m_x = awgn_metric(y, x, ctx)
-        return m_u - m_x
-    z_u = y.conjugate() * u
-    z_x = y.conjugate() * x
-    phi_u = phase_estimate(z_u, params.a_ratio)
-    phi_x = phase_estimate(z_x, params.a_ratio)
-    matched_u = z_u.real * math.cos(phi_u) - z_u.imag * math.sin(phi_u)
-    matched_x = z_x.real * math.cos(phi_x) - z_x.imag * math.sin(phi_x)
-    prior_gap = params.k_phi * math.cos(phi_u) - params.k_phi * math.cos(phi_x)
-    return prior_gap + 0.5 * params.k_n * (
-        2.0 * matched_u - 2.0 * matched_x - abs(u) ** 2 + abs(x) ** 2
-    )
-
-
-def _phase_grid_log_likelihood(
-    y: complex, u: complex, params: ChannelParams, n_grid: int
-) -> float:
-    """Trapezoidal phase integral of the joint density, in the log domain.
-
-    The integrand is 2*pi-periodic, so the trapezoidal rule reduces to
-    uniform weights over n_grid points.
-    """
-    step = _TWO_PI / n_grid
-    phi = -math.pi + step * np.arange(n_grid)
-    resid = np.abs(y - u * np.exp(1j * phi)) ** 2
-    log_vals = (
-        math.log(params.k_n / _TWO_PI)
-        + tikhonov_log_pdf(phi, params.k_phi)
-        - 0.5 * params.k_n * resid
-    )
-    return float(logsumexp(log_vals) + math.log(step))
-
-
-def exact_log_likelihood(
-    y: complex, u: complex, params: ChannelParams, n_grid: int = 2048
-) -> float:
-    """True log p(y | u) by numerical phase integration, constants included.
-
-    Starts from `n_grid` points and doubles the grid until two successive
-    estimates agree within 1e-8, so the returned value is converged even
-    for very concentrated phase priors.
-
-    Args:
-        y: received sample.
-        u: hypothesis point.
-        params: channel parameters with finite k_phi.
-        n_grid: initial grid resolution; even, at least 64.
+    Requires finite k_phi.
     """
     if not params.has_phase_noise:
         raise ValueError("exact_log_likelihood requires finite k_phi")
-    if n_grid < 64 or n_grid % 2 != 0:
-        raise ValueError(f"n_grid must be even and >= 64, got {n_grid}")
-    n = int(n_grid)
-    value = _phase_grid_log_likelihood(y, u, params, n)
-    while n < _MAX_PHASE_GRID:
-        n *= 2
-        refined = _phase_grid_log_likelihood(y, u, params, n)
-        if abs(refined - value) < _REFINE_ATOL:
-            return refined
-        value = refined
-    raise RuntimeError(f"phase integral did not converge below n_grid={n}")
-
-
-def awgn_log_likelihood(y, u, params: ChannelParams):
-    """Gaussian log density of y for hypothesis u when the phase is fixed at 0."""
-    resid = np.abs(np.asarray(y) - np.asarray(u)) ** 2
-    out = math.log(params.k_n / _TWO_PI) - 0.5 * params.k_n * resid
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _suggest_phase_grid(peak: float) -> int:
-    """Grid size for which the periodic trapezoid rule is converged.
-
-    The integrand has the form exp(Re(w e^{j phi})) with |w| = peak; its
-    Fourier tail I_n(|w|) is negligible once n exceeds ~1.2 |w|, with a
-    floor for small arguments.
-    """
-    target = max(512.0, 1.3 * peak + 64.0)
-    return 1 << max(9, math.ceil(math.log2(target)))
-
-
-def batch_exact_log_likelihood(
-    y, points, params: ChannelParams, n_grid: int | None = None, chunk: int = 2048
-) -> np.ndarray:
-    """exact_log_likelihood for every (sample, hypothesis) pair, vectorized.
-
-    Folds the prior and the data term into a single rotating exponent
-    Re(w e^{j phi}) with w = k_phi + k_n conj(y) u before integrating, which
-    is algebraically identical to the scalar path.  Returns an array of
-    shape (len(y), len(points)).
-
-    `n_grid` defaults to a resolution at which the periodic trapezoid rule
-    is converged for the largest |w| in the batch.
-    """
-    if not params.has_phase_noise:
-        raise ValueError("batch_exact_log_likelihood requires finite k_phi")
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    k_n, k_phi = params.k_n, params.k_phi
-    w = k_phi + k_n * (y.conjugate()[:, None] * pts[None, :])
-    peak = np.abs(w)
-    if n_grid is None:
-        n_grid = _suggest_phase_grid(float(peak.max(initial=0.0)))
-    step = _TWO_PI / n_grid
-    phi = -math.pi + step * np.arange(n_grid)
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    const = (
-        math.log(k_n / _TWO_PI)
-        - (math.log(_TWO_PI) + log_bessel_i0(k_phi))
-        - 0.5 * k_n * np.abs(y)[:, None] ** 2
-        - 0.5 * k_n * np.abs(pts)[None, :] ** 2
+    k_n = params.k_n
+    # The 2 pi of the closed form cancels the von Mises normaliser's.
+    out = (
+        hypothesis_log_terms(y, u, params)
+        + math.log(k_n / _TWO_PI)
+        - log_bessel_i0(params.k_phi)
+        - 0.5 * k_n * np.abs(y) ** 2
     )
-    out = np.empty(w.shape, dtype=np.float64)
-    for start in range(0, w.shape[0], chunk):
-        sl = slice(start, min(start + chunk, w.shape[0]))
-        # exponent is Re(w) cos(phi) - Im(w) sin(phi) - |w| <= 0, so the
-        # shifted sum never overflows and always keeps its near-peak terms.
-        expo = (
-            w.real[sl, :, None] * cos_phi
-            - w.imag[sl, :, None] * sin_phi
-            - peak[sl, :, None]
-        )
-        np.exp(expo, out=expo)
-        out[sl] = peak[sl] + np.log(expo.sum(axis=-1) * step)
-    return out + const
+    return float(out) if np.ndim(out) == 0 else out

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -275,6 +276,18 @@ def test_monte_carlo_rejects_tiny_sample_counts(psk8):
         ami_monte_carlo(psk8, channel(10.0, 5.0), MIN_MC_SAMPLES - 1, seed=0)
 
 
+def test_monte_carlo_memory_does_not_grow_with_snr(psk8):
+    # Scoring works on (chunk, M) arrays whatever |k_phi + k_n conj(y) u|
+    # reaches; a phase grid sized to that peak once took hundreds of MB here.
+    tracemalloc.start()
+    try:
+        ami_monte_carlo(psk8, channel(30.0, 5.0), 1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+
+
 def test_monte_carlo_bits_stay_in_range(psk8):
     r = ami_monte_carlo(psk8, channel(-30.0, 5.0), 2000, seed=0)
     assert 0.0 <= r.bits <= 3.0
@@ -345,6 +358,11 @@ def test_quadrature_is_bit_identical_for_any_thread_count(kind, size, pnsd, grid
     try:
         for rate in (ami_quadrature, pami_quadrature):
             bits = [rate(c, p, grid7, threads=t).bits for t in (1, 2, 3)]
+            assert bits[1] == bits[0] and bits[2] == bits[0], (rate.__name__, bits)
+        # Monte Carlo chunks go to the same pools and write disjoint slices.
+        for rate in (ami_monte_carlo, pami_monte_carlo):
+            runs = [rate(c, p, 2000, 4, chunk=128, threads=t) for t in (1, 2, 3)]
+            bits = [(r.bits, r.stderr) for r in runs]
             assert bits[1] == bits[0] and bits[2] == bits[0], (rate.__name__, bits)
     finally:
         sys.setswitchinterval(interval)

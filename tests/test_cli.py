@@ -299,6 +299,19 @@ def test_campaign_manifest_records_each_cells_rate(tmp_path, capsys):
         assert abs(cell["best_bits"] - pami_quadrature(c, params, grid).bits) <= 1e-12
 
 
+def test_campaign_with_a_repeated_cell_writes_nothing(tmp_path, capsys):
+    # Two cells at 6 dB would share one design file, so the first cell's
+    # manifest entry would name a design its rate does not belong to.
+    out_dir = tmp_path / "camp"
+    code, text, err = run(
+        capsys, "campaign", "--m-points", "4", "--snr-list", "6,6", "--pnsd-list", "0",
+        "--iterations", "30", "--out-dir", str(out_dir),
+    )
+    assert code == 3
+    assert "strictly increasing" in err and text == ""
+    assert not out_dir.exists()
+
+
 def test_single_cell_campaign_equals_direct_optimize(tmp_path, capsys):
     out_dir = tmp_path / "camp1"
     code, _, _ = run(

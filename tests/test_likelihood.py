@@ -1,25 +1,23 @@
-"""Likelihood kernels: density, phase estimate, fast metric, exact oracle."""
+"""Likelihood kernels: density, phase estimate, fast metric, exact likelihood.
+
+The phase estimate, the scalar fast metric and the densities live in the
+test-side `metric_reference` module; the exact likelihood is the package's.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from phasecon import (
-    ChannelParams,
-    decision_metric,
-    exact_log_likelihood,
-    log_bessel_i0,
-    log_ratio,
-    phase_estimate,
-    reference_constellation,
-    tikhonov_log_pdf,
-)
-from phasecon.likelihood import (
+from phasecon import ChannelParams, exact_log_likelihood, log_bessel_i0, reference_constellation
+from metric_reference import (
     MetricContext,
     awgn_log_likelihood,
     awgn_metric,
-    batch_exact_log_likelihood,
+    decision_metric,
+    log_ratio,
+    phase_estimate,
+    tikhonov_log_pdf,
 )
 
 
@@ -212,30 +210,50 @@ def test_log_ratio_equals_metric_difference(rng):
 # --- exact likelihood oracle -----------------------------------------------
 
 
-def test_exact_likelihood_matches_bessel_closed_form(rng):
-    # The phase integral has the closed form
-    # log(k_n / 2 pi) - (k_n/2)(|y|^2 + |u|^2) - log I0(k_phi) + log I0(|k_phi + k_n y* u|)
-    # which is an independent check on the trapezoid route.
-    params = ChannelParams.from_snr_pnsd(9.0, 15.0)
-    for _ in range(50):
-        y = complex(rng.normal(), rng.normal())
-        u = complex(*rng.normal(size=2))
-        w = params.k_phi + params.k_n * np.conj(y) * u
-        closed = (
-            math.log(params.k_n / (2 * math.pi))
-            - 0.5 * params.k_n * (abs(y) ** 2 + abs(u) ** 2)
-            - log_bessel_i0(params.k_phi)
-            + log_bessel_i0(abs(w))
-        )
-        assert exact_log_likelihood(y, u, params) == pytest.approx(closed, abs=1e-10)
+def trapezoid_log_likelihood(y, u, params):
+    """log p(y | u) with both phase integrals taken by the periodic trapezoid
+    rule: the joint density's, folded into exp(Re(w e^{j phi})) with
+    w = k_phi + k_n conj(y) u, and the von Mises normaliser's."""
 
+    def log_integral(w):
+        # exp(Re(w e^{j phi}) - |w|) is periodic and its Fourier tail
+        # I_n(|w|) is negligible once n exceeds ~1.2 |w|.
+        n = 1 << max(9, math.ceil(math.log2(1.3 * abs(w) + 64.0)))
+        phi = 2.0 * math.pi * np.arange(n) / n - math.pi
+        expo = w.real * np.cos(phi) - w.imag * np.sin(phi) - abs(w)
+        return abs(w) + math.log(np.exp(expo).sum() * (2.0 * math.pi / n))
 
-def test_exact_likelihood_default_grid_is_converged():
-    params = ChannelParams.from_snr_pnsd(12.0, 10.0)
-    y, u = 0.9 + 0.4j, 0.7 - 0.7j
-    assert exact_log_likelihood(y, u, params, n_grid=2048) == pytest.approx(
-        exact_log_likelihood(y, u, params, n_grid=4096), abs=1e-8
+    k_n, k_phi = params.k_n, params.k_phi
+    return (
+        math.log(k_n / (2 * math.pi))
+        - 0.5 * k_n * (abs(y) ** 2 + abs(u) ** 2)
+        + log_integral(k_phi + k_n * np.conj(y) * u)
+        - log_integral(complex(k_phi))
     )
+
+
+def test_exact_likelihood_matches_bessel_closed_form(rng):
+    # exact_log_likelihood is the closed form
+    # log(k_n / 2 pi) - (k_n/2)(|y|^2 + |u|^2) - log I0(k_phi) + log I0(|k_phi + k_n y* u|);
+    # a numerical phase integral is an independent check on it, also where
+    # |w| reaches ~1e5 and I0 overflows.
+    params = ChannelParams.from_snr_pnsd(9.0, 15.0)
+    pairs = [(params, complex(rng.normal(), rng.normal()), complex(*rng.normal(size=2)))
+             for _ in range(40)]
+    # Received samples near their symbol at 44 dB and 2.9 deg: |w| ~ 1e5.
+    sharp = ChannelParams.from_concentrations(5e4, 400.0)
+    for _ in range(12):
+        u = rng.uniform(0.7, 1.4) * np.exp(2j * math.pi * rng.random())
+        noise = complex(*rng.normal(size=2)) / math.sqrt(sharp.k_n)
+        y = u * np.exp(1j * rng.normal(0.0, 0.05)) + noise
+        pairs.append((sharp, y, u))
+    largest = 0.0
+    for params, y, u in pairs:
+        largest = max(largest, abs(params.k_phi + params.k_n * np.conj(y) * u))
+        assert exact_log_likelihood(y, u, params) == pytest.approx(
+            trapezoid_log_likelihood(y, u, params), abs=1e-10
+        )
+    assert largest > 5e4
 
 
 def test_exact_likelihood_pinned_phase_is_gaussian():
@@ -245,14 +263,6 @@ def test_exact_likelihood_pinned_phase_is_gaussian():
         assert exact_log_likelihood(y, u, params) == pytest.approx(
             awgn_log_likelihood(y, u, awgn), abs=1e-4
         )
-
-
-def test_exact_likelihood_rejects_bad_grid():
-    params = ChannelParams.from_snr_pnsd(9.0, 15.0)
-    with pytest.raises(ValueError):
-        exact_log_likelihood(1.0, 1.0, params, n_grid=32)
-    with pytest.raises(ValueError):
-        exact_log_likelihood(1.0, 1.0, params, n_grid=1001)
 
 
 def test_exact_likelihood_rejects_awgn_params():
@@ -269,7 +279,7 @@ def test_exact_likelihood_normalizes_over_output_plane():
     axis = np.linspace(-half, half, n)
     step = axis[1] - axis[0]
     yy = (axis[:, None] + 1j * axis[None, :]).ravel()
-    logs = batch_exact_log_likelihood(yy, u, params)[:, 0]
+    logs = exact_log_likelihood(yy[:, None], u, params)[:, 0]
     integral = np.exp(logs).sum() * step * step
     assert integral == pytest.approx(1.0, abs=1e-3)
 
@@ -278,7 +288,7 @@ def test_batch_exact_likelihood_matches_scalar(rng):
     params = ChannelParams.from_snr_pnsd(9.0, 20.0)
     pts = reference_constellation("psk", 8).points
     ys = (rng.normal(size=12) + 1j * rng.normal(size=12)) * 1.2
-    table = batch_exact_log_likelihood(ys, pts, params)
+    table = exact_log_likelihood(ys[:, None], pts, params)
     for i in range(ys.size):
         for j in range(pts.size):
             scalar = exact_log_likelihood(complex(ys[i]), complex(pts[j]), params)
