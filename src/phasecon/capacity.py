@@ -42,6 +42,13 @@ PNSD_WARN_DEG = 30.0
 
 MIN_MC_SAMPLES = 1000
 
+# Floor of every peak-shifted log term before its exp: exp(-700) ~ 1e-304
+# stays clear of float64's subnormal range (below 2.2e-308), where exp and
+# the sums over its results run many times slower; -708 is too close.  A
+# clamped entry is summed with its row peak's exp(0) = 1, or, in a PAMI bit
+# subset, with the sent point's own entry, far above the floor in practice.
+_EXP_FLOOR = -700.0
+
 
 def gauss_hermite_nodes(degree: int) -> list[tuple[float, float]]:
     """Nodes and weights for integrals of exp(-t^2) f(t), degrees 1..30."""
@@ -215,30 +222,48 @@ class QuadEvaluator:
         self.last_table = self.held_table = None
 
     def _table_pass(self, points: np.ndarray, rows: slice, out=None):
-        """Metric table (hypothesis h, sent point rows[r], grid node g), made
+        """Metric table (sent point rows[r], hypothesis h, grid node g), made
         exp(metric - peak) in place, in `out` if given.  Returns the log of
-        its sum over h, the peak and the sent point's own metric."""
+        its sum over h, the peak and the sent point's own metric.
+
+        With jitter the metric is |w| - k_n|u|^2/2, w = k_phi + k_n*conj(y)*u,
+        and |w|^2 = k_phi^2 + 2 k_phi k_n Re(conj(y) u) + k_n^2 |y|^2 |u|^2 is
+        bilinear: per sent row, one (M x 4) @ (4 x G) product of the
+        hypothesis rows [2 k_phi k_n Re u, 2 k_phi k_n Im u, k_n^2 |u|^2,
+        k_phi^2] with the node columns [Re y, Im y, |y|^2, 1].  Without
+        jitter the metric k_n Re(conj(y) u) - k_n|u|^2/2 is itself one
+        (M x 3) product, of [k_n Re u, k_n Im u, -k_n|u|^2/2] with
+        [Re y, Im y, 1].  metric - peak is clamped at _EXP_FLOOR before the
+        exp."""
         params = self.params
         x = points[rows, None]
         y = x * self.rotation + self.noise if self.rotation is not None else x + self.noise
-        z = np.conj(y)[None] * points[:, None, None]
+        u2 = np.abs(points) ** 2
         if params.has_phase_noise:
-            # |w|^2 on a real view of z, re and im interleaved: complex
-            # `np.abs` would go through hypot, several times slower.
-            w = z.view(np.float64).reshape(*z.shape, 2)
-            w *= params.k_n
-            w[..., 0] += params.k_phi
-            w *= w
-            metric = np.add(w[..., 0], w[..., 1], out=out)
-            np.sqrt(metric, out=metric)
+            scale = 2.0 * params.k_phi * params.k_n
+            hyp_cols = (scale * points.real, scale * points.imag,
+                        params.k_n**2 * u2, params.k_phi**2)
+            node_rows = (y.real, y.imag, y.real * y.real + y.imag * y.imag, 1.0)
         else:
-            metric = np.multiply(z.real, params.k_n, out=out)
-        metric -= 0.5 * params.k_n * (np.abs(points) ** 2)[:, None, None]
-        sent = metric[np.arange(points.size)[rows], np.arange(metric.shape[1])]
-        peak = np.maximum.reduce(metric, axis=0)
-        metric -= peak
+            hyp_cols = (params.k_n * points.real, params.k_n * points.imag, -0.5 * params.k_n * u2)
+            node_rows = (y.real, y.imag, 1.0)
+        hyp = np.empty((points.size, len(hyp_cols)))
+        nodes = np.empty((y.shape[0], len(node_rows), y.shape[1]))
+        for k, (col, row) in enumerate(zip(hyp_cols, node_rows)):
+            hyp[:, k], nodes[:, k] = col, row
+        metric = np.matmul(hyp, nodes, out=out)
+        if params.has_phase_noise:
+            # Where k_phi + k_n*conj(y)*u nearly vanishes, the expanded sum
+            # can round below 0.
+            np.maximum(metric, 0.0, out=metric)
+            np.sqrt(metric, out=metric)
+            metric -= 0.5 * params.k_n * u2[:, None]
+        sent = metric[np.arange(metric.shape[0]), np.arange(points.size)[rows]]
+        peak = np.maximum.reduce(metric, axis=1)
+        metric -= peak[:, None]
+        np.maximum(metric, _EXP_FLOOR, out=metric)
         np.exp(metric, out=metric)
-        return np.log(np.add.reduce(metric, axis=0)), peak, sent
+        return np.log(np.add.reduce(metric, axis=1)), peak, sent
 
     def _mean_over_blocks(self, n: int, integrand_fn, threads: int) -> float:
         """Weighted mean over nodes and sent rows of `integrand_fn(rows)`,
@@ -277,10 +302,10 @@ class QuadEvaluator:
         def integrand(rows: slice) -> np.ndarray:
             if not kept:
                 canonical = _canonical_points(points)
-                log_sum[rows] = self._table_pass(canonical, rows, exp_table[:, rows])[0]
+                log_sum[rows] = self._table_pass(canonical, rows, exp_table[rows])[0]
             # All 2m subset sums by one (2m x M) @ (M x G) product per sent
             # row, whatever block the row is in.
-            sums = np.matmul(indicator, exp_table[:, rows].transpose(1, 0, 2))
+            sums = np.matmul(indicator, exp_table[rows])
             matched = sums[np.arange(sums.shape[0])[:, None], 2 * np.arange(m) + bits[rows]]
             return np.add.reduce(log_sum[rows, None] - np.log(matched), axis=1)
 
@@ -444,18 +469,22 @@ def _scores_from_values(
     n = vals.shape[0]
     ref = vals[np.arange(n), sent]
     diff = vals - ref[:, None]
-    peak = diff.max(axis=1)
-    lse_all = peak + np.log(np.exp(diff - peak[:, None]).sum(axis=1))
+    lse_all = _row_log_sum_exp(diff)
     if masks is None:
         return m - lse_all / _LN2
     total = np.zeros(n)
     for i in range(masks.shape[0]):
         row_mask = masks[i][sent]
-        sub = np.where(row_mask, diff, -np.inf)
-        sub_peak = sub.max(axis=1)
-        lse_sub = sub_peak + np.log(np.exp(sub - sub_peak[:, None]).sum(axis=1))
-        total += lse_all - lse_sub
+        total += lse_all - _row_log_sum_exp(np.where(row_mask, diff, -np.inf))
     return m - total / _LN2
+
+
+def _row_log_sum_exp(v: np.ndarray) -> np.ndarray:
+    """log sum exp of each row, each term shifted by the row peak and
+    floored at _EXP_FLOOR; a -inf term becomes exp(_EXP_FLOOR), which
+    vanishes against the peak's 1."""
+    peak = v.max(axis=1)
+    return peak + np.log(np.exp(np.maximum(v - peak[:, None], _EXP_FLOOR)).sum(axis=1))
 
 
 def _monte_carlo(

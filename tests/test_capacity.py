@@ -346,11 +346,15 @@ def test_parallel_evaluation_matches_serial(psk8, grid7):
     assert abs(mc_serial - mc_parallel) < 1e-10
 
 
-@pytest.mark.parametrize("pnsd", [0.0, 20.0])
+@pytest.mark.parametrize(
+    "pnsd, snr",
+    [(0.0, 12.0), (20.0, 12.0), (0.0, 40.0), (20.0, 40.0)],
+    ids=["0.0", "20.0", "0.0-40dB", "20.0-40dB"],
+)
 @pytest.mark.parametrize("kind, size", [("psk", 8), ("qam", 64)])
-def test_quadrature_is_bit_identical_for_any_thread_count(kind, size, pnsd, grid7):
+def test_quadrature_is_bit_identical_for_any_thread_count(kind, size, pnsd, snr, grid7):
     c = reference_constellation(kind, size)
-    p = channel(12.0, pnsd)
+    p = channel(snr, pnsd)
     # Blocks write disjoint slices of one PAMI table; a short switch
     # interval makes a lost or misplaced write more likely to show.
     interval = sys.getswitchinterval()

@@ -3,9 +3,9 @@
 `reference_ami_bits` and `reference_pami_bits` are the former row functions
 of `QuadEvaluator`, kept here verbatim as the reference: a metric table of
 shape (sent, node, hypothesis) reduced over its trailing hypothesis axis, and
-one masked pass per label bit for PAMI.  The hypothesis-major kernel sums in
-another order, so the two agree to rounding, not bit for bit; 1e-12 bits is
-the stated tolerance.
+one masked pass per label bit for PAMI.  The kernel builds |w|^2 in expanded
+(bilinear) form and sums in another order, so the two agree to rounding, not
+bit for bit; 1e-12 bits is the stated tolerance.
 
 `reference_mc_sample_bits` is the former Monte Carlo scoring, which took the
 exact likelihood's phase integral by the periodic trapezoid rule on a grid
@@ -31,6 +31,7 @@ from phasecon.analysis import SNR_BRACKET_DB
 from phasecon.capacity import (
     QuadEvaluator,
     QuadratureGrid,
+    _EXP_FLOOR,
     _bit_match_masks,
     _canonical_points,
     _draw_channel_samples,
@@ -251,3 +252,32 @@ def test_table_pass_sent_metric_is_the_scalar_decision_metric(kind, size, pnsd):
         for x in points
     ])
     np.testing.assert_allclose(sent, want, rtol=1e-9, atol=0.0)
+
+
+def test_table_pass_is_finite_where_w_vanishes():
+    """The expanded |w|^2 can round below 0 where k_phi + k_n*conj(y)*u = 0;
+    the pass must clip it rather than take the sqrt of a negative number."""
+    params = channel(6.0, 5.0)
+    ev = QuadEvaluator(params, QuadratureGrid.of_degree(1))
+    points = _canonical_points(reference_constellation("psk", 8).points)
+    # One node where every sent row receives y = -(k_phi/k_n) / conj(u_0).
+    ev.rotation = np.zeros(1, dtype=complex)
+    ev.noise = np.array([-(params.k_phi / params.k_n) * points[0] / abs(points[0]) ** 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_sum, peak, sent = ev._table_pass(points, slice(None))
+    assert np.all(np.isfinite(log_sum)) and np.all(np.isfinite(peak))
+    assert np.all(np.isfinite(sent))
+    assert sent[0, 0] == -0.5 * params.k_n * abs(points[0]) ** 2
+
+
+def test_pami_table_holds_no_subnormals_at_high_snr():
+    """exp(metric - peak) is clamped at exp(_EXP_FLOOR), above the subnormal
+    range where exp and the subset sums run many times slower."""
+    c = reference_constellation("qam", 64)
+    ev = QuadEvaluator(channel(40.0, 10.0), GRID7)
+    ev.pami_bits(c.points, c.labels)
+    exp_table = ev.last_table[1]
+    assert exp_table.min() >= np.finfo(float).tiny
+    # The clamp is reached, so the bound above is not met by chance.
+    assert math.isclose(exp_table.min(), math.exp(_EXP_FLOOR), rel_tol=1e-12)
