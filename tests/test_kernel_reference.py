@@ -268,7 +268,8 @@ def test_table_pass_is_finite_where_w_vanishes():
         log_sum, peak, sent = ev._table_pass(points, slice(None))
     assert np.all(np.isfinite(log_sum)) and np.all(np.isfinite(peak))
     assert np.all(np.isfinite(sent))
-    assert sent[0, 0] == -0.5 * params.k_n * abs(points[0]) ** 2
+    # |w| is 0 up to the rounding of the expanded sum, of size eps*k_phi^2.
+    assert abs(sent[0, 0] + 0.5 * params.k_n * abs(points[0]) ** 2) < 1e-4
 
 
 def test_pami_table_holds_no_subnormals_at_high_snr():
