@@ -20,13 +20,11 @@ import functools
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
-from .likelihood import hypothesis_log_terms
+from .likelihood import _i0e, hypothesis_log_terms
 from .model import ChannelParams, Constellation, ConstellationError
 
 AMI = "AMI"
@@ -48,6 +46,13 @@ MIN_MC_SAMPLES = 1000
 # clamped entry is summed with its row peak's exp(0) = 1, or, in a PAMI bit
 # subset, with the sent point's own entry, far above the floor in practice.
 _EXP_FLOOR = -700.0
+
+# Fewest table entries (rows x M x G) worth a block of their own on the
+# pool.  On a 2-core machine two threads tie with one at 1.3e5 entries
+# (32-QAM with 125 nodes, two blocks of 6.4e4), lose below (16-QAM with 343
+# nodes: 8.8e4, 12% slower) and win above (64-QAM with 49 nodes: 2.0e5, 3-7%
+# faster; 32-QAM with 343 nodes: 3.5e5, 30% faster).
+_MIN_BLOCK_ENTRIES = 1 << 16
 
 
 def gauss_hermite_nodes(degree: int) -> list[tuple[float, float]]:
@@ -145,8 +150,13 @@ def _warn_wide_phase(params: ChannelParams) -> None:
         )
 
 
-# One pool per thread count, reused by every evaluation.
-_pool = functools.cache(ThreadPoolExecutor)
+@functools.cache
+def _pool(threads: int):
+    """One pool per thread count, reused by every evaluation; the import
+    waits for the first evaluation that runs on more than one thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads)
 
 
 def _bit_match_masks(labels: np.ndarray, m: int) -> np.ndarray:
@@ -268,10 +278,12 @@ class QuadEvaluator:
     def _mean_over_blocks(self, n: int, integrand_fn, threads: int) -> float:
         """Weighted mean over nodes and sent rows of `integrand_fn(rows)`,
         called on up to `threads` contiguous blocks of rows on a reused
-        pool.  Each row is computed alike whatever the split: blocks keep
-        two rows or more, as numpy would sum a lone row on a one-node grid
-        pairwise rather than in hypothesis order."""
-        k = max(1, min(threads, n // 2))
+        pool, each block of _MIN_BLOCK_ENTRIES table entries or more.  Each
+        row is computed alike whatever the split: blocks keep two rows or
+        more, as numpy would sum a lone row on a one-node grid pairwise
+        rather than in hypothesis order."""
+        size = self.norm_weights.size
+        k = max(1, min(threads, n // 2, n * n * size // _MIN_BLOCK_ENTRIES))
         blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
         parts = map(integrand_fn, blocks) if k == 1 else _pool(k).map(integrand_fn, blocks)
         return math.fsum(np.dot(row, self.norm_weights) for part in parts for row in part) / n
@@ -391,7 +403,7 @@ def sample_tikhonov(k_phi: float, size: int, rng: np.random.Generator) -> np.nda
     out = np.empty(size)
     have = 0
     if k_phi <= 50.0:
-        rate = float(i0e(k_phi))  # acceptance probability of the uniform proposal
+        rate = float(_i0e(k_phi))  # acceptance probability of the uniform proposal
         while have < size:
             batch = max(4096, int(1.2 * (size - have) / rate))
             cand = rng.uniform(-math.pi, math.pi, batch)

@@ -12,6 +12,10 @@ plus terms that do not depend on u.  The quadrature route of
 :mod:`phasecon.capacity` replaces log I_0(|w|) by its leading term |w|; the
 Monte Carlo route scores with the exact term from
 :func:`hypothesis_log_terms`.
+
+This module owns the package's one use of scipy, ``scipy.special.i0e``.
+It is imported on the first call that needs it, so importing phasecon and
+the quadrature route never load scipy.
 """
 
 from __future__ import annotations
@@ -19,11 +23,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import i0e
 
 from .model import ChannelParams
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _i0e(x):
+    """scipy.special.i0e, imported on the first call: only the Monte Carlo
+    route needs it, and loading scipy.special costs more than numpy."""
+    from scipy.special import i0e
+
+    return i0e(x)
 
 
 def log_bessel_i0(x):
@@ -31,7 +42,7 @@ def log_bessel_i0(x):
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("log_bessel_i0 requires x >= 0")
-    out = x + np.log(i0e(x))
+    out = x + np.log(_i0e(x))
     return float(out) if out.ndim == 0 else out
 
 

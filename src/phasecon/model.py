@@ -102,9 +102,6 @@ class Constellation:
     def average_power(self) -> float:
         return float(np.mean(np.abs(self.points) ** 2))
 
-    def is_normalized(self, tol: float = 1e-8) -> bool:
-        return abs(self.average_power() - 1.0) <= tol
-
     def label_bits(self, index: int) -> LabelBits:
         return LabelBits(int(self.labels[index]), self.m)
 

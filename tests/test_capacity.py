@@ -18,6 +18,7 @@ from phasecon import (
     QuadratureGrid,
     ami_monte_carlo,
     ami_quadrature,
+    capacity,
     gauss_hermite_nodes,
     make_constellation,
     pami_monte_carlo,
@@ -378,6 +379,22 @@ def test_one_node_grid_is_bit_identical_for_any_thread_count():
     grid = QuadratureGrid.of_degree(1)
     bits = {pami_quadrature(c, p, grid, threads=t).bits for t in range(1, 17)}
     assert len(bits) == 1, bits
+
+
+def test_small_tables_stay_off_the_pool(grid7, monkeypatch):
+    pools = []
+    real_pool = capacity._pool
+    monkeypatch.setattr(capacity, "_pool", lambda k: pools.append(k) or real_pool(k))
+    p = channel(12.0, 20.0)
+    for rate in (ami_quadrature, pami_quadrature):
+        # 8 x 8 x 343 and 16 x 16 x 343 entries: one block each.
+        for size in (8, 16):
+            rate(reference_constellation("qam", size), p, grid7, threads=2)
+        assert pools == []
+        # 64 x 64 x 343 entries: two blocks.
+        rate(reference_constellation("qam", 64), p, grid7, threads=2)
+        assert pools == [2]
+        pools.clear()
 
 
 def test_thread_count_env_override(psk8, grid7, monkeypatch):
