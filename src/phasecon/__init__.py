@@ -18,11 +18,8 @@ from .analysis import (
 from .annealer import (
     AnnealTrace,
     SAConfig,
-    displacement_schedule,
     metropolis_accept,
-    perturb_point,
     sa_optimize,
-    swap_labels,
     with_seed,
 )
 from .capacity import (
@@ -46,11 +43,9 @@ from .model import (
     Constellation,
     ConstellationError,
     FormatError,
-    LabelBits,
     constellation_from_json,
     constellation_to_json,
     gray_code,
-    hamming_distance,
     is_gray,
     load_constellation,
     make_constellation,
@@ -71,7 +66,6 @@ __all__ = [
     "Constellation",
     "ConstellationError",
     "FormatError",
-    "LabelBits",
     "MismatchReport",
     "OBJECTIVES",
     "PAMI",
@@ -84,11 +78,9 @@ __all__ = [
     "constellation_from_json",
     "constellation_to_json",
     "design_campaign",
-    "displacement_schedule",
     "exact_log_likelihood",
     "gauss_hermite_nodes",
     "gray_code",
-    "hamming_distance",
     "is_gray",
     "load_constellation",
     "log_bessel_i0",
@@ -98,7 +90,6 @@ __all__ = [
     "normalize_average_power",
     "pami_monte_carlo",
     "pami_quadrature",
-    "perturb_point",
     "pnsd_sweep",
     "pragmatic_gap",
     "reference_constellation",
@@ -106,6 +97,5 @@ __all__ = [
     "sample_tikhonov",
     "save_constellation",
     "snr_sweep",
-    "swap_labels",
     "with_seed",
 ]

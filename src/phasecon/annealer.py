@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import AMI, OBJECTIVES, PAMI, QuadEvaluator, QuadratureGrid
-from .model import ChannelParams, Constellation, normalize_average_power
+from .capacity import OBJECTIVES, PAMI, QuadEvaluator, QuadratureGrid
+from .model import ChannelParams, Constellation
 
 # Reject candidates that bring two points closer than this; such near
 # coincidences carry no rate benefit and only stall the search.
@@ -101,13 +101,6 @@ def _geometric(step: int, length: int, start: float, end: float) -> float:
     return start * (end / start) ** (step / (length - 1))
 
 
-def displacement_schedule(step: int, config: SAConfig) -> float:
-    """Maximum displacement magnitude at a given step of a full-budget pass."""
-    if not 0 <= step < config.iterations:
-        raise ValueError(f"step {step} outside 0..{config.iterations - 1}")
-    return _geometric(step, config.iterations, config.d_initial, config.d_final)
-
-
 def metropolis_accept(delta: float, temperature: float, draw: float) -> bool:
     """Accept rule for a maximization step: always uphill, downhill with
     probability exp(delta / temperature) compared against `draw`."""
@@ -123,32 +116,6 @@ def _displacement(max_disp: float, draw_a: float, draw_b: float) -> complex:
     radius = max_disp * math.sqrt(draw_a)
     angle = 2.0 * math.pi * draw_b
     return complex(radius * math.cos(angle), radius * math.sin(angle))
-
-
-def perturb_point(
-    c: Constellation, index: int, max_disp: float, draws: tuple[float, float]
-) -> Constellation:
-    """Displace one point by a disc-uniform offset, then renormalize power.
-
-    `draws` supplies the two uniform variates, so callers control the
-    randomness.  Before renormalization only the chosen point differs.
-    """
-    if not 0 <= index < c.size:
-        raise ValueError(f"index {index} outside 0..{c.size - 1}")
-    if max_disp < 0:
-        raise ValueError(f"max_disp must be >= 0, got {max_disp}")
-    pts = c.points.copy()
-    pts[index] += _displacement(max_disp, draws[0], draws[1])
-    return normalize_average_power(Constellation(points=pts, labels=c.labels, m=c.m))
-
-
-def swap_labels(c: Constellation, i: int, j: int) -> Constellation:
-    """Exchange the labels of points i and j."""
-    if not (0 <= i < c.size and 0 <= j < c.size):
-        raise ValueError(f"indices ({i}, {j}) outside 0..{c.size - 1}")
-    labs = c.labels.copy()
-    labs[i], labs[j] = labs[j], labs[i]
-    return Constellation(points=c.points, labels=labs, m=c.m)
 
 
 def _renormalize(pts: np.ndarray) -> np.ndarray:

@@ -11,7 +11,11 @@ exact likelihood of :mod:`phasecon.likelihood`; it is the reference the
 quadrature route is validated against.
 
 AMI is the symbol-wise achievable rate; PAMI is the bitwise (pragmatic)
-rate of a given labeling, never above AMI.
+rate of a given labeling, never above AMI.  Both routes score them from
+a table of exp(value - column peak) over the hypotheses, whose columns are
+(sent point, node) pairs in the quadrature and samples in Monte Carlo: AMI
+from its log-sum, PAMI from all 2m bit-subset sums of one indicator
+product, keeping the m that match the sent label's bits (`_information`).
 """
 
 from __future__ import annotations
@@ -43,8 +47,12 @@ MIN_MC_SAMPLES = 1000
 # Floor of every peak-shifted log term before its exp: exp(-700) ~ 1e-304
 # stays clear of float64's subnormal range (below 2.2e-308), where exp and
 # the sums over its results run many times slower; -708 is too close.  A
-# clamped entry is summed with its row peak's exp(0) = 1, or, in a PAMI bit
-# subset, with the sent point's own entry, far above the floor in practice.
+# clamped entry is summed with its column peak's exp(0) = 1, or, in a PAMI
+# bit subset, with the sent point's own entry.  For Monte Carlo that entry
+# is far above the floor: under the exact likelihood each ratio
+# p(y|u)/p(y|x) has mean 1, so P(peak - sent > T) <= (M-1) e^-T.  A subset
+# sum's relative error stays below (M-1) e^-50 unless the sample lies more
+# than 650 nats deep, which happens with probability about 1e-281.
 _EXP_FLOOR = -700.0
 
 # Fewest table entries (rows x M x G) worth a block of their own on the
@@ -159,10 +167,41 @@ def _pool(threads: int):
     return ThreadPoolExecutor(threads)
 
 
-def _bit_match_masks(labels: np.ndarray, m: int) -> np.ndarray:
-    """masks[i, j, k]: points j, k agree in bit i of their labels."""
-    bits = (labels[:, None] >> np.arange(m)[None, :]) & 1
-    return bits.T[:, :, None] == bits.T[:, None, :]
+def _label_bits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """bits[j, i]: bit i of the label of point j is set; and the (2m x M)
+    indicator whose row b*m + i marks the points with b as bit i."""
+    bits = (labels[:, None] >> np.arange(labels.size.bit_length() - 1)) & 1 == 1
+    return bits, np.concatenate([~bits.T, bits.T]) * 1.0
+
+
+def _information(exp_table, log_sum, gap, sent, label_bits):
+    """Per-column information lost, in nats, by the symbol-wise (AMI) and
+    the bitwise (PAMI) decision; a None `gap` or `label_bits` skips one.
+
+    `exp_table` holds exp(value - column peak), clamped at exp(_EXP_FLOOR),
+    hypotheses on axis -2 and columns on axis -1; `log_sum` is the log of
+    its sum over hypotheses, `gap` the column peak minus the sent value and
+    `sent` the sent hypothesis of each column, shape (C,), or of each row
+    of a 3-D table, shape (rows, 1).  AMI loses gap + log_sum.  PAMI loses,
+    per label bit, log_sum minus the log of the table summed over the
+    hypotheses whose bit matches the sent label's: one indicator product
+    gives all 2m such sums, and the sent label's bits pick m of them.
+    """
+    ami = None if gap is None else gap + log_sum
+    if label_bits is None:
+        return ami, None
+    bits, indicator = label_bits
+    m = bits.shape[1]
+    sums = np.matmul(indicator, exp_table)
+    sent_bits = np.take(bits, sent, axis=0)
+    if sent.ndim == 1:
+        matched = np.where(sent_bits.T, sums[m:], sums[:m])
+    else:
+        # One sent hypothesis per row: copy whole rows of sums.
+        matched = sums[np.arange(sent.size)[:, None], m * sent_bits[:, 0] + np.arange(m)]
+    np.log(matched, out=matched)
+    np.subtract(log_sum[..., None, :], matched, out=matched)
+    return ami, np.add.reduce(matched, axis=-2)
 
 
 def _canonical_points(points: np.ndarray) -> np.ndarray:
@@ -307,19 +346,14 @@ class QuadEvaluator:
         kept = [t for t in (self.held_table, self.last_table) if t and np.array_equal(t[0], points)]
         table = kept[0] if kept else (points.copy(), np.empty((n, n, size)), np.empty((n, size)))
         _, exp_table, log_sum = table
-        bits = (labels[:, None] >> np.arange(m)) & 1
-        # Row 2i + b of the indicator marks the hypotheses whose bit i is b.
-        indicator = (bits.T[:, None, :] == np.arange(2)[:, None]).reshape(2 * m, n) * 1.0
+        label_bits = _label_bits(labels)
 
         def integrand(rows: slice) -> np.ndarray:
             if not kept:
                 canonical = _canonical_points(points)
                 log_sum[rows] = self._table_pass(canonical, rows, exp_table[rows])[0]
-            # All 2m subset sums by one (2m x M) @ (M x G) product per sent
-            # row, whatever block the row is in.
-            sums = np.matmul(indicator, exp_table[rows])
-            matched = sums[np.arange(sums.shape[0])[:, None], 2 * np.arange(m) + bits[rows]]
-            return np.add.reduce(log_sum[rows, None] - np.log(matched), axis=1)
+            sent = np.arange(n)[rows, None]
+            return _information(exp_table[rows], log_sum[rows], None, sent, label_bits)[1]
 
         mean = self._mean_over_blocks(n, integrand, threads)
         self.last_table = table
@@ -454,12 +488,21 @@ def _mc_sample_bits(
     """Per-sample information in bits under the exact likelihood."""
     pts = _canonical_points(c.points)
     idx, y = _draw_channel_samples(pts, params, n_samples, seed)
-    masks = _bit_match_masks(c.labels, c.m) if objective == PAMI else None
+    label_bits = _label_bits(c.labels) if objective == PAMI else None
     out = np.empty(n_samples)
 
     def fill(sl: slice) -> None:
+        sent = idx[sl]
         vals = hypothesis_log_terms(y[sl, None], pts, params)
-        out[sl] = _scores_from_values(vals, idx[sl], c.m, masks)
+        # Values relative to the sent hypothesis', made exp(value - peak).
+        table = vals - vals[np.arange(sent.size), sent, None]
+        peak = np.maximum.reduce(table, axis=1)
+        table -= peak[:, None]
+        np.maximum(table, _EXP_FLOOR, out=table)
+        np.exp(table, out=table)
+        log_sum = np.log(np.add.reduce(table, axis=1))
+        ami, pami = _information(table.T, log_sum, peak, sent, label_bits)
+        out[sl] = c.m - (ami if label_bits is None else pami) / _LN2
 
     slices = [slice(s, min(s + chunk, n_samples)) for s in range(0, n_samples, chunk)]
     if threads <= 1:
@@ -468,35 +511,6 @@ def _mc_sample_bits(
     else:
         list(_pool(threads).map(fill, slices))
     return out
-
-
-def _scores_from_values(
-    vals: np.ndarray, sent: np.ndarray, m: int, masks: np.ndarray | None
-) -> np.ndarray:
-    """Per-sample information from per-hypothesis log-likelihood values.
-
-    `vals` has one row per sample; constants common to all hypotheses may
-    be omitted since only in-row differences enter.
-    """
-    n = vals.shape[0]
-    ref = vals[np.arange(n), sent]
-    diff = vals - ref[:, None]
-    lse_all = _row_log_sum_exp(diff)
-    if masks is None:
-        return m - lse_all / _LN2
-    total = np.zeros(n)
-    for i in range(masks.shape[0]):
-        row_mask = masks[i][sent]
-        total += lse_all - _row_log_sum_exp(np.where(row_mask, diff, -np.inf))
-    return m - total / _LN2
-
-
-def _row_log_sum_exp(v: np.ndarray) -> np.ndarray:
-    """log sum exp of each row, each term shifted by the row peak and
-    floored at _EXP_FLOOR; a -inf term becomes exp(_EXP_FLOOR), which
-    vanishes against the peak's 1."""
-    peak = v.max(axis=1)
-    return peak + np.log(np.exp(np.maximum(v - peak[:, None], _EXP_FLOOR)).sum(axis=1))
 
 
 def _monte_carlo(
@@ -530,7 +544,10 @@ def ami_monte_carlo(
 
     Reproducible for a fixed seed; `stderr` is the standard error of the
     per-sample mean.  Samples are scored `chunk` at a time, which bounds the
-    (chunk, M) temporaries; `threads` scores chunks in parallel.
+    (chunk, M) temporaries; `threads` scores chunks in parallel.  Each
+    chunk's exact-likelihood values become one table of exp(value - peak),
+    which scores AMI here and PAMI in `pami_monte_carlo` the way the
+    quadrature does, so PAMI costs little more than AMI.
     """
     return _monte_carlo(c, params, n_samples, seed, AMI, chunk, threads)
 

@@ -1,4 +1,4 @@
-"""Domain types: constellations, bit labels, and channel parameters."""
+"""Domain types: labelled constellations and channel parameters."""
 
 from __future__ import annotations
 
@@ -32,37 +32,6 @@ def gray_code(index: int) -> int:
     if index < 0:
         raise ValueError(f"index must be non-negative, got {index}")
     return index ^ (index >> 1)
-
-
-@dataclass(frozen=True)
-class LabelBits:
-    """An m-bit label value attached to one constellation point."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ConstellationError(f"label width must be >= 1, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ConstellationError(
-                f"label value {self.value} does not fit in {self.width} bits"
-            )
-
-    def bit(self, position: int) -> int:
-        """Bit at `position` (0 = least significant)."""
-        if not 0 <= position < self.width:
-            raise ConstellationError(f"bit position {position} out of range")
-        return (self.value >> position) & 1
-
-
-def hamming_distance(a: LabelBits, b: LabelBits) -> int:
-    """Number of bit positions in which two equal-width labels differ."""
-    if a.width != b.width:
-        raise ConstellationError(
-            f"label widths differ: {a.width} vs {b.width}"
-        )
-    return (a.value ^ b.value).bit_count()
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +70,6 @@ class Constellation:
 
     def average_power(self) -> float:
         return float(np.mean(np.abs(self.points) ** 2))
-
-    def label_bits(self, index: int) -> LabelBits:
-        return LabelBits(int(self.labels[index]), self.m)
 
     def fingerprint(self) -> str:
         """Stable short hash of the serialized points and labels."""

@@ -5,7 +5,8 @@ The quadrature kernel in `phasecon.capacity` evaluates the fast metric as
 compute the same metric one pair at a time through the maximising phase
 estimate, as the log-integrand's peak, and serve as the reference that
 kernel is checked against; the von Mises and Gaussian densities are kept
-for the likelihood tests.
+for the likelihood tests.  `masked_scores` is the former Monte Carlo
+scoring: one masked log-sum-exp per label bit, each with its own peak.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from phasecon import ChannelParams, log_bessel_i0
+from phasecon.capacity import _EXP_FLOOR
 
 _TWO_PI = 2.0 * math.pi
 
@@ -138,3 +140,33 @@ def awgn_log_likelihood(y, u, params: ChannelParams):
     resid = np.abs(np.asarray(y) - np.asarray(u)) ** 2
     out = math.log(params.k_n / _TWO_PI) - 0.5 * params.k_n * resid
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _row_log_sum_exp(v):
+    """log sum exp of each row, each term shifted by the row peak and
+    floored at _EXP_FLOOR; a -inf term becomes exp(_EXP_FLOOR), which
+    vanishes against the peak's 1."""
+    peak = v.max(axis=1)
+    return peak + np.log(np.exp(np.maximum(v - peak[:, None], _EXP_FLOOR)).sum(axis=1))
+
+
+def masked_scores(vals, sent, m: int, labels=None):
+    """Per-sample information in bits from per-hypothesis log-likelihood
+    values `vals` (one row per sample), for AMI, or for PAMI of `labels`.
+
+    Values are taken relative to the sent hypothesis' own.  PAMI sums, per
+    label bit, the log-sum-exp of all values minus that of the values whose
+    bit matches the sent label's, the others masked to -inf; each masked
+    log-sum-exp is shifted by its own peak.
+    """
+    n = vals.shape[0]
+    diff = vals - vals[np.arange(n), sent][:, None]
+    lse_all = _row_log_sum_exp(diff)
+    if labels is None:
+        return m - lse_all / math.log(2.0)
+    bits = (labels[:, None] >> np.arange(m)[None, :]) & 1
+    total = np.zeros(n)
+    for i in range(m):
+        row_mask = bits[:, i][None, :] == bits[sent, i][:, None]
+        total += lse_all - _row_log_sum_exp(np.where(row_mask, diff, -np.inf))
+    return m - total / math.log(2.0)

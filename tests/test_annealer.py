@@ -8,13 +8,10 @@ import pytest
 from phasecon import (
     SAConfig,
     ami_quadrature,
-    displacement_schedule,
     is_gray,
     make_constellation,
     metropolis_accept,
-    perturb_point,
     sa_optimize,
-    swap_labels,
     with_seed,
 )
 from phasecon.capacity import QuadEvaluator
@@ -77,25 +74,6 @@ def test_single_step_cooling_is_flat():
     assert SAConfig(iterations=1, reanneal_count=0).cooling == 1.0
 
 
-# --- schedules -------------------------------------------------------------
-
-
-def test_displacement_schedule_endpoints_and_monotonicity():
-    cfg = SAConfig(iterations=1000)
-    assert displacement_schedule(0, cfg) == pytest.approx(cfg.d_initial)
-    assert displacement_schedule(999, cfg) == pytest.approx(cfg.d_final)
-    vals = [displacement_schedule(s, cfg) for s in range(0, 1000, 37)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_displacement_schedule_rejects_out_of_range_steps():
-    cfg = SAConfig(iterations=10)
-    with pytest.raises(ValueError):
-        displacement_schedule(-1, cfg)
-    with pytest.raises(ValueError):
-        displacement_schedule(10, cfg)
-
-
 # --- acceptance rule -------------------------------------------------------
 
 
@@ -129,62 +107,76 @@ def test_metropolis_empirical_rate_matches_boltzmann(rng):
 # --- moves -----------------------------------------------------------------
 
 
-def test_perturb_zero_draw_is_identity(psk8):
-    out = perturb_point(psk8, 3, 0.2, (0.0, 0.3))
-    np.testing.assert_allclose(out.points, psk8.points, atol=1e-15)
-    assert list(out.labels) == list(psk8.labels)
+def _swapped(c, i, j):
+    labels = c.labels.copy()
+    labels[i], labels[j] = labels[j], labels[i]
+    return make_constellation(c.points, labels)
 
 
-def test_perturb_moves_one_point_then_rescales(psk8):
-    out = perturb_point(psk8, 2, 0.3, (0.8, 0.25))
-    ratios = out.points / psk8.points
-    others = [r for k, r in enumerate(ratios) if k != 2]
-    np.testing.assert_allclose(others, others[0], atol=1e-12)
-    assert abs(ratios[2] - others[0]) > 1e-6
-    assert np.mean(np.abs(out.points) ** 2) == pytest.approx(1.0, abs=1e-12)
+def _point_moves(grid, monkeypatch):
+    """Run a short AMI anneal and return its config, its trace, and each
+    step's (state before the step, candidate scored at the step)."""
+    scored = []
+    original = QuadEvaluator.ami_bits
+    monkeypatch.setattr(
+        QuadEvaluator, "ami_bits", lambda ev, pts, threads=1: scored.append(pts.copy()) or original(ev, pts, threads)
+    )
+    cfg = small_config(iterations=200, reanneal_count=0)
+    _, trace = sa_optimize(8, channel(10.0, 10.0), "AMI", grid, cfg)
+    assert len(scored) == cfg.iterations + 1  # no collisions in this run
+    moves, current = [], scored[0]
+    for k, cand in enumerate(scored[1:]):
+        moves.append((current, cand))
+        if trace.accepted[k]:
+            current = cand
+    return cfg, trace, moves
 
 
-def test_perturb_keeps_unit_power_over_random_moves(psk8, rng):
-    c = psk8
-    for _ in range(50):
-        idx = int(rng.integers(c.size))
-        c = perturb_point(c, idx, 0.4, (rng.random(), rng.random()))
-        assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
+def _undo_rescale(current, cand):
+    """Indices where `cand` differs from `current` once its common scale
+    factor is divided out, and the candidate so unscaled."""
+    ratio = cand / current
+    common = np.median(ratio.real)
+    moved = np.flatnonzero(np.abs(ratio - common) > 1e-9)
+    return moved, cand / common
 
 
-def test_perturb_rejects_bad_arguments(psk8):
-    with pytest.raises(ValueError):
-        perturb_point(psk8, -1, 0.1, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        perturb_point(psk8, 8, 0.1, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        perturb_point(psk8, 0, -0.1, (0.5, 0.5))
+def test_perturb_moves_one_point_then_rescales(grid7, monkeypatch):
+    _, _, moves = _point_moves(grid7, monkeypatch)
+    for current, cand in moves:
+        moved, unscaled = _undo_rescale(current, cand)
+        assert moved.size == 1
+        np.testing.assert_allclose(np.delete(unscaled, moved), np.delete(current, moved), rtol=1e-12)
 
 
-def test_swap_labels_is_an_involution(psk8):
-    once = swap_labels(psk8, 1, 6)
-    twice = swap_labels(once, 1, 6)
-    assert list(twice.labels) == list(psk8.labels)
-    assert list(once.labels) != list(psk8.labels)
-    np.testing.assert_array_equal(once.points, psk8.points)
+def test_perturb_keeps_unit_power_over_random_moves(grid7, monkeypatch):
+    _, _, moves = _point_moves(grid7, monkeypatch)
+    for _, cand in moves:
+        assert np.mean(np.abs(cand) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_displacement_schedule_endpoints_and_monotonicity(grid7, monkeypatch):
+    cfg, _, moves = _point_moves(grid7, monkeypatch)
+    n = cfg.iterations
+    budget = cfg.d_initial * (cfg.d_final / cfg.d_initial) ** (np.arange(n) / (n - 1))
+    steps = []
+    for k, (current, cand) in enumerate(moves):
+        moved, unscaled = _undo_rescale(current, cand)
+        steps.append(abs(unscaled[moved[0]] - current[moved[0]]))
+        assert steps[-1] <= budget[k] * (1.0 + 1e-9), (k, steps[-1], budget[k])
+    # The budget shrinks from d_initial to d_final, and the moves with it.
+    assert max(steps[:20]) > 10 * max(steps[-20:])
 
 
 def test_swap_labels_leaves_ami_alone(psk8, grid7):
     p = channel(10.0, 10.0)
-    swapped = swap_labels(psk8, 0, 4)
+    swapped = _swapped(psk8, 0, 4)
     assert ami_quadrature(swapped, p, grid7).bits == ami_quadrature(psk8, p, grid7).bits
 
 
 def test_swap_labels_can_break_a_gray_map(psk8):
     assert is_gray(psk8)
-    assert not is_gray(swap_labels(psk8, 0, 4))
-
-
-def test_swap_labels_rejects_bad_indices(psk8):
-    with pytest.raises(ValueError):
-        swap_labels(psk8, -1, 2)
-    with pytest.raises(ValueError):
-        swap_labels(psk8, 0, 8)
+    assert not is_gray(_swapped(psk8, 0, 4))
 
 
 # --- full runs -------------------------------------------------------------

@@ -342,9 +342,10 @@ def test_parallel_evaluation_matches_serial(psk8, grid7):
     serial = ami_quadrature(psk8, p, grid7, threads=1).bits
     parallel = ami_quadrature(psk8, p, grid7, threads=4).bits
     assert abs(serial - parallel) < 1e-10
-    mc_serial = ami_monte_carlo(psk8, p, 20000, seed=3, threads=1).bits
-    mc_parallel = ami_monte_carlo(psk8, p, 20000, seed=3, threads=4).bits
-    assert abs(mc_serial - mc_parallel) < 1e-10
+    for rate in (ami_monte_carlo, pami_monte_carlo):
+        mc_serial = rate(psk8, p, 20000, seed=3, threads=1).bits
+        mc_parallel = rate(psk8, p, 20000, seed=3, threads=4).bits
+        assert abs(mc_serial - mc_parallel) < 1e-10, rate.__name__
 
 
 @pytest.mark.parametrize(
@@ -373,12 +374,20 @@ def test_quadrature_is_bit_identical_for_any_thread_count(kind, size, pnsd, snr,
         sys.setswitchinterval(interval)
 
 
-def test_one_node_grid_is_bit_identical_for_any_thread_count():
+def test_one_node_grid_is_bit_identical_for_any_thread_count(monkeypatch):
+    # The 16 x 16 x 1 table is far below the pool's threshold; lowered, it
+    # splits for every thread count above 1, into at most n // 2 = 8 blocks:
+    # numpy would sum a lone row on one node pairwise, so blocks keep two.
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    pools = []
+    real_pool = capacity._pool
+    monkeypatch.setattr(capacity, "_pool", lambda k: pools.append(k) or real_pool(k))
     c = reference_constellation("qam", 16)
     p = channel(12.0, 0.0)
     grid = QuadratureGrid.of_degree(1)
     bits = {pami_quadrature(c, p, grid, threads=t).bits for t in range(1, 17)}
     assert len(bits) == 1, bits
+    assert pools == [min(t, 8) for t in range(2, 17)]
 
 
 def test_small_tables_stay_off_the_pool(grid7, monkeypatch):

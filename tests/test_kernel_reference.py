@@ -9,12 +9,13 @@ bit for bit; 1e-12 bits is the stated tolerance.
 
 `reference_mc_sample_bits` is the former Monte Carlo scoring, which took the
 exact likelihood's phase integral by the periodic trapezoid rule on a grid
-sized to the largest |w|.  The kernel now uses the closed form log I_0(|w|).
-Both round each per-hypothesis value, of size up to S, to about eps*S, and a
-sample's bits pass those values through 1 + m log-sum-exps of in-row
-differences.  So per-sample bits agree within 1e-12 or 4(1 + m) eps S / ln 2,
-whichever is larger; the second term matters at high SNR, where S reaches
-a few thousand.
+sized to the largest |w|, and scored PAMI by `metric_reference.masked_scores`.
+The kernel now uses the closed form log I_0(|w|) and scores both objectives
+from one exp table.  Both round each per-hypothesis value, of size up to S,
+to about eps*S, and a sample's bits pass those values through 1 + m
+log-sum-exps of in-row differences.  So per-sample bits agree within 1e-12
+or 4(1 + m) eps S / ln 2, whichever is larger; the second term matters at
+high SNR, where S reaches a few thousand.
 
 The fast metric the quadrature kernel evaluates in bulk is checked against
 the scalar phase-estimate form in `metric_reference`.
@@ -32,14 +33,15 @@ from phasecon.capacity import (
     QuadEvaluator,
     QuadratureGrid,
     _EXP_FLOOR,
-    _bit_match_masks,
     _canonical_points,
     _draw_channel_samples,
+    _information,
+    _label_bits,
     _mc_sample_bits,
-    _scores_from_values,
 )
+from phasecon.likelihood import hypothesis_log_terms
 from conftest import channel
-from metric_reference import MetricContext, awgn_metric, decision_metric
+from metric_reference import MetricContext, awgn_metric, decision_metric, masked_scores
 
 TOL_BITS = 1e-12
 GRID7 = QuadratureGrid.of_degree(7)
@@ -174,7 +176,6 @@ def reference_mc_sample_bits(c, params, n_samples, seed, chunk):
     m = c.m
     k_n = params.k_n
     half_u2 = 0.5 * k_n * np.abs(pts) ** 2
-    masks = _bit_match_masks(c.labels, m)
     out = {AMI: np.empty(n_samples), PAMI: np.empty(n_samples), "scale": np.empty(n_samples)}
 
     if params.has_phase_noise:
@@ -203,8 +204,8 @@ def reference_mc_sample_bits(c, params, n_samples, seed, chunk):
         sl = slice(start, min(start + chunk, n_samples))
         vals = values(sl)
         out["scale"][sl] = np.abs(vals).max(axis=1)
-        out[AMI][sl] = _scores_from_values(vals, idx[sl], m, None)
-        out[PAMI][sl] = _scores_from_values(vals, idx[sl], m, masks)
+        out[AMI][sl] = masked_scores(vals, idx[sl], m)
+        out[PAMI][sl] = masked_scores(vals, idx[sl], m, c.labels)
     return out
 
 
@@ -231,6 +232,54 @@ def test_mc_scoring_matches_trapezoid_reference(size, pnsd):
             worst.append((float(excess.max()), objective, snr))
     worst = max(worst)
     assert worst[0] <= 1.0, worst
+
+
+@pytest.mark.parametrize("pnsd", (0.0, 20.0))
+@pytest.mark.parametrize("kind, size", [("psk", 8), ("qam", 64)])
+def test_mc_ami_bits_equal_the_masked_reference_on_the_package_values(kind, size, pnsd):
+    """Fed the package's own hypothesis values, the masked reference gives
+    the very AMI bits of `_mc_sample_bits`: the shared exp table keeps the
+    former AMI arithmetic."""
+    c = reference_constellation(kind, size)
+    params = channel(12.0, pnsd)
+    n_samples, chunk = 1500, 256
+    pts = _canonical_points(c.points)
+    idx, y = _draw_channel_samples(pts, params, n_samples, 5)
+    want = np.concatenate([
+        masked_scores(hypothesis_log_terms(y[s:s + chunk, None], pts, params), idx[s:s + chunk], c.m)
+        for s in range(0, n_samples, chunk)
+    ])
+    got = _mc_sample_bits(c, params, n_samples, 5, AMI, chunk, 1)
+    assert np.array_equal(got, want)
+
+
+def test_information_matches_the_masked_reference_on_hand_built_columns():
+    """Columns of per-hypothesis values scored by the shared reduction and
+    by the masked reference.  In the second, the sent point lies 650 nats
+    under the peak, and the points that share its bit 0 lie below the exp
+    floor, so that bit's matched sum is the sent entry itself."""
+    labels = np.array([0, 1, 3, 2, 6, 7, 5, 4])
+    m = 3
+    vals = np.array([
+        [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0],
+        [-650.0, 0.0, -1.0, -800.0, -900.0, -3.0, -4.0, -1e4],
+        [3.0, 2.5, -900.0, 1.0, -1e4, 0.5, 2.9, -0.5],
+        [10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0],
+        [-5.0, 40.0, 39.5, -720.0, 12.0, -701.0, 0.0, 1.0],
+    ])
+    sent = np.array([0, 0, 7, 3, 1])
+    diff = vals - vals[np.arange(sent.size), sent, None]
+    peak = diff.max(axis=1)
+    table = np.exp(np.maximum(diff - peak[:, None], _EXP_FLOOR))
+    log_sum = np.log(table.sum(axis=1))
+    ami, pami = _information(table.T, log_sum, peak, sent, _label_bits(labels))
+    ln2 = math.log(2.0)
+    np.testing.assert_array_equal(m - ami / ln2, masked_scores(vals, sent, m))
+    ref = masked_scores(vals, sent, m, labels)
+    eps = np.finfo(np.float64).eps
+    tol = np.maximum(TOL_BITS, 4 * (1 + m) * eps * np.abs(diff).max(axis=1) / ln2)
+    assert np.all(np.abs(m - pami / ln2 - ref) <= tol), (m - pami / ln2, ref)
+    assert ref[1] < m - 649.0 / ln2  # the deep column loses its 650 nats
 
 
 # --- fast metric -----------------------------------------------------------

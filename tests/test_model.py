@@ -11,11 +11,9 @@ from phasecon import (
     Constellation,
     ConstellationError,
     FormatError,
-    LabelBits,
     constellation_from_json,
     constellation_to_json,
     gray_code,
-    hamming_distance,
     is_gray,
     load_constellation,
     make_constellation,
@@ -134,27 +132,6 @@ def test_normalize_rejects_all_zero():
 
 def test_gray_code_sequence():
     assert [gray_code(i) for i in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
-
-
-def test_hamming_distance_counts_differing_bits():
-    assert hamming_distance(LabelBits(0b000, 3), LabelBits(0b000, 3)) == 0
-    assert hamming_distance(LabelBits(0b000, 3), LabelBits(0b111, 3)) == 3
-    assert hamming_distance(LabelBits(0b101, 3), LabelBits(0b011, 3)) == 2
-
-
-def test_hamming_distance_requires_equal_widths():
-    with pytest.raises(ValueError):
-        hamming_distance(LabelBits(0, 2), LabelBits(0, 3))
-
-
-def test_label_bits_rejects_overflow():
-    with pytest.raises(ValueError):
-        LabelBits(4, 2)
-
-
-def test_label_bits_extracts_positions():
-    bits = LabelBits(0b101, 3)
-    assert (bits.bit(0), bits.bit(1), bits.bit(2)) == (1, 0, 1)
 
 
 def test_is_gray_accepts_reflected_psk8(psk8):
