@@ -20,7 +20,6 @@ from .annealer import (
     SAConfig,
     metropolis_accept,
     sa_optimize,
-    with_seed,
 )
 from .capacity import (
     AMI,
@@ -32,7 +31,6 @@ from .capacity import (
     QuadratureGrid,
     ami_monte_carlo,
     ami_quadrature,
-    gauss_hermite_nodes,
     pami_monte_carlo,
     pami_quadrature,
     sample_tikhonov,
@@ -46,7 +44,6 @@ from .model import (
     constellation_from_json,
     constellation_to_json,
     gray_code,
-    is_gray,
     load_constellation,
     make_constellation,
     normalize_average_power,
@@ -79,9 +76,7 @@ __all__ = [
     "constellation_to_json",
     "design_campaign",
     "exact_log_likelihood",
-    "gauss_hermite_nodes",
     "gray_code",
-    "is_gray",
     "load_constellation",
     "log_bessel_i0",
     "make_constellation",
@@ -97,5 +92,4 @@ __all__ = [
     "sample_tikhonov",
     "save_constellation",
     "snr_sweep",
-    "with_seed",
 ]

@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .annealer import SAConfig, sa_optimize, with_seed
-from .capacity import (
-    AMI,
-    OBJECTIVES,
-    PAMI,
-    QuadratureGrid,
-    ami_quadrature,
-    pami_quadrature,
-)
+from .annealer import SAConfig, sa_optimize
+from .capacity import AMI, PAMI, QuadratureGrid, _quadrature
 from .model import ChannelParams, Constellation
 
 SNR_BRACKET_DB = (-10.0, 40.0)
@@ -62,12 +55,23 @@ def _check_axis(values, name: str) -> np.ndarray:
     return arr
 
 
-def _evaluate(c, params, objective, grid, threads):
-    if objective == AMI:
-        return ami_quadrature(c, params, grid, threads=threads)
-    if objective == PAMI:
-        return pami_quadrature(c, params, grid, threads=threads)
-    raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+def _sweep(c, kind, values, fixed_name, fixed_value, objective, grid, threads):
+    """Rates along the axis `kind` ("snr_db" or "pnsd_deg") with the other
+    channel parameter held at `fixed_value`.  Every channel is built before
+    the first evaluation, so a bad value fails before any work."""
+    xs = _check_axis(values, f"{kind}_list")
+    channels = [ChannelParams.from_snr_pnsd(**{kind: x, fixed_name: fixed_value}) for x in xs]
+    bits = [_quadrature(c, params, grid, objective, threads).bits for params in channels]
+    return CapacityCurve(
+        abscissa_kind=kind,
+        xs=xs,
+        bits=np.array(bits),
+        stderr=np.zeros(xs.size),
+        objective=objective,
+        fixed_name=fixed_name,
+        fixed_value=float(fixed_value),
+        fingerprint=c.fingerprint(),
+    )
 
 
 def snr_sweep(
@@ -84,21 +88,7 @@ def snr_sweep(
     Each point is the plain evaluator result; nothing is cached or
     interpolated between points.
     """
-    xs = _check_axis(snr_db_list, "snr_db_list")
-    bits = [
-        _evaluate(c, ChannelParams.from_snr_pnsd(x, pnsd_deg), objective, grid, threads).bits
-        for x in xs
-    ]
-    return CapacityCurve(
-        abscissa_kind="snr_db",
-        xs=xs,
-        bits=np.array(bits),
-        stderr=np.zeros(xs.size),
-        objective=objective,
-        fixed_name="pnsd_deg",
-        fixed_value=float(pnsd_deg),
-        fingerprint=c.fingerprint(),
-    )
+    return _sweep(c, "snr_db", snr_db_list, "pnsd_deg", pnsd_deg, objective, grid, threads)
 
 
 def pnsd_sweep(
@@ -111,21 +101,7 @@ def pnsd_sweep(
     threads: int | None = None,
 ) -> CapacityCurve:
     """Evaluate the chosen objective across phase spread at a fixed SNR."""
-    xs = _check_axis(pnsd_deg_list, "pnsd_deg_list")
-    bits = [
-        _evaluate(c, ChannelParams.from_snr_pnsd(snr_db, x), objective, grid, threads).bits
-        for x in xs
-    ]
-    return CapacityCurve(
-        abscissa_kind="pnsd_deg",
-        xs=xs,
-        bits=np.array(bits),
-        stderr=np.zeros(xs.size),
-        objective=objective,
-        fixed_name="snr_db",
-        fixed_value=float(snr_db),
-        fingerprint=c.fingerprint(),
-    )
+    return _sweep(c, "pnsd_deg", pnsd_deg_list, "snr_db", snr_db, objective, grid, threads)
 
 
 def campaign_cell_seed(base_seed: int, snr_index: int, pnsd_index: int) -> int:
@@ -162,7 +138,7 @@ def campaign_cells(
 
     def run():
         for (snr, pnsd, seed), cell_params in zip(cells, params):
-            best, trace = sa_optimize(size, cell_params, objective, grid, with_seed(config, seed))
+            best, trace = sa_optimize(size, cell_params, objective, grid, replace(config, seed=seed))
             yield snr, pnsd, seed, best, trace
 
     return run()
@@ -237,11 +213,11 @@ def mismatch_matrix(
         raise ValueError("evaluation lists must be non-empty 1-D sequences")
     design_cells = sorted(designs)
     eval_cells = [(float(s), float(p)) for s in snrs for p in pnsds]
+    channels = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd in eval_cells]
     bits = np.empty((len(design_cells), len(eval_cells)))
-    for e, (snr, pnsd) in enumerate(eval_cells):
-        params = ChannelParams.from_snr_pnsd(snr, pnsd)
+    for e, params in enumerate(channels):
         for d, cell in enumerate(design_cells):
-            bits[d, e] = ami_quadrature(designs[cell], params, grid, threads=threads).bits
+            bits[d, e] = _quadrature(designs[cell], params, grid, AMI, threads).bits
     loss = np.empty_like(bits)
     for e, cell in enumerate(eval_cells):
         if cell in designs:
@@ -304,14 +280,13 @@ def pragmatic_gap(
         raise ValueError(f"target_bits must lie in (0, {m}), got {target_bits}")
     pnsd = params.pnsd_deg
 
-    def ami_at(snr_db: float) -> float:
-        p = ChannelParams.from_snr_pnsd(snr_db, pnsd)
-        return ami_quadrature(c_ami, p, grid, threads=threads).bits
+    def crossing(c: Constellation, objective: str) -> float:
+        return _snr_reaching_target(
+            lambda snr_db: _quadrature(
+                c, ChannelParams.from_snr_pnsd(snr_db, pnsd), grid, objective, threads
+            ).bits,
+            target_bits,
+        )
 
-    def pami_at(snr_db: float) -> float:
-        p = ChannelParams.from_snr_pnsd(snr_db, pnsd)
-        return pami_quadrature(c_pami, p, grid, threads=threads).bits
-
-    snr_ami = _snr_reaching_target(ami_at, target_bits)
-    snr_pami = _snr_reaching_target(pami_at, target_bits)
-    return snr_pami - snr_ami
+    snr_ami = crossing(c_ami, AMI)
+    return crossing(c_pami, PAMI) - snr_ami

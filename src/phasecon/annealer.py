@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ MOVE_SWAP = "swap"
 @dataclass(frozen=True)
 class SAConfig:
     """Annealing schedule; `iterations` is the total step budget, split
-    evenly over `reanneal_count` + 1 cooling passes."""
+    evenly over `reanneal_count` + 1 annealing passes."""
 
     iterations: int = 40000
     t_initial: float = 0.05
@@ -46,13 +46,13 @@ class SAConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         # Equality is allowed so a frozen temperature turns the search
         # into a plain hill-climber.
-        if not (self.t_initial >= self.t_final > 0):
+        if not (math.inf > self.t_initial >= self.t_final > 0):
             raise ValueError(
-                f"need t_initial >= t_final > 0, got {self.t_initial}, {self.t_final}"
+                f"need finite t_initial >= t_final > 0, got {self.t_initial}, {self.t_final}"
             )
-        if not (self.d_initial >= self.d_final > 0):
+        if not (math.inf > self.d_initial >= self.d_final > 0):
             raise ValueError(
-                f"need d_initial >= d_final > 0, got {self.d_initial}, {self.d_final}"
+                f"need finite d_initial >= d_final > 0, got {self.d_initial}, {self.d_final}"
             )
         if not 0.0 <= self.label_swap_prob <= 1.0:
             raise ValueError(f"label_swap_prob must be in [0, 1], got {self.label_swap_prob}")
@@ -60,13 +60,6 @@ class SAConfig:
             raise ValueError(f"reanneal_count must be >= 0, got {self.reanneal_count}")
         if self.iterations < self.reanneal_count + 1:
             raise ValueError("iterations must cover at least one step per pass")
-
-    @property
-    def cooling(self) -> float:
-        """Geometric temperature factor per step of a single full-budget pass."""
-        if self.iterations == 1:
-            return 1.0
-        return (self.t_final / self.t_initial) ** (1.0 / (self.iterations - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,8 +264,3 @@ def sa_optimize(
         move_type=col_move,
     )
     return result, trace
-
-
-def with_seed(config: SAConfig, seed: int) -> SAConfig:
-    """Copy of `config` with a different seed."""
-    return replace(config, seed=seed)

@@ -63,16 +63,6 @@ _EXP_FLOOR = -700.0
 _MIN_BLOCK_ENTRIES = 1 << 16
 
 
-def gauss_hermite_nodes(degree: int) -> list[tuple[float, float]]:
-    """Nodes and weights for integrals of exp(-t^2) f(t), degrees 1..30."""
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
-        raise ValueError(f"degree must be an integer, got {degree!r}")
-    if not 1 <= degree <= 30:
-        raise ValueError(f"degree must be in 1..30, got {degree}")
-    nodes, weights = np.polynomial.hermite.hermgauss(int(degree))
-    return [(float(t), float(w)) for t, w in zip(nodes, weights)]
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Gauss-Hermite rule of a given degree with cached product grids.
@@ -104,9 +94,12 @@ class QuadratureGrid:
 
     @classmethod
     def of_degree(cls, degree: int) -> "QuadratureGrid":
-        pairs = gauss_hermite_nodes(degree)
-        nodes = np.array([t for t, _ in pairs])
-        weights = np.array([w for _, w in pairs])
+        """The rule for integrals of exp(-t^2) f(t), degrees 1..30."""
+        if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
+            raise ValueError(f"degree must be an integer, got {degree!r}")
+        if not 1 <= degree <= 30:
+            raise ValueError(f"degree must be in 1..30, got {degree}")
+        nodes, weights = np.polynomial.hermite.hermgauss(int(degree))
         return cls(degree=int(degree), nodes=nodes, weights=weights)
 
     def product3(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +147,7 @@ def _warn_wide_phase(params: ChannelParams) -> None:
             f"phase-noise spread {params.pnsd_deg:.1f} deg exceeds "
             f"{PNSD_WARN_DEG:.0f} deg; the Gaussian placement of the phase "
             "quadrature nodes loses accuracy there",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -380,6 +373,27 @@ def _wrap_result(
     )
 
 
+def _quadrature(
+    c: Constellation,
+    params: ChannelParams,
+    grid: QuadratureGrid,
+    objective: str,
+    threads: int | None = None,
+) -> CapacityResult:
+    """The chosen objective by quadrature: the one place that dispatches it."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    _require_normalized(c)
+    _warn_wide_phase(params)
+    ev = QuadEvaluator(params, grid)
+    threads = _resolve_threads(threads)
+    if objective == AMI:
+        bits = ev.ami_bits(c.points, threads=threads)
+    else:
+        bits = ev.pami_bits(c.points, c.labels, threads=threads)
+    return _wrap_result(bits, "quadrature", 0.0, params, c, objective)
+
+
 def ami_quadrature(
     c: Constellation,
     params: ChannelParams,
@@ -392,11 +406,7 @@ def ami_quadrature(
     Requires a unit-average-power constellation (rejected otherwise, never
     silently rescaled).
     """
-    _require_normalized(c)
-    _warn_wide_phase(params)
-    ev = QuadEvaluator(params, grid)
-    bits = ev.ami_bits(c.points, threads=_resolve_threads(threads))
-    return _wrap_result(bits, "quadrature", 0.0, params, c, AMI)
+    return _quadrature(c, params, grid, AMI, threads)
 
 
 def pami_quadrature(
@@ -407,11 +417,7 @@ def pami_quadrature(
     threads: int | None = None,
 ) -> CapacityResult:
     """Bitwise (pragmatic) rate of the constellation's labeling."""
-    _require_normalized(c)
-    _warn_wide_phase(params)
-    ev = QuadEvaluator(params, grid)
-    bits = ev.pami_bits(c.points, c.labels, threads=_resolve_threads(threads))
-    return _wrap_result(bits, "quadrature", 0.0, params, c, PAMI)
+    return _quadrature(c, params, grid, PAMI, threads)
 
 
 # --- sampling --------------------------------------------------------------
@@ -519,8 +525,8 @@ def _monte_carlo(
     n_samples: int,
     seed: int,
     objective: str,
-    chunk: int,
-    threads: int | None,
+    chunk: int = 2048,
+    threads: int | None = None,
 ) -> CapacityResult:
     _require_normalized(c)
     if n_samples < MIN_MC_SAMPLES:

@@ -15,19 +15,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import fields
 
 from .analysis import campaign_cells, mismatch_matrix, pnsd_sweep, snr_sweep
 from .annealer import SAConfig, sa_optimize
-from .capacity import (
-    AMI,
-    OBJECTIVES,
-    QuadratureGrid,
-    ami_monte_carlo,
-    ami_quadrature,
-    pami_monte_carlo,
-    pami_quadrature,
-)
+from .capacity import AMI, OBJECTIVES, QuadratureGrid, _monte_carlo, _quadrature
 from .model import (
     ChannelParams,
     ConstellationError,
@@ -45,33 +37,6 @@ CAMPAIGN_MANIFEST = "manifest.json"
 CAMPAIGN_SCHEMA = "phasecon-campaign-v1"
 
 _SA_DEFAULTS = SAConfig()
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; round-trips through JSON."""
-
-    command: str
-    options: dict
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        options = {k: v for k, v in vars(ns).items() if k != "command"}
-        return cls(command=ns.command, options=options)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        doc = json.loads(text)
-        return cls(command=doc["command"], options=doc["options"])
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError as exc:
-            raise AttributeError(name) from exc
 
 
 def _positive_int(text: str) -> int:
@@ -203,26 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_pnsd(pnsd_deg: float) -> float:
-    if pnsd_deg < 0 or math.isnan(pnsd_deg):
-        raise ValueError(f"pnsd-deg must be >= 0, got {pnsd_deg}")
-    return pnsd_deg
+def _sa_config(ns: argparse.Namespace) -> SAConfig:
+    return SAConfig(**{f.name: getattr(ns, f.name) for f in fields(SAConfig)})
 
 
-def _sa_config(cfg: RunConfig) -> SAConfig:
-    return SAConfig(
-        iterations=cfg.iterations,
-        t_initial=cfg.t_initial,
-        t_final=cfg.t_final,
-        d_initial=cfg.d_initial,
-        d_final=cfg.d_final,
-        label_swap_prob=cfg.label_swap_prob,
-        seed=cfg.seed,
-        reanneal_count=cfg.reanneal_count,
-    )
-
-
-def _result_doc(result, quad_degree: int, extra: dict | None = None) -> str:
+def _result_doc(result, quad_degree: int) -> str:
     doc = {
         "bits": result.bits,
         "stderr": result.stderr,
@@ -234,54 +184,44 @@ def _result_doc(result, quad_degree: int, extra: dict | None = None) -> str:
         "fingerprint": result.fingerprint,
         "clamped": result.clamped,
     }
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, sort_keys=True)
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    c, _ = load_constellation(cfg.constellation)
-    params = ChannelParams.from_snr_pnsd(cfg.snr_db, _check_pnsd(cfg.pnsd_deg))
-    grid = QuadratureGrid.of_degree(cfg.quad_degree)
-    if cfg.objective == AMI:
-        result = ami_quadrature(c, params, grid)
-    else:
-        result = pami_quadrature(c, params, grid)
-    text = _result_doc(result, cfg.quad_degree)
+def cmd_evaluate(ns: argparse.Namespace) -> int:
+    c, _ = load_constellation(ns.constellation)
+    params = ChannelParams.from_snr_pnsd(ns.snr_db, ns.pnsd_deg)
+    grid = QuadratureGrid.of_degree(ns.quad_degree)
+    text = _result_doc(_quadrature(c, params, grid, ns.objective), ns.quad_degree)
     print(text)
-    if cfg.options.get("output"):
-        with open(cfg.output, "w", encoding="ascii") as fh:
+    if ns.output:
+        with open(ns.output, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    params = ChannelParams.from_snr_pnsd(cfg.snr_db, _check_pnsd(cfg.pnsd_deg))
-    grid = QuadratureGrid.of_degree(cfg.quad_degree)
-    best, trace = sa_optimize(cfg.m_points, params, cfg.objective, grid, _sa_config(cfg))
+def cmd_optimize(ns: argparse.Namespace) -> int:
+    params = ChannelParams.from_snr_pnsd(ns.snr_db, ns.pnsd_deg)
+    grid = QuadratureGrid.of_degree(ns.quad_degree)
+    best, trace = sa_optimize(ns.m_points, params, ns.objective, grid, _sa_config(ns))
     meta = {
-        "objective": cfg.objective,
-        "snr_db": cfg.snr_db,
-        "pnsd_deg": cfg.pnsd_deg,
-        "seed": cfg.seed,
+        "objective": ns.objective,
+        "snr_db": ns.snr_db,
+        "pnsd_deg": ns.pnsd_deg,
+        "seed": ns.seed,
     }
-    save_constellation(cfg.output, best, meta)
-    if cfg.options.get("trace"):
-        trace.save(cfg.trace)
-    print(f"best_{cfg.objective} {float(trace.best_bits[-1])!r} -> {cfg.output}")
+    save_constellation(ns.output, best, meta)
+    if ns.trace:
+        trace.save(ns.trace)
+    print(f"best_{ns.objective} {float(trace.best_bits[-1])!r} -> {ns.output}")
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    c, _ = load_constellation(cfg.constellation)
-    params = ChannelParams.from_snr_pnsd(cfg.snr_db, _check_pnsd(cfg.pnsd_deg))
-    grid = QuadratureGrid.of_degree(cfg.quad_degree)
-    if cfg.objective == AMI:
-        quad = ami_quadrature(c, params, grid)
-        mc = ami_monte_carlo(c, params, cfg.samples, cfg.seed)
-    else:
-        quad = pami_quadrature(c, params, grid)
-        mc = pami_monte_carlo(c, params, cfg.samples, cfg.seed)
+def cmd_validate(ns: argparse.Namespace) -> int:
+    c, _ = load_constellation(ns.constellation)
+    params = ChannelParams.from_snr_pnsd(ns.snr_db, ns.pnsd_deg)
+    grid = QuadratureGrid.of_degree(ns.quad_degree)
+    quad = _quadrature(c, params, grid, ns.objective)
+    mc = _monte_carlo(c, params, ns.samples, ns.seed, ns.objective)
     deviation = abs(quad.bits - mc.bits)
     tolerance = max(0.03, 3.0 * mc.stderr)
     verdict = "PASS" if deviation <= tolerance else "FAIL"
@@ -303,20 +243,18 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    c, _ = load_constellation(cfg.constellation)
-    grid = QuadratureGrid.of_degree(cfg.quad_degree)
-    values = _sweep_values(cfg.start, cfg.stop, cfg.step)
-    if cfg.axis == "snr":
-        curve = snr_sweep(c, _check_pnsd(cfg.pnsd_deg), values, cfg.objective, grid)
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    c, _ = load_constellation(ns.constellation)
+    grid = QuadratureGrid.of_degree(ns.quad_degree)
+    values = _sweep_values(ns.start, ns.stop, ns.step)
+    if ns.axis == "snr":
+        curve = snr_sweep(c, ns.pnsd_deg, values, ns.objective, grid)
     else:
-        if cfg.snr_db is None:
+        if ns.snr_db is None:
             raise ValueError("--snr-db is required when sweeping pnsd")
-        for v in values:
-            _check_pnsd(v)
-        curve = pnsd_sweep(c, cfg.snr_db, values, cfg.objective, grid)
-    curve.save(cfg.output)
-    print(f"wrote {len(values)} rows -> {cfg.output}")
+        curve = pnsd_sweep(c, ns.snr_db, values, ns.objective, grid)
+    curve.save(ns.output)
+    print(f"wrote {len(values)} rows -> {ns.output}")
     return EXIT_OK
 
 
@@ -324,36 +262,36 @@ def _design_filename(snr_db: float, pnsd_deg: float) -> str:
     return f"design_snr{snr_db:g}_pnsd{pnsd_deg:g}.json"
 
 
-def cmd_campaign(cfg: RunConfig) -> int:
-    grid = QuadratureGrid.of_degree(cfg.quad_degree)
-    base = _sa_config(cfg)
-    runs = campaign_cells(cfg.m_points, cfg.snr_list, cfg.pnsd_list, cfg.objective, grid, base)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def cmd_campaign(ns: argparse.Namespace) -> int:
+    grid = QuadratureGrid.of_degree(ns.quad_degree)
+    base = _sa_config(ns)
+    runs = campaign_cells(ns.m_points, ns.snr_list, ns.pnsd_list, ns.objective, grid, base)
+    os.makedirs(ns.out_dir, exist_ok=True)
     cells = []
     for snr, pnsd, seed, best, trace in runs:
         name = _design_filename(snr, pnsd)
         meta = {
-            "objective": cfg.objective,
+            "objective": ns.objective,
             "snr_db": snr,
             "pnsd_deg": pnsd,
             "seed": seed,
         }
-        save_constellation(os.path.join(cfg.out_dir, name), best, meta)
+        save_constellation(os.path.join(ns.out_dir, name), best, meta)
         cells.append({
             "snr_db": snr, "pnsd_deg": pnsd, "seed": seed, "file": name,
             "best_bits": float(trace.best_bits[-1]),
         })
     manifest = {
         "version": CAMPAIGN_SCHEMA,
-        "m_points": cfg.m_points,
-        "objective": cfg.objective,
+        "m_points": ns.m_points,
+        "objective": ns.objective,
         "base_seed": base.seed,
-        "quad_degree": cfg.quad_degree,
+        "quad_degree": ns.quad_degree,
         "cells": cells,
     }
-    with open(os.path.join(cfg.out_dir, CAMPAIGN_MANIFEST), "w", encoding="ascii") as fh:
+    with open(os.path.join(ns.out_dir, CAMPAIGN_MANIFEST), "w", encoding="ascii") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(cells)} designs -> {cfg.out_dir}")
+    print(f"wrote {len(cells)} designs -> {ns.out_dir}")
     return EXIT_OK
 
 
@@ -377,20 +315,18 @@ def _load_campaign(designs_dir: str):
     return designs
 
 
-def cmd_mismatch(cfg: RunConfig) -> int:
-    designs = _load_campaign(cfg.designs_dir)
-    snrs = cfg.eval_snr_list
-    pnsds = cfg.eval_pnsd_list
+def cmd_mismatch(ns: argparse.Namespace) -> int:
+    designs = _load_campaign(ns.designs_dir)
+    snrs = ns.eval_snr_list
+    pnsds = ns.eval_pnsd_list
     if snrs is None:
         snrs = sorted({cell[0] for cell in designs})
     if pnsds is None:
         pnsds = sorted({cell[1] for cell in designs})
-    for v in pnsds:
-        _check_pnsd(v)
-    grid = QuadratureGrid.of_degree(cfg.quad_degree)
+    grid = QuadratureGrid.of_degree(ns.quad_degree)
     report = mismatch_matrix(designs, snrs, pnsds, grid)
-    report.save(cfg.output)
-    print(f"wrote {len(report.design_cells)}x{len(report.eval_cells)} matrix -> {cfg.output}")
+    report.save(ns.output)
+    print(f"wrote {len(report.design_cells)}x{len(report.eval_cells)} matrix -> {ns.output}")
     return EXIT_OK
 
 
@@ -407,9 +343,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    cfg = RunConfig.from_namespace(ns)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[ns.command](ns)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE

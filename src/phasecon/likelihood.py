@@ -63,16 +63,18 @@ def hypothesis_log_terms(y, u, params: ChannelParams):
 def exact_log_likelihood(y, u, params: ChannelParams):
     """True log p(y | u), constants included; broadcasts over `y` and `u`.
 
-    Requires finite k_phi.
+    Requires finite k_phi.  On a channel that counts as jitter-free it is
+    the Gaussian density, which the von Mises one tends to.
     """
-    if not params.has_phase_noise:
+    if math.isinf(params.k_phi):
         raise ValueError("exact_log_likelihood requires finite k_phi")
     k_n = params.k_n
     # The 2 pi of the closed form cancels the von Mises normaliser's.
+    prior = log_bessel_i0(params.k_phi) if params.has_phase_noise else 0.0
     out = (
         hypothesis_log_terms(y, u, params)
         + math.log(k_n / _TWO_PI)
-        - log_bessel_i0(params.k_phi)
+        - prior
         - 0.5 * k_n * np.abs(y) ** 2
     )
     return float(out) if np.ndim(out) == 0 else out

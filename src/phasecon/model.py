@@ -11,8 +11,14 @@ import numpy as np
 
 SCHEMA_VERSION = "phasecon-v1"
 
-# Relative tolerance for detecting tied nearest-neighbour distances.
-GRAY_TIE_RTOL = 1e-9
+# A channel whose k_phi exceeds this multiple of k_n counts as jitter-free.
+# There the jitter moves a rate by under 1e-9 bits, while the metrics'
+# k_phi terms, rounded to within k_phi * 2^-52, swamp the k_n terms that
+# carry the information: at ratio 1e12, 8-PSK's AMI at 12 dB came out
+# 1e-3 bits high, and at 1e16 Monte Carlo fell from 2.88 to 1.15 bits.  Up
+# to this ratio the rounding moved no quadrature rate of 8- and 16-PSK, 16-
+# and 64-QAM by more than 4e-6 bits, from -10 to 40 dB.
+_JITTER_FREE_RATIO = 1e9
 
 
 class ConstellationError(ValueError):
@@ -120,26 +126,6 @@ def normalize_average_power(c: Constellation) -> Constellation:
     return Constellation(points=c.points * scale, labels=c.labels, m=c.m)
 
 
-def is_gray(c: Constellation, rtol: float = GRAY_TIE_RTOL) -> bool:
-    """True when every minimum-distance neighbour pair differs in one bit.
-
-    For each point the nearest-neighbour distance is found over the other
-    points; every point within a relative tolerance `rtol` of that distance
-    counts as a neighbour (ties included).
-    """
-    pts = c.points
-    n = pts.size
-    dist = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(dist, np.inf)
-    for i in range(n):
-        d_min = dist[i].min()
-        neighbours = np.nonzero(dist[i] <= d_min * (1.0 + rtol))[0]
-        for j in neighbours:
-            if (int(c.labels[i]) ^ int(c.labels[j])).bit_count() != 1:
-                return False
-    return True
-
-
 def _square_qam_points(levels_i: int, levels_q: int):
     """Rectangular grid points and per-axis Gray labels, unnormalized."""
     bits_q = levels_q.bit_length() - 1
@@ -211,8 +197,9 @@ class ChannelParams:
 
     ``k_n`` is the reciprocal of the per-dimension Gaussian noise variance;
     ``k_phi`` is the von Mises concentration of the residual phase
-    (``math.inf`` selects the jitter-free AWGN limit).  SNR is k_n / 2 for
-    unit-average-power input.
+    (``math.inf`` selects the jitter-free AWGN limit, and so does any k_phi
+    above _JITTER_FREE_RATIO * k_n).  SNR is k_n / 2 for unit-average-power
+    input.
     """
 
     k_n: float
@@ -225,38 +212,34 @@ class ChannelParams:
             raise ValueError(f"k_phi must be positive (or inf), got {self.k_phi}")
 
     @classmethod
-    def from_concentrations(cls, k_n: float, k_phi: float) -> "ChannelParams":
-        return cls(k_n=float(k_n), k_phi=float(k_phi))
-
-    @classmethod
     def from_snr_pnsd(cls, snr_db: float, pnsd_deg: float) -> "ChannelParams":
         """Build from SNR in dB and phase-noise standard deviation in degrees."""
         if not math.isfinite(snr_db):
             raise ValueError(f"snr_db must be finite, got {snr_db}")
         if pnsd_deg < 0 or math.isnan(pnsd_deg):
             raise ValueError(f"pnsd_deg must be >= 0, got {pnsd_deg}")
-        k_n = 2.0 * 10.0 ** (snr_db / 10.0)
-        if pnsd_deg == 0.0:
-            return cls(k_n=k_n, k_phi=math.inf)
+        try:
+            k_n = 2.0 * 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"snr_db {snr_db} is out of range") from None
         sigma_rad = math.radians(pnsd_deg)
+        if sigma_rad * sigma_rad == 0.0:
+            # No jitter, or a spread whose square underflows.
+            return cls(k_n=k_n, k_phi=math.inf)
         return cls(k_n=k_n, k_phi=1.0 / (sigma_rad * sigma_rad))
 
     @property
     def has_phase_noise(self) -> bool:
-        return math.isfinite(self.k_phi)
+        return self.k_phi / self.k_n <= _JITTER_FREE_RATIO
 
     @property
     def snr_db(self) -> float:
         return 10.0 * math.log10(self.k_n / 2.0)
 
     @property
-    def a_ratio(self) -> float:
-        """k_n / k_phi, the weight of the observation against the prior."""
-        return 0.0 if not self.has_phase_noise else self.k_n / self.k_phi
-
-    @property
     def pnsd_rad(self) -> float:
-        return 0.0 if not self.has_phase_noise else math.sqrt(1.0 / self.k_phi)
+        """The spread asked for, also where the channel counts as jitter-free."""
+        return math.sqrt(1.0 / self.k_phi)
 
     @property
     def pnsd_deg(self) -> float:

@@ -37,6 +37,28 @@ def channel(snr_db, pnsd_deg):
     return ChannelParams.from_snr_pnsd(snr_db, pnsd_deg)
 
 
+# Relative tolerance for detecting tied nearest-neighbour distances.
+GRAY_TIE_RTOL = 1e-9
+
+
+def is_gray(c, rtol=GRAY_TIE_RTOL):
+    """True when every minimum-distance neighbour pair differs in one bit.
+
+    For each point the nearest-neighbour distance is found over the other
+    points; every point within a relative tolerance `rtol` of that distance
+    counts as a neighbour (ties included).
+    """
+    pts = c.points
+    dist = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(dist, np.inf)
+    for i in range(pts.size):
+        neighbours = np.nonzero(dist[i] <= dist[i].min() * (1.0 + rtol))[0]
+        for j in neighbours:
+            if (int(c.labels[i]) ^ int(c.labels[j])).bit_count() != 1:
+                return False
+    return True
+
+
 # Verdict lines recorded by the acceptance tests; echoed after the run so the
 # measured values appear in the terminal log even with output capture on.
 CRITERION_LINES: list[str] = []

@@ -96,7 +96,7 @@ def decision_metric(y: complex, u: complex, ctx: MetricContext) -> float:
     if not params.has_phase_noise:
         raise ValueError("decision_metric requires finite k_phi; use awgn_metric")
     z = y.conjugate() * u
-    phi = phase_estimate(z, params.a_ratio)
+    phi = phase_estimate(z, params.k_n / params.k_phi)
     matched = z.real * math.cos(phi) - z.imag * math.sin(phi)
     return (
         -0.5 * params.k_n * abs(u) ** 2
@@ -125,8 +125,9 @@ def log_ratio(y: complex, u: complex, x: complex, ctx: MetricContext) -> float:
         return m_u - m_x
     z_u = y.conjugate() * u
     z_x = y.conjugate() * x
-    phi_u = phase_estimate(z_u, params.a_ratio)
-    phi_x = phase_estimate(z_x, params.a_ratio)
+    a_ratio = params.k_n / params.k_phi
+    phi_u = phase_estimate(z_u, a_ratio)
+    phi_x = phase_estimate(z_x, a_ratio)
     matched_u = z_u.real * math.cos(phi_u) - z_u.imag * math.sin(phi_u)
     matched_x = z_x.real * math.cos(phi_x) - z_x.imag * math.sin(phi_x)
     prior_gap = params.k_phi * math.cos(phi_u) - params.k_phi * math.cos(phi_x)

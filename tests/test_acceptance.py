@@ -22,7 +22,6 @@ from phasecon import (
     pragmatic_gap,
     reference_constellation,
     sa_optimize,
-    with_seed,
 )
 from phasecon.analysis import _snr_reaching_target
 from phasecon.capacity import QuadEvaluator
@@ -85,7 +84,7 @@ def labeling_classes(size: int) -> np.ndarray:
 
 
 def anneal(size, snr_db, pnsd_deg, objective, seed, **over):
-    cfg = with_seed(SAConfig(**over), seed)
+    cfg = SAConfig(**over, seed=seed)
     best, _ = sa_optimize(size, channel(snr_db, pnsd_deg), objective, GRID7, cfg)
     return best
 

@@ -1,5 +1,7 @@
 """Tests for sweeps, campaigns, mismatch tables, and the SNR gap."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from phasecon import (
     reference_constellation,
     sa_optimize,
     snr_sweep,
-    with_seed,
 )
 from phasecon.model import ChannelParams
 from conftest import channel
@@ -107,7 +108,7 @@ def test_single_cell_campaign_equals_direct_run(grid7):
     cfg = tiny_config()
     designs = design_campaign(4, [10.0], [15.0], "AMI", grid7, cfg)
     assert list(designs) == [(10.0, 15.0)]
-    direct_cfg = with_seed(cfg, campaign_cell_seed(cfg.seed, 0, 0))
+    direct_cfg = replace(cfg, seed=campaign_cell_seed(cfg.seed, 0, 0))
     direct, _ = sa_optimize(4, channel(10.0, 15.0), "AMI", grid7, direct_cfg)
     np.testing.assert_array_equal(designs[(10.0, 15.0)].points, direct.points)
     np.testing.assert_array_equal(designs[(10.0, 15.0)].labels, direct.labels)

@@ -8,14 +8,12 @@ import pytest
 from phasecon import (
     SAConfig,
     ami_quadrature,
-    is_gray,
     make_constellation,
     metropolis_accept,
     sa_optimize,
-    with_seed,
 )
 from phasecon.capacity import QuadEvaluator
-from conftest import channel
+from conftest import channel, is_gray
 
 
 def small_config(**over):
@@ -31,7 +29,6 @@ def small_config(**over):
 def test_config_defaults_are_valid():
     cfg = SAConfig()
     assert cfg.iterations == 40000
-    assert 0.0 < cfg.cooling < 1.0
     assert cfg.t_initial > cfg.t_final
     assert cfg.d_initial > cfg.d_final
 
@@ -55,23 +52,20 @@ def test_config_rejects_bad_fields():
         SAConfig(reanneal_count=-1)
     with pytest.raises(ValueError):
         SAConfig(iterations=2, reanneal_count=2)
+    for field in ("t_initial", "d_initial"):
+        with pytest.raises(ValueError):
+            SAConfig(**{field: math.inf})
 
 
 def test_config_allows_frozen_temperature():
     cfg = SAConfig(t_initial=1e-12, t_final=1e-12)
-    assert cfg.cooling == pytest.approx(1.0)
+    assert cfg.t_initial == cfg.t_final
 
 
-def test_with_seed_changes_only_the_seed():
-    cfg = SAConfig(iterations=123, seed=1)
-    other = with_seed(cfg, 9)
-    assert other.seed == 9
-    assert other.iterations == 123
-    assert cfg.seed == 1
-
-
-def test_single_step_cooling_is_flat():
-    assert SAConfig(iterations=1, reanneal_count=0).cooling == 1.0
+def test_single_step_cooling_is_flat(grid7):
+    cfg = SAConfig(iterations=1, reanneal_count=0)
+    _, trace = sa_optimize(4, channel(10.0, 0.0), "AMI", grid7, cfg)
+    assert trace.temperature.tolist() == [cfg.t_initial]
 
 
 # --- acceptance rule -------------------------------------------------------

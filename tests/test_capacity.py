@@ -19,7 +19,6 @@ from phasecon import (
     ami_monte_carlo,
     ami_quadrature,
     capacity,
-    gauss_hermite_nodes,
     make_constellation,
     pami_monte_carlo,
     pami_quadrature,
@@ -39,9 +38,8 @@ def test_gauss_hermite_moments_match_gamma_function():
     degree-k rule is exact for all polynomials up to degree 2k-1.
     """
     for degree in (1, 2, 3, 7, 12, 30):
-        pairs = gauss_hermite_nodes(degree)
-        t = np.array([p[0] for p in pairs])
-        w = np.array([p[1] for p in pairs])
+        grid = QuadratureGrid.of_degree(degree)
+        t, w = grid.nodes, grid.weights
         for p in range(2 * degree):
             got = float(np.dot(w, t**p))
             want = math.gamma((p + 1) / 2) if p % 2 == 0 else 0.0
@@ -53,25 +51,21 @@ def test_gauss_hermite_moments_match_gamma_function():
 
 def test_gauss_hermite_weights_sum_to_sqrt_pi():
     for degree in (1, 5, 15, 30):
-        total = math.fsum(w for _, w in gauss_hermite_nodes(degree))
+        total = math.fsum(QuadratureGrid.of_degree(degree).weights)
         assert total == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_gauss_hermite_nodes_are_sorted_and_symmetric():
     for degree in (4, 7, 15):
-        t = np.array([p[0] for p in gauss_hermite_nodes(degree)])
+        t = QuadratureGrid.of_degree(degree).nodes
         assert np.all(np.diff(t) > 0)
         np.testing.assert_allclose(t, -t[::-1], atol=1e-12)
 
 
 def test_gauss_hermite_rejects_bad_degrees():
-    for degree in (0, -1, 31, 100):
+    for degree in (0, -1, 31, 100, 2.5, True):
         with pytest.raises(ValueError):
-            gauss_hermite_nodes(degree)
-    with pytest.raises(ValueError):
-        gauss_hermite_nodes(2.5)
-    with pytest.raises(ValueError):
-        gauss_hermite_nodes(True)
+            QuadratureGrid.of_degree(degree)
 
 
 def test_quadrature_grid_product_shapes_and_sums(grid7):
@@ -152,9 +146,23 @@ def test_unnormalized_input_is_rejected(psk8, grid7):
 
 
 def test_awgn_path_matches_tiny_phase_noise(psk8, grid7):
-    awgn = ami_quadrature(psk8, ChannelParams.from_concentrations(31.7, math.inf), grid7).bits
-    near = ami_quadrature(psk8, ChannelParams.from_concentrations(31.7, 1e8), grid7).bits
+    awgn = ami_quadrature(psk8, ChannelParams(k_n=31.7, k_phi=math.inf), grid7).bits
+    near = ami_quadrature(psk8, ChannelParams(k_n=31.7, k_phi=1e8), grid7).bits
     assert abs(awgn - near) <= 0.005
+    # Below about 1e-3 deg at 12 dB the k_phi terms would swamp the k_n
+    # terms in rounding, so the channel counts as jitter-free there; on
+    # both sides of that line both routes stay at the jitter-free rate.
+    for c, snr_db in ((psk8, 12.0), (reference_constellation("qam", 64), 20.0)):
+        ami0 = ami_quadrature(c, channel(snr_db, 0.0), grid7).bits
+        pami0 = pami_quadrature(c, channel(snr_db, 0.0), grid7).bits
+        for pnsd in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            p = channel(snr_db, pnsd)
+            assert abs(ami_quadrature(c, p, grid7).bits - ami0) <= 1e-4, pnsd
+            assert abs(pami_quadrature(c, p, grid7).bits - pami0) <= 1e-4, pnsd
+            if c is psk8:
+                for mc_fn, want in ((ami_monte_carlo, ami0), (pami_monte_carlo, pami0)):
+                    mc = mc_fn(c, p, 20000, seed=3)
+                    assert abs(mc.bits - want) <= 3.0 * mc.stderr, (pnsd, mc_fn)
 
 
 def test_wide_phase_spread_warns(psk8, grid7):

@@ -8,12 +8,13 @@ import pytest
 from phasecon import (
     ChannelParams,
     QuadratureGrid,
+    analysis,
     campaign_cell_seed,
     load_constellation,
     pami_quadrature,
     save_constellation,
 )
-from phasecon.cli import RunConfig, build_parser, main
+from phasecon.cli import main
 
 
 @pytest.fixture()
@@ -27,6 +28,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture()
+def no_evaluation(monkeypatch):
+    """Fail the test if a sweep or the mismatch matrix evaluates a rate."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rate was evaluated before the bad value was seen")
+
+    monkeypatch.setattr(analysis, "_quadrature", refuse)
 
 
 # --- parser ----------------------------------------------------------------
@@ -46,19 +57,6 @@ def test_subcommand_help_lists_defaults(capsys):
     assert "default: 7" in text
     assert "default: 40000" in text
     assert "default: 0.05" in text
-
-
-def test_run_config_round_trips():
-    ns = build_parser().parse_args(
-        ["evaluate", "c.json", "--snr-db", "9", "--pnsd-deg", "5", "--objective", "PAMI"]
-    )
-    cfg = RunConfig.from_namespace(ns)
-    back = RunConfig.from_json(cfg.to_json())
-    assert back.command == "evaluate"
-    assert back.options == cfg.options
-    assert back.snr_db == 9.0
-    with pytest.raises(AttributeError):
-        back.not_a_flag
 
 
 # --- evaluate --------------------------------------------------------------
@@ -121,6 +119,20 @@ def test_evaluate_negative_pnsd_is_a_parameter_error(psk8_file, capsys):
     assert "error:" in err
 
 
+def test_evaluate_overflowing_snr_is_a_parameter_error(psk8_file, capsys):
+    code, out, err = run(capsys, "evaluate", psk8_file, "--snr-db", "4000")
+    assert code == 3
+    assert out == "" and "snr_db" in err
+
+
+def test_evaluate_underflowing_pnsd_is_the_jitter_free_channel(psk8_file, capsys):
+    # The square of 1e-170 deg in radians underflows to 0; at 1e-160 deg its
+    # reciprocal already overflowed to k_phi = inf.
+    code, tiny, _ = run(capsys, "evaluate", psk8_file, "--snr-db", "12", "--pnsd-deg", "1e-170")
+    assert code == 0
+    assert tiny == run(capsys, "evaluate", psk8_file, "--snr-db", "12", "--pnsd-deg", "0")[1]
+
+
 # --- optimize --------------------------------------------------------------
 
 FAST_SA = ["--iterations", "300", "--seed", "1"]
@@ -164,6 +176,18 @@ def test_optimize_writes_a_trace_when_asked(tmp_path, capsys):
     lines = trace.read_text(encoding="ascii").splitlines()
     assert lines[0] == "step,temperature,current_bits,best_bits,accepted,move_type"
     assert len(lines) == 41
+
+
+@pytest.mark.parametrize("flag", ["--t-initial", "--d-initial"])
+def test_optimize_rejects_an_infinite_schedule_start(flag, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        capsys, "optimize", "--m-points", "4", "--snr-db", "10", *FAST_SA,
+        flag, "inf", "--output", str(out),
+    )
+    assert code == 3
+    assert "finite" in err
+    assert not out.exists()
 
 
 def test_optimize_rejects_non_power_of_two(tmp_path, capsys):
@@ -245,6 +269,19 @@ def test_pnsd_sweep_requires_a_fixed_snr(psk8_file, tmp_path, capsys):
     )
     assert code == 3
     assert "snr-db" in err
+
+
+def test_pnsd_sweep_rejects_a_negative_spread_before_any_work(
+    psk8_file, tmp_path, capsys, no_evaluation
+):
+    out = tmp_path / "c.csv"
+    code, text, err = run(
+        capsys, "sweep", psk8_file, "--axis", "pnsd", "--snr-db", "10",
+        "--from", "-1", "--to", "1", "--step", "1", "--output", str(out),
+    )
+    assert code == 3
+    assert "pnsd_deg" in err and text == ""
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_ranges(psk8_file, tmp_path, capsys):
@@ -344,6 +381,21 @@ def test_mismatch_reads_a_campaign_and_reports_zero_diagonal(tmp_path, capsys):
         row = row_text.split(",")
         col = header.index(row[0])
         assert float(row[col]) == 0.0
+
+
+def test_mismatch_rejects_a_negative_spread_before_any_work(tmp_path, capsys, no_evaluation):
+    # The campaign anneals through the evaluator directly, not through
+    # analysis._quadrature.
+    out_dir = tmp_path / "camp"
+    assert run(capsys, *CAMPAIGN_ARGS, "--out-dir", str(out_dir))[0] == 0
+    matrix = tmp_path / "matrix.csv"
+    code, text, err = run(
+        capsys, "mismatch", "--designs-dir", str(out_dir), "--eval-pnsd-list", "0,-1",
+        "--output", str(matrix),
+    )
+    assert code == 3
+    assert "pnsd_deg" in err and text == ""
+    assert not matrix.exists()
 
 
 def test_mismatch_without_a_manifest_is_a_file_error(tmp_path, capsys):

@@ -165,7 +165,7 @@ def test_decision_metric_requires_finite_phase_concentration():
 
 def test_decision_metric_near_awgn_matches_gaussian_ratio(rng):
     k_n = 2.0 * 10 ** 0.9
-    params = ChannelParams.from_concentrations(k_n, 1e8)
+    params = ChannelParams(k_n=k_n, k_phi=1e8)
     for _ in range(100):
         y = complex(rng.normal(), rng.normal())
         u = complex(*rng.normal(size=2))
@@ -177,7 +177,7 @@ def test_decision_metric_near_awgn_matches_gaussian_ratio(rng):
 
 
 def test_decision_metric_picks_sent_symbol_when_clean():
-    params = ChannelParams.from_concentrations(500.0, 30.0)
+    params = ChannelParams(k_n=500.0, k_phi=30.0)
     pts = reference_constellation("psk", 8).points
     ctx = MetricContext.for_points(pts, params)
     for sent in pts:
@@ -241,7 +241,7 @@ def test_exact_likelihood_matches_bessel_closed_form(rng):
     pairs = [(params, complex(rng.normal(), rng.normal()), complex(*rng.normal(size=2)))
              for _ in range(40)]
     # Received samples near their symbol at 44 dB and 2.9 deg: |w| ~ 1e5.
-    sharp = ChannelParams.from_concentrations(5e4, 400.0)
+    sharp = ChannelParams(k_n=5e4, k_phi=400.0)
     for _ in range(12):
         u = rng.uniform(0.7, 1.4) * np.exp(2j * math.pi * rng.random())
         noise = complex(*rng.normal(size=2)) / math.sqrt(sharp.k_n)
@@ -257,12 +257,14 @@ def test_exact_likelihood_matches_bessel_closed_form(rng):
 
 
 def test_exact_likelihood_pinned_phase_is_gaussian():
-    params = ChannelParams.from_concentrations(4.0, 1e6)
-    awgn = ChannelParams.from_concentrations(4.0, math.inf)
-    for y, u in ((0.9 + 0.4j, 1.0 + 0j), (-0.2 + 1.1j, 0.3 - 0.9j)):
-        assert exact_log_likelihood(y, u, params) == pytest.approx(
-            awgn_log_likelihood(y, u, awgn), abs=1e-4
-        )
+    awgn = ChannelParams(k_n=4.0, k_phi=math.inf)
+    # k_phi = 1e12 is past the jitter-free ratio: the Gaussian density itself.
+    for k_phi, tol in ((1e6, 1e-4), (1e12, 1e-12)):
+        params = ChannelParams(k_n=4.0, k_phi=k_phi)
+        for y, u in ((0.9 + 0.4j, 1.0 + 0j), (-0.2 + 1.1j, 0.3 - 0.9j)):
+            assert exact_log_likelihood(y, u, params) == pytest.approx(
+                awgn_log_likelihood(y, u, awgn), abs=tol
+            )
 
 
 def test_exact_likelihood_rejects_awgn_params():
@@ -296,7 +298,7 @@ def test_batch_exact_likelihood_matches_scalar(rng):
 
 
 def test_awgn_log_likelihood_is_gaussian_density():
-    params = ChannelParams.from_concentrations(4.0, math.inf)
+    params = ChannelParams(k_n=4.0, k_phi=math.inf)
     y, u = 1.1 - 0.3j, 0.6 + 0.2j
     sigma2 = 1.0 / params.k_n
     expected = math.log(

@@ -14,7 +14,6 @@ from phasecon import (
     constellation_from_json,
     constellation_to_json,
     gray_code,
-    is_gray,
     load_constellation,
     make_constellation,
     normalize_average_power,
@@ -22,7 +21,7 @@ from phasecon import (
     save_constellation,
 )
 
-from conftest import random_unit_power_constellation
+from conftest import is_gray, random_unit_power_constellation
 
 
 # --- construction and validation ------------------------------------------
@@ -225,7 +224,6 @@ def test_channel_params_conversions_round_trip():
     p = ChannelParams.from_snr_pnsd(12.0, 10.0)
     assert p.snr_db == pytest.approx(12.0, rel=1e-12)
     assert p.pnsd_deg == pytest.approx(10.0, rel=1e-12)
-    assert p.a_ratio * p.k_phi == pytest.approx(p.k_n, rel=1e-12)
 
 
 def test_channel_params_snr_definition():
@@ -237,17 +235,28 @@ def test_channel_params_zero_pnsd_is_awgn():
     p = ChannelParams.from_snr_pnsd(10.0, 0.0)
     assert math.isinf(p.k_phi)
     assert not p.has_phase_noise
-    assert p.a_ratio == 0.0
     assert p.pnsd_deg == 0.0
+
+
+def test_channel_params_tiny_spread_counts_as_jitter_free():
+    # 1e-3 deg keeps its jitter at 12 dB (k_phi = 1.03e8 k_n), 1e-4 deg does
+    # not (1.03e10 k_n); both report the spread asked for.
+    for pnsd, jittered in ((1e-3, True), (1e-4, False)):
+        p = ChannelParams.from_snr_pnsd(12.0, pnsd)
+        assert p.has_phase_noise is jittered
+        assert p.pnsd_deg == pytest.approx(pnsd, rel=1e-12)
+    # k_n times the ratio overflows here; the rule must not.
+    assert not ChannelParams.from_snr_pnsd(3000.0, 0.0).has_phase_noise
+    assert ChannelParams.from_snr_pnsd(3000.0, 5.0).has_phase_noise
 
 
 def test_channel_params_rejects_bad_concentrations():
     with pytest.raises(ValueError):
-        ChannelParams.from_concentrations(0.0, 10.0)
+        ChannelParams(k_n=0.0, k_phi=10.0)
     with pytest.raises(ValueError):
-        ChannelParams.from_concentrations(math.inf, 10.0)
+        ChannelParams(k_n=math.inf, k_phi=10.0)
     with pytest.raises(ValueError):
-        ChannelParams.from_concentrations(1.0, -1.0)
+        ChannelParams(k_n=1.0, k_phi=-1.0)
 
 
 def test_channel_params_rejects_negative_pnsd():
