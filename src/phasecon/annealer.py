@@ -112,16 +112,15 @@ def _displacement(max_disp: float, draw_a: float, draw_b: float) -> complex:
 
 
 def _renormalize(pts: np.ndarray) -> np.ndarray:
-    power = float(np.mean(pts.real**2 + pts.imag**2))
+    power = float(np.add.reduce(pts.real**2 + pts.imag**2) / pts.size)
     if power <= 0.0:
         raise ValueError("degenerate all-zero candidate")
     return pts / math.sqrt(power)
 
 
-def _min_pairwise(pts: np.ndarray) -> float:
-    dist = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+def _min_pairwise(pts: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Smallest distance over the index pairs (i < j) of np.triu_indices."""
+    return float(np.minimum.reduce(np.abs(pts[pairs[0]] - pts[pairs[1]])))
 
 
 def _random_disc_points(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,6 +173,7 @@ def sa_optimize(
     m = size.bit_length() - 1
     rng = np.random.Generator(np.random.PCG64(config.seed))
     evaluator = QuadEvaluator(params, grid)
+    pairs = np.triu_indices(size, 1)
 
     if initial is not None:
         if initial.size != size:
@@ -196,7 +196,7 @@ def sa_optimize(
     best_pts, best_labs = pts.copy(), labs.copy()
     # A label swap leaves the PAMI table unchanged: hold the table of the
     # accepted state (and of the best, for re-heats) so swaps reuse it.
-    evaluator.held_table = best_table = evaluator.last_table
+    evaluator.held_table = evaluator.best_table = evaluator.last_table
 
     n_steps = config.iterations
     col_step = np.arange(n_steps, dtype=np.int64)
@@ -212,7 +212,7 @@ def sa_optimize(
             # Re-heat from the incumbent best.
             pts, labs = best_pts.copy(), best_labs.copy()
             current = best
-            evaluator.held_table = best_table
+            evaluator.held_table = evaluator.best_table
         for local in range(p_len):
             temp = _geometric(local, p_len, config.t_initial, config.t_final)
             disp = _geometric(local, p_len, config.d_initial, config.d_final)
@@ -233,7 +233,7 @@ def sa_optimize(
                 cand_pts[i] += _displacement(disp, u_a, u_b)
                 cand_pts = _renormalize(cand_pts)
                 cand_labs = labs
-                collided = _min_pairwise(cand_pts) < COLLISION_MIN_DIST
+                collided = _min_pairwise(cand_pts, pairs) < COLLISION_MIN_DIST
             accepted = False
             if not collided:
                 cand = score(cand_pts, cand_labs)
@@ -246,7 +246,7 @@ def sa_optimize(
                     if current > best:
                         best = current
                         best_pts, best_labs = pts.copy(), labs.copy()
-                        best_table = evaluator.held_table
+                        evaluator.best_table = evaluator.held_table
             col_temp[g] = temp
             col_cur[g] = current
             col_best[g] = best

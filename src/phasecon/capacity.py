@@ -21,6 +21,7 @@ product, keeping the m that match the sent label's bits (`_information`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import warnings
@@ -61,6 +62,22 @@ _EXP_FLOOR = -700.0
 # nodes: 8.8e4, 12% slower) and win above (64-QAM with 49 nodes: 2.0e5, 3-7%
 # faster; 32-QAM with 343 nodes: 3.5e5, 30% faster).
 _MIN_BLOCK_ENTRIES = 1 << 16
+
+# Jitter channels the quadrature refuses.  |w| = |k_phi + k_n conj(y) u| is
+# about k_n |y||u|, so as k_n / k_phi grows the k_phi terms that carry the
+# phase sink into the rounding of the k_n terms.  Against their rates at
+# k_n / k_phi = 1e7, 8- and 16-PSK and 16- and 64-QAM at 1-30 deg (degree 7)
+# moved by at most 5.6e-4 bits up to 1e12, by 7.7e-3 at 1e13 and by 0.033 at
+# 1e14; from about 1e16 they fell to 0.  Above _MAX_K_N, k_n^2 |y|^2 |u|^2
+# nears float64's overflow.
+_MAX_NOISE_TO_PHASE = 1e12
+_MAX_K_N = 1e150
+
+# Widest Monte Carlo table whose per-sample peak is taken over a transposed
+# copy: numpy's max along rows this short is slow.  On a 2-core machine a
+# (2048, M) chunk took 155 against 16 us at M = 8, 182 against 95 at 32, but
+# 201 against 234 at 64.  A max is exact, so either way gives the same bits.
+_MC_PEAK_BY_COPY = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +184,7 @@ def _label_bits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits, np.concatenate([~bits.T, bits.T]) * 1.0
 
 
-def _information(exp_table, log_sum, gap, sent, label_bits):
+def _information(exp_table, log_sum, gap, sent, label_bits, sums=None):
     """Per-column information lost, in nats, by the symbol-wise (AMI) and
     the bitwise (PAMI) decision; a None `gap` or `label_bits` skips one.
 
@@ -178,14 +195,15 @@ def _information(exp_table, log_sum, gap, sent, label_bits):
     of a 3-D table, shape (rows, 1).  AMI loses gap + log_sum.  PAMI loses,
     per label bit, log_sum minus the log of the table summed over the
     hypotheses whose bit matches the sent label's: one indicator product
-    gives all 2m such sums, and the sent label's bits pick m of them.
+    gives all 2m such sums, written to `sums` if given, and the sent
+    label's bits pick m of them.
     """
     ami = None if gap is None else gap + log_sum
     if label_bits is None:
         return ami, None
     bits, indicator = label_bits
     m = bits.shape[1]
-    sums = np.matmul(indicator, exp_table)
+    sums = np.matmul(indicator, exp_table, out=sums)
     sent_bits = np.take(bits, sent, axis=0)
     if sent.ndim == 1:
         matched = np.where(sent_bits.T, sums[m:], sums[:m])
@@ -204,10 +222,12 @@ def _canonical_points(points: np.ndarray) -> np.ndarray:
     grid is not perfectly isotropic; evaluating every set in a canonical
     orientation makes rotated copies score identically.
     """
-    nonzero = np.flatnonzero(np.abs(points) > 0.0)
-    if nonzero.size == 0:
-        raise ValueError("all-zero signal set")
-    anchor = points[nonzero[0]]
+    anchor = points[0]
+    if anchor == 0:
+        nonzero = np.flatnonzero(np.abs(points) > 0.0)
+        if nonzero.size == 0:
+            raise ValueError("all-zero signal set")
+        anchor = points[nonzero[0]]
     return points * (anchor.conjugate() / abs(anchor))
 
 
@@ -226,10 +246,20 @@ class QuadEvaluator:
     """Reusable quadrature machinery bound to one (params, grid) pair.
 
     The per-candidate entry points take raw point/label arrays so an
-    optimizer can call them in a hot loop without rebuilding anything.
+    optimizer can call them in a hot loop.  The evaluator owns its work
+    arrays: they are allocated on the first table pass for a given number
+    of points and reused by every later pass, so one evaluator must not
+    score two sets at once.
     """
 
     def __init__(self, params: ChannelParams, grid: QuadratureGrid):
+        k_n, k_phi = params.k_n, params.k_phi
+        if params.has_phase_noise and not (k_n <= _MAX_NOISE_TO_PHASE * k_phi and k_n <= _MAX_K_N):
+            raise ValueError(
+                f"SNR {params.snr_db:.6g} dB is too high for the phase-jitter metric at "
+                f"{params.pnsd_deg:.6g} deg: it needs k_n <= {_MAX_NOISE_TO_PHASE:.0e} k_phi and "
+                f"k_n <= {_MAX_K_N:.0e}, got k_n = {k_n:.3g}, k_phi = {k_phi:.3g}"
+            )
         self.params = params
         self.grid = grid
         sigma = 1.0 / math.sqrt(params.k_n)
@@ -260,13 +290,45 @@ class QuadEvaluator:
             self.rotation = None
             self.norm_weights = w / math.pi
         # PAMI tables (points, exp(metric - peak), log of its sum over h): the
-        # last one scored, and one a caller holds for label swaps to reuse.
-        self.last_table = self.held_table = None
+        # last one scored, and the ones a caller holds for label swaps to
+        # reuse, the current state's and the best state's.
+        self.last_table = self.held_table = self.best_table = None
+        self._size = 0
+        self._labels = None
 
-    def _table_pass(self, points: np.ndarray, rows: slice, out=None):
-        """Metric table (sent point rows[r], hypothesis h, grid node g), made
-        exp(metric - peak) in place, in `out` if given.  Returns the log of
-        its sum over h, the peak and the sent point's own metric.
+    def _bind(self, points: np.ndarray) -> np.ndarray:
+        """The canonical copy of `points`, with the hypothesis matrix filled
+        and the work arrays sized for it: allocated on the first call at its
+        size, then reused.  Each row block of a pass writes its own rows."""
+        n, size, params = points.size, self.norm_weights.size, self.params
+        if n != self._size:
+            width = 3 if self.rotation is None else 4
+            self._size, self._index, self._tables = n, np.arange(n), []
+            self._ami_table = self._sums = None
+            self._hyp, self._nodes = np.empty((n, width)), np.empty((n, width, size))
+            self._nodes[:, -1] = 1.0
+            if self.rotation is not None:
+                self._hyp[:, -1], self._half_u2 = params.k_phi**2, np.empty(n)
+            self._y = np.empty((n, size), dtype=np.complex128)
+            self._peak = np.empty((n, size))
+        points = _canonical_points(points)
+        u2 = np.abs(points) ** 2
+        # Columns Re u and Im u at once, from the (n, 2) float view of u.
+        re_im, hyp = points.view(np.float64).reshape(-1, 2), self._hyp
+        if self.rotation is not None:
+            np.multiply(re_im, 2.0 * params.k_phi * params.k_n, out=hyp[:, :2])
+            np.multiply(u2, params.k_n**2, out=hyp[:, 2])
+            np.multiply(u2, 0.5 * params.k_n, out=self._half_u2)
+        else:
+            np.multiply(re_im, params.k_n, out=hyp[:, :2])
+            np.multiply(u2, -0.5 * params.k_n, out=hyp[:, 2])
+        return points
+
+    def _table_pass(self, points: np.ndarray, rows: slice, table: np.ndarray, log_sum: np.ndarray):
+        """Metric table (sent point rows[r], hypothesis h, grid node g) of the
+        `points` bound by `_bind`, made exp(metric - peak) in place in
+        table[rows]; the log of its sum over h goes to log_sum[rows].
+        Returns that log-sum, the peak and the sent point's own metric.
 
         With jitter the metric is |w| - k_n|u|^2/2, w = k_phi + k_n*conj(y)*u,
         and |w|^2 = k_phi^2 + 2 k_phi k_n Re(conj(y) u) + k_n^2 |y|^2 |u|^2 is
@@ -277,35 +339,32 @@ class QuadEvaluator:
         (M x 3) product, of [k_n Re u, k_n Im u, -k_n|u|^2/2] with
         [Re y, Im y, 1].  metric - peak is clamped at _EXP_FLOOR before the
         exp."""
-        params = self.params
         x = points[rows, None]
-        y = x * self.rotation + self.noise if self.rotation is not None else x + self.noise
-        u2 = np.abs(points) ** 2
-        if params.has_phase_noise:
-            scale = 2.0 * params.k_phi * params.k_n
-            hyp_cols = (scale * points.real, scale * points.imag,
-                        params.k_n**2 * u2, params.k_phi**2)
-            node_rows = (y.real, y.imag, y.real * y.real + y.imag * y.imag, 1.0)
+        y, nodes, peak = self._y[rows], self._nodes[rows], self._peak[rows]
+        if self.rotation is not None:
+            np.multiply(x, self.rotation, out=y)
+            y += self.noise
+            # |y|^2, with the peak's rows as scratch.
+            np.multiply(y.real, y.real, out=nodes[:, 2])
+            np.add(nodes[:, 2], np.multiply(y.imag, y.imag, out=peak), out=nodes[:, 2])
         else:
-            hyp_cols = (params.k_n * points.real, params.k_n * points.imag, -0.5 * params.k_n * u2)
-            node_rows = (y.real, y.imag, 1.0)
-        hyp = np.empty((points.size, len(hyp_cols)))
-        nodes = np.empty((y.shape[0], len(node_rows), y.shape[1]))
-        for k, (col, row) in enumerate(zip(hyp_cols, node_rows)):
-            hyp[:, k], nodes[:, k] = col, row
-        metric = np.matmul(hyp, nodes, out=out)
-        if params.has_phase_noise:
+            np.add(x, self.noise, out=y)
+        nodes[:, 0], nodes[:, 1] = y.real, y.imag
+        metric = np.matmul(self._hyp, nodes, out=table[rows])
+        if self.rotation is not None:
             # Where k_phi + k_n*conj(y)*u nearly vanishes, the expanded sum
             # can round below 0.
             np.maximum(metric, 0.0, out=metric)
             np.sqrt(metric, out=metric)
-            metric -= 0.5 * params.k_n * u2[:, None]
-        sent = metric[np.arange(metric.shape[0]), np.arange(points.size)[rows]]
-        peak = np.maximum.reduce(metric, axis=1)
+            metric -= self._half_u2[:, None]
+        # Entry (r, rows.start + r): every (M + 1)-th row of the (r*M, G) view.
+        sent = metric.reshape(-1, metric.shape[2])[rows.start :: self._size + 1].copy()
+        np.maximum.reduce(metric, axis=1, out=peak)
         metric -= peak[:, None]
         np.maximum(metric, _EXP_FLOOR, out=metric)
         np.exp(metric, out=metric)
-        return np.log(np.add.reduce(metric, axis=1)), peak, sent
+        log_sum = np.add.reduce(metric, axis=1, out=log_sum[rows])
+        return np.log(log_sum, out=log_sum), peak, sent
 
     def _mean_over_blocks(self, n: int, integrand_fn, threads: int) -> float:
         """Weighted mean over nodes and sent rows of `integrand_fn(rows)`,
@@ -316,41 +375,62 @@ class QuadEvaluator:
         rather than in hypothesis order."""
         size = self.norm_weights.size
         k = max(1, min(threads, n // 2, n * n * size // _MIN_BLOCK_ENTRIES))
-        blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
-        parts = map(integrand_fn, blocks) if k == 1 else _pool(k).map(integrand_fn, blocks)
-        return math.fsum(np.dot(row, self.norm_weights) for part in parts for row in part) / n
+        if k == 1:
+            parts = (integrand_fn(slice(0, n)),)
+        else:
+            blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
+            parts = _pool(k).map(integrand_fn, blocks)
+        rows = itertools.chain.from_iterable(parts)
+        return math.fsum(map(np.ndarray.dot, rows, itertools.repeat(self.norm_weights))) / n
 
     def ami_bits(self, points: np.ndarray, threads: int = 1) -> float:
-        points = _canonical_points(points)
+        points = self._bind(points)
         n = points.size
+        if self._ami_table is None:
+            size = self.norm_weights.size
+            self._ami_table, self._log_sum = np.empty((n, n, size)), np.empty((n, size))
 
         def integrand(rows: slice) -> np.ndarray:
-            log_sum, peak, sent = self._table_pass(points, rows)
-            return peak + log_sum - sent
+            log_sum, peak, sent = self._table_pass(points, rows, self._ami_table, self._log_sum)
+            np.add(peak, log_sum, out=peak)
+            return np.subtract(peak, sent, out=peak)
 
         return (n.bit_length() - 1) - self._mean_over_blocks(n, integrand, threads) / _LN2
 
     def pami_bits(self, points: np.ndarray, labels: np.ndarray, threads: int = 1) -> float:
         """Bitwise rate.  The table does not depend on the labels: it is
         reused when `points` equal those of `held_table` or `last_table`,
-        and otherwise built and kept as `last_table`."""
-        n, size = points.size, self.norm_weights.size
-        m = n.bit_length() - 1
+        and otherwise built and kept as `last_table`, in one of at most
+        three buffers, never `held_table` or `best_table`."""
+        canonical, n = self._bind(points), points.size
         kept = [t for t in (self.held_table, self.last_table) if t and np.array_equal(t[0], points)]
-        table = kept[0] if kept else (points.copy(), np.empty((n, n, size)), np.empty((n, size)))
+        if kept:
+            table = kept[0]
+        else:
+            spare = [t for t in self._tables if t is not self.held_table and t is not self.best_table]
+            if not spare:
+                size = self.norm_weights.size
+                spare.append((np.empty(n, complex), np.empty((n, n, size)), np.empty((n, size))))
+                self._tables.append(spare[0])
+            table, self.last_table = spare[0], None
         _, exp_table, log_sum = table
-        label_bits = _label_bits(labels)
+        if self._sums is None:
+            self._sums = np.empty((n, 2 * (n.bit_length() - 1), self.norm_weights.size))
+        if self._labels is None or not np.array_equal(self._labels, labels):
+            self._labels, self._label_bits = labels.copy(), _label_bits(labels)
+        label_bits = self._label_bits
 
         def integrand(rows: slice) -> np.ndarray:
             if not kept:
-                canonical = _canonical_points(points)
-                log_sum[rows] = self._table_pass(canonical, rows, exp_table[rows])[0]
-            sent = np.arange(n)[rows, None]
-            return _information(exp_table[rows], log_sum[rows], None, sent, label_bits)[1]
+                self._table_pass(canonical, rows, exp_table, log_sum)
+            sent = self._index[rows, None]
+            sums = self._sums[rows]
+            return _information(exp_table[rows], log_sum[rows], None, sent, label_bits, sums)[1]
 
         mean = self._mean_over_blocks(n, integrand, threads)
+        table[0][:] = points
         self.last_table = table
-        return m - mean / _LN2
+        return (n.bit_length() - 1) - mean / _LN2
 
 
 def _wrap_result(
@@ -457,7 +537,9 @@ def sample_tikhonov(k_phi: float, size: int, rng: np.random.Generator) -> np.nda
         while have < size:
             batch = max(4096, int(2.0 * (size - have)))
             cand = rng.standard_normal(batch) * sigma
-            accept_log = k_phi * (np.cos(cand) - 1.0) + cand * cand / (2.0 * sigma * sigma)
+            # cos(p) - 1 = -2 sin^2(p/2), which keeps its precision where
+            # cos(p) rounds to 1 (|p| below about 1e-8).
+            accept_log = -2.0 * k_phi * np.sin(cand / 2) ** 2 + cand * cand / (2.0 * sigma * sigma)
             keep = (np.abs(cand) < math.pi) & (np.log(rng.random(batch)) < accept_log)
             got = cand[keep]
             take = min(size - have, got.size)
@@ -478,8 +560,10 @@ def _draw_channel_samples(
     phases = sample_tikhonov(params.k_phi, n_samples, rng)
     gauss = rng.standard_normal((n_samples, 2))
     sigma = 1.0 / math.sqrt(params.k_n)
-    y = points[idx] * np.exp(1j * phases) + sigma * (gauss[:, 0] + 1j * gauss[:, 1])
-    return idx, y
+    x = points[idx]
+    if phases.any():  # without jitter every phase is 0 and x * e^0 is x
+        x = x * np.exp(1j * phases)
+    return idx, x + sigma * (gauss[:, 0] + 1j * gauss[:, 1])
 
 
 def _mc_sample_bits(
@@ -502,7 +586,10 @@ def _mc_sample_bits(
         vals = hypothesis_log_terms(y[sl, None], pts, params)
         # Values relative to the sent hypothesis', made exp(value - peak).
         table = vals - vals[np.arange(sent.size), sent, None]
-        peak = np.maximum.reduce(table, axis=1)
+        if pts.size <= _MC_PEAK_BY_COPY:
+            peak = np.maximum.reduce(table.T.copy(), axis=0)
+        else:
+            peak = np.maximum.reduce(table, axis=1)
         table -= peak[:, None]
         np.maximum(table, _EXP_FLOOR, out=table)
         np.exp(table, out=table)

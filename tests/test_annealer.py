@@ -1,6 +1,7 @@
 """Tests for the annealer: schedules, moves, acceptance, full runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,25 +263,84 @@ def test_trace_csv_round_trips(grid7, tmp_path):
 
 # --- golden runs -------------------------------------------------------------
 
-# Recorded from the symbol-major quadrature kernel: design fingerprint, final
-# best rate and accepted-move count of two 300-step runs.  The kernel sums in
-# another order now, so rates may move by rounding (1e-12 bits at most), but
-# every accept decision and hence the design must be the same.
+# Design fingerprint, final best rate, accepted-move count and step count.
+# The two 300-step runs were recorded from the symbol-major quadrature
+# kernel; the kernel sums in another order now, so rates may move by
+# rounding (1e-12 bits at most), but every accept decision and hence the
+# design must be the same.  The two longer runs were recorded before the
+# evaluator reused its work arrays: the PAMI one re-heats twice and accepts
+# 7 of its 101 label swaps.
 GOLDEN_RUNS = [
-    ("PAMI", 12.0, 20.0, 11, "4b2d4323785bc464", 2.505483222938205, 158),
-    ("AMI", 9.0, 0.0, 12, "b718d1e80b985175", 2.5333537771275947, 181),
+    ("PAMI", 12.0, 20.0, 11, "4b2d4323785bc464", 2.505483222938205, 158, 300),
+    ("AMI", 9.0, 0.0, 12, "b718d1e80b985175", 2.5333537771275947, 181, 300),
+    ("AMI", 9.0, 0.0, 3, "a84f17762373047c", 2.6961792200008627, 1276, 2000),
+    ("PAMI", 12.0, 20.0, 7, "84984d462484dc2c", 2.622109754114839, 509, 1000),
 ]
 
 
-@pytest.mark.parametrize("objective, snr, pnsd, seed, fingerprint, best_bits, accepted", GOLDEN_RUNS)
+@pytest.mark.parametrize(
+    "objective, snr, pnsd, seed, fingerprint, best_bits, accepted, iterations", GOLDEN_RUNS
+)
 def test_golden_runs_are_unchanged(
-    objective, snr, pnsd, seed, fingerprint, best_bits, accepted, grid7
+    objective, snr, pnsd, seed, fingerprint, best_bits, accepted, iterations, grid7
 ):
-    cfg = SAConfig(iterations=300, seed=seed)
+    cfg = SAConfig(iterations=iterations, seed=seed)
     best, trace = sa_optimize(8, channel(snr, pnsd), objective, grid7, cfg)
     assert best.fingerprint() == fingerprint
     assert abs(trace.best_bits[-1] - best_bits) <= 1e-12
     assert int(trace.accepted.sum()) == accepted
+
+
+def test_recycled_pami_buffers_are_never_the_held_or_best_table(grid7, monkeypatch):
+    """A table pass writes into one of at most three buffers, never the one
+    the current state (held) or the best state holds for label swaps."""
+    written, distinct_held_and_best = [], []
+    original = QuadEvaluator._table_pass
+
+    def checked_pass(ev, points, rows, table, log_sum):
+        for name in ("held_table", "best_table"):
+            held = getattr(ev, name)
+            assert held is None or (held[1] is not table and held[2] is not log_sum), name
+        written.append(id(table))
+        both = ev.held_table is not None and ev.best_table is not None
+        distinct_held_and_best.append(both and ev.held_table is not ev.best_table)
+        return original(ev, points, rows, table, log_sum)
+
+    monkeypatch.setattr(QuadEvaluator, "_table_pass", checked_pass)
+    cfg = SAConfig(iterations=400, seed=7, label_swap_prob=0.3)
+    _, trace = sa_optimize(8, channel(12.0, 20.0), "PAMI", grid7, cfg)
+    assert (trace.accepted & (trace.move_type == "swap")).any()
+    # Passes ran while the held and best tables were two buffers, so only
+    # one buffer was free to recycle; three in all were used.
+    assert any(distinct_held_and_best)
+    assert len(set(written)) == 3
+
+
+def test_pami_anneal_allocates_less_than_a_table_per_step(grid7, monkeypatch):
+    """After warm-up, the memory each PAMI evaluation raises above its start
+    sums to less than one M x M x G float64 table per step: the evaluator
+    writes into its own work arrays instead of fresh tables."""
+    params, steps = channel(12.0, 20.0), 200
+    table_bytes = 8 * 8 * grid7.degree**3 * 8
+    sa_optimize(8, params, "PAMI", grid7, SAConfig(iterations=20, seed=1))
+    rises = []
+    original = QuadEvaluator.pami_bits
+
+    def traced(ev, *args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = original(ev, *args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    monkeypatch.setattr(QuadEvaluator, "pami_bits", traced)
+    tracemalloc.start()
+    try:
+        sa_optimize(8, params, "PAMI", grid7, SAConfig(iterations=steps, seed=2))
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == steps + 1
+    assert sum(rises) < steps * table_bytes, sum(rises) / table_bytes
 
 
 def test_label_swaps_never_rebuild_the_table(grid7, monkeypatch):

@@ -297,6 +297,22 @@ def test_monte_carlo_memory_does_not_grow_with_snr(psk8):
     assert peak < 64e6, peak
 
 
+def test_quadrature_refuses_jitter_channels_whose_phase_it_cannot_resolve(psk8, grid7):
+    # 8-PSK at 20 deg: 125 dB is below the k_n / k_phi cut of 1e12 (7.7e11)
+    # and still scores the high-SNR plateau; 130 dB (2.4e12) is refused.
+    plateau = channel(80.0, 20.0)
+    for rate in (ami_quadrature, pami_quadrature):
+        bits = rate(psk8, channel(125.0, 20.0), grid7).bits
+        assert abs(bits - rate(psk8, plateau, grid7).bits) < 1e-3, rate.__name__
+        with pytest.raises(ValueError, match="too high"):
+            rate(psk8, channel(130.0, 20.0), grid7)
+    # Huge k_n with a ratio under the cut would overflow k_n^2.
+    with pytest.raises(ValueError, match="too high"):
+        ami_quadrature(psk8, ChannelParams(k_n=1e160, k_phi=1e155), grid7)
+    # The jitter-free channel has no phase to resolve.
+    assert ami_quadrature(psk8, channel(2000.0, 0.0), grid7).bits == 3.0
+
+
 def test_monte_carlo_bits_stay_in_range(psk8):
     r = ami_monte_carlo(psk8, channel(-30.0, 5.0), 2000, seed=0)
     assert 0.0 <= r.bits <= 3.0
@@ -327,6 +343,14 @@ def test_tikhonov_sampler_edge_concentrations():
     assert np.all(pinned == 0.0)
 
 
+@pytest.mark.parametrize("k_phi", (1e14, 1e16, 1e20))
+def test_tikhonov_sampler_keeps_its_spread_at_huge_concentrations(k_phi):
+    # The Gaussian branch's log-acceptance must not lose k_phi*(cos p - 1)
+    # to rounding where cos p rounds to 1; at 1e20 it once read 1.56.
+    draws = sample_tikhonov(k_phi, 20000, np.random.default_rng(3))
+    assert abs(np.std(draws) * math.sqrt(k_phi) - 1.0) <= 0.03
+
+
 def test_tikhonov_sampler_is_reproducible():
     a = sample_tikhonov(12.0, 1000, np.random.default_rng(5))
     b = sample_tikhonov(12.0, 1000, np.random.default_rng(5))
@@ -345,15 +369,26 @@ def test_tikhonov_sampler_rejects_bad_concentration():
 # --- threading -------------------------------------------------------------
 
 
-def test_parallel_evaluation_matches_serial(psk8, grid7):
+def test_parallel_evaluation_matches_serial(psk8, grid7, monkeypatch):
     p = channel(9.0, 12.0)
-    serial = ami_quadrature(psk8, p, grid7, threads=1).bits
-    parallel = ami_quadrature(psk8, p, grid7, threads=4).bits
-    assert abs(serial - parallel) < 1e-10
-    for rate in (ami_monte_carlo, pami_monte_carlo):
-        mc_serial = rate(psk8, p, 20000, seed=3, threads=1).bits
-        mc_parallel = rate(psk8, p, 20000, seed=3, threads=4).bits
-        assert abs(mc_serial - mc_parallel) < 1e-10, rate.__name__
+    # Blocks of any size, so the row blocks of one evaluation really share
+    # the evaluator's work arrays.
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    for threads in (2, 4):
+        for rate in (ami_quadrature, pami_quadrature):
+            serial = rate(psk8, p, grid7, threads=1).bits
+            assert rate(psk8, p, grid7, threads=threads).bits == serial, (rate.__name__, threads)
+        for rate in (ami_monte_carlo, pami_monte_carlo):
+            mc_serial = rate(psk8, p, 20000, seed=3, threads=1).bits
+            mc_parallel = rate(psk8, p, 20000, seed=3, threads=threads).bits
+            assert abs(mc_serial - mc_parallel) < 1e-10, (rate.__name__, threads)
+    # One evaluator scoring many sets on a pool, as the annealer would.
+    ev, rng = capacity.QuadEvaluator(p, grid7), np.random.default_rng(4)
+    for _ in range(20):
+        c = random_unit_power_constellation(rng)
+        serial = capacity.QuadEvaluator(p, grid7)
+        assert ev.ami_bits(c.points, threads=4) == serial.ami_bits(c.points)
+        assert ev.pami_bits(c.points, c.labels, threads=2) == serial.pami_bits(c.points, c.labels)
 
 
 @pytest.mark.parametrize(

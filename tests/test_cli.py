@@ -125,6 +125,17 @@ def test_evaluate_overflowing_snr_is_a_parameter_error(psk8_file, capsys):
     assert out == "" and "snr_db" in err
 
 
+def test_evaluate_refuses_an_snr_the_jitter_metric_cannot_score(psk8_file, capsys):
+    # k_n**2 once overflowed here with a traceback (exit 1); at 180-300 dB
+    # the rate read 0.0 bits.
+    for snr in ("200", "2000"):
+        code, out, err = run(capsys, "evaluate", psk8_file, "--snr-db", snr, "--pnsd-deg", "5")
+        assert code == 3
+        assert out == "" and "too high for the phase-jitter metric" in err
+    code, out, _ = run(capsys, "evaluate", psk8_file, "--snr-db", "100", "--pnsd-deg", "5")
+    assert code == 0 and json.loads(out)["bits"] == pytest.approx(3.0, abs=1e-5)
+
+
 def test_evaluate_underflowing_pnsd_is_the_jitter_free_channel(psk8_file, capsys):
     # The square of 1e-170 deg in radians underflows to 0; at 1e-160 deg its
     # reciprocal already overflowed to k_phi = inf.

@@ -291,8 +291,9 @@ def test_table_pass_sent_metric_is_the_scalar_decision_metric(kind, size, pnsd):
     c = reference_constellation(kind, size)
     params = channel(12.0, pnsd)
     ev = QuadEvaluator(params, GRID7)
-    points = _canonical_points(c.points)
-    sent = ev._table_pass(points, slice(None))[2]
+    points = ev._bind(c.points)
+    table, log_sum = np.empty((size, size, ev.noise.size)), np.empty((size, ev.noise.size))
+    sent = ev._table_pass(points, slice(None), table, log_sum)[2]
     ctx = MetricContext.for_points(points, params)
     scalar = decision_metric if params.has_phase_noise else awgn_metric
     rotation = ev.rotation if ev.rotation is not None else np.ones(ev.noise.size)
@@ -308,13 +309,13 @@ def test_table_pass_is_finite_where_w_vanishes():
     the pass must clip it rather than take the sqrt of a negative number."""
     params = channel(6.0, 5.0)
     ev = QuadEvaluator(params, QuadratureGrid.of_degree(1))
-    points = _canonical_points(reference_constellation("psk", 8).points)
+    points = ev._bind(reference_constellation("psk", 8).points)
     # One node where every sent row receives y = -(k_phi/k_n) / conj(u_0).
     ev.rotation = np.zeros(1, dtype=complex)
     ev.noise = np.array([-(params.k_phi / params.k_n) * points[0] / abs(points[0]) ** 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        log_sum, peak, sent = ev._table_pass(points, slice(None))
+        log_sum, peak, sent = ev._table_pass(points, slice(None), np.empty((8, 8, 1)), np.empty((8, 1)))
     assert np.all(np.isfinite(log_sum)) and np.all(np.isfinite(peak))
     assert np.all(np.isfinite(sent))
     # |w| is 0 up to the rounding of the expanded sum, of size eps*k_phi^2.
