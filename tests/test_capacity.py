@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import i0e, i1e
+from scipy.special import i0e, i1e, ive
 
 from phasecon import (
     MIN_MC_SAMPLES,
@@ -313,6 +313,20 @@ def test_quadrature_refuses_jitter_channels_whose_phase_it_cannot_resolve(psk8, 
     assert ami_quadrature(psk8, channel(2000.0, 0.0), grid7).bits == 3.0
 
 
+def test_monte_carlo_refuses_the_channels_the_quadrature_refuses(psk8):
+    # 8-PSK at 5 deg: k_phi = 131, so the k_n / k_phi cut of 1e12 falls at
+    # 138.2 dB.  At 170 dB Monte Carlo once scored 0.0 bits.
+    inside, outside = channel(138.0, 5.0), channel(170.0, 5.0)
+    for rate in (ami_monte_carlo, pami_monte_carlo):
+        with pytest.raises(ValueError, match="too high"):
+            rate(psk8, outside, MIN_MC_SAMPLES, seed=0)
+        assert rate(psk8, inside, MIN_MC_SAMPLES, seed=0).bits > 2.99
+    with pytest.raises(ValueError, match="too high"):
+        ami_monte_carlo(psk8, channel(2000.0, 5.0), MIN_MC_SAMPLES, seed=0)
+    with pytest.raises(ValueError, match="too high"):
+        ami_quadrature(psk8, outside, QuadratureGrid.of_degree(3))
+
+
 def test_monte_carlo_bits_stay_in_range(psk8):
     r = ami_monte_carlo(psk8, channel(-30.0, 5.0), 2000, seed=0)
     assert 0.0 <= r.bits <= 3.0
@@ -332,6 +346,26 @@ def test_tikhonov_sampler_hits_bessel_moment():
         got = np.mean(np.cos(draws))
         spread = np.std(np.cos(draws)) / math.sqrt(n)
         assert abs(got - want) <= 5.0 * spread + 1e-4
+
+
+@pytest.mark.parametrize("k_phi", (
+    0.25,
+    capacity._UNIFORM_MAX_K_PHI,
+    np.nextafter(capacity._UNIFORM_MAX_K_PHI, np.inf),
+    8.2,  # 20 deg
+    32.8,  # 10 deg
+))
+def test_tikhonov_sampler_hits_both_bessel_moments(k_phi):
+    """E[cos phi] = I1/I0 and E[cos 2 phi] = I2/I0 on both sides of the
+    switch between the uniform and the Gaussian proposal: an envelope that
+    fails to bound the density there skews both."""
+    n = 400000
+    draws = sample_tikhonov(k_phi, n, np.random.default_rng(41))
+    for order in (1, 2):
+        harmonic = np.cos(order * draws)
+        want = ive(order, k_phi) / i0e(k_phi)
+        spread = np.std(harmonic) / math.sqrt(n)
+        assert abs(np.mean(harmonic) - want) <= 5.0 * spread + 1e-4, order
 
 
 def test_tikhonov_sampler_edge_concentrations():

@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import i0e
 
 from phasecon import ChannelParams, exact_log_likelihood, log_bessel_i0, reference_constellation
+from phasecon.likelihood import _LOG_I0_SPLIT
 from metric_reference import (
     MetricContext,
     awgn_log_likelihood,
@@ -43,6 +45,47 @@ def test_log_bessel_finite_at_huge_argument():
     assert math.isfinite(val)
     # dominated by the linear term
     assert val == pytest.approx(1e6, rel=1e-4)
+
+
+def scipy_log_bessel_i0(x):
+    """log I_0 by scipy, the reference for the package's numpy route."""
+    x = np.asarray(x, dtype=np.float64)
+    return x + np.log(i0e(x))
+
+
+def assert_log_bessel_close(x):
+    want = scipy_log_bessel_i0(x)
+    got = log_bessel_i0(x)
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.maximum(1.0, want))
+
+
+def test_log_bessel_matches_scipy_from_1e_minus_300_to_1e300():
+    assert_log_bessel_close(np.logspace(-300, 300, 60001))
+
+
+def test_log_bessel_matches_scipy_at_zero_and_across_its_branch_join():
+    join = _LOG_I0_SPLIT
+    below, above = np.nextafter(join, 0.0), np.nextafter(join, np.inf)
+    x = np.array([0.0, 5e-324, 1e-8, 0.5, join - 1e-6, below, join, above, join + 1e-6, 50.0])
+    assert_log_bessel_close(x)
+    assert log_bessel_i0(0.0) == 0.0
+    # The two branches meet without a step.
+    assert abs(log_bessel_i0(above) - log_bessel_i0(below)) < 1e-14
+
+
+def test_log_bessel_returns_float_for_scalar_and_array_for_array():
+    assert type(log_bessel_i0(3.0)) is float
+    assert type(log_bessel_i0(np.float64(40.0))) is float
+    out = log_bessel_i0(np.array([[1.0, 20.0], [3.0, 0.0]]))
+    assert isinstance(out, np.ndarray) and out.shape == (2, 2)
+    np.testing.assert_array_equal(out[0], log_bessel_i0([1.0, 20.0]))
+
+
+def test_log_bessel_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        log_bessel_i0(-1e-300)
+    with pytest.raises(ValueError):
+        log_bessel_i0(np.array([1.0, -2.0, 30.0]))
 
 
 def test_tikhonov_uniform_limit():
