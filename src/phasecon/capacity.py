@@ -14,8 +14,12 @@ AMI is the symbol-wise achievable rate; PAMI is the bitwise (pragmatic)
 rate of a given labeling, never above AMI.  Both routes score them from
 a table of exp(value - column peak) over the hypotheses, whose columns are
 (sent point, node) pairs in the quadrature and samples in Monte Carlo: AMI
-from its log-sum, PAMI from all 2m bit-subset sums of one indicator
-product, keeping the m that match the sent label's bits (`_information`).
+from its log-sum, PAMI from the sums over the hypotheses whose bit matches
+the sent label's, one per label bit.  The quadrature, whose rows share a
+sent point, sums only those m matched subsets per row, through one
+(M, m, M) matched-bit indicator (`QuadEvaluator.pami_bits`); Monte Carlo,
+whose columns each have their own sent point, forms all 2m bit-subset sums
+with one (2m x M) indicator product and keeps m of them (`_information`).
 """
 
 from __future__ import annotations
@@ -88,7 +92,10 @@ class QuadratureGrid:
     The 3-D product covers (noise real, noise imag, phase); the 2-D product
     drops the phase dimension for the jitter-free channel.  Offsets are in
     normalized units: evaluators scale Gaussian dimensions by sigma*sqrt(2)
-    and the phase dimension by sigma_phi*sqrt(2).
+    and the phase dimension by sigma_phi*sqrt(2).  The grid also keeps each
+    product's unit complex noise offsets t1 + j t2 and, for the 3-D one, the
+    index of each node's phase in the 1-D rule, so an evaluator computes
+    its phase factors on the `degree` phase nodes and expands them.
     """
 
     degree: int
@@ -103,12 +110,16 @@ class QuadratureGrid:
         prod3 = (nodes[i1], nodes[i2], nodes[i3], weights[i1] * weights[i2] * weights[i3])
         j1, j2 = (j.ravel() for j in np.meshgrid(k, k, indexing="ij"))
         prod2 = (nodes[j1], nodes[j2], weights[j1] * weights[j2])
-        for arr in (nodes, weights, *prod3, *prod2):
+        noise3, noise2 = prod3[0] + 1j * prod3[1], prod2[0] + 1j * prod2[1]
+        for arr in (nodes, weights, *prod3, *prod2, noise3, noise2, i3):
             arr.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_prod3", prod3)
         object.__setattr__(self, "_prod2", prod2)
+        object.__setattr__(self, "_noise3", noise3)
+        object.__setattr__(self, "_noise2", noise2)
+        object.__setattr__(self, "_phase_index", i3)
 
     @classmethod
     def of_degree(cls, degree: int) -> "QuadratureGrid":
@@ -197,35 +208,29 @@ def _label_bits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits, np.concatenate([~bits.T, bits.T]) * 1.0
 
 
-def _information(exp_table, log_sum, gap, sent, label_bits, sums=None):
+def _information(exp_table, log_sum, gap, sent, label_bits):
     """Per-column information lost, in nats, by the symbol-wise (AMI) and
     the bitwise (PAMI) decision; a None `gap` or `label_bits` skips one.
 
     `exp_table` holds exp(value - column peak), clamped at exp(_EXP_FLOOR),
-    hypotheses on axis -2 and columns on axis -1; `log_sum` is the log of
-    its sum over hypotheses, `gap` the column peak minus the sent value and
-    `sent` the sent hypothesis of each column, shape (C,), or of each row
-    of a 3-D table, shape (rows, 1).  AMI loses gap + log_sum.  PAMI loses,
-    per label bit, log_sum minus the log of the table summed over the
-    hypotheses whose bit matches the sent label's: one indicator product
-    gives all 2m such sums, written to `sums` if given, and the sent
-    label's bits pick m of them.
+    one row per hypothesis and one column per sample; `log_sum` is the log
+    of its sum over hypotheses, `gap` the column peak minus the sent value and
+    `sent` the sent hypothesis of each column.  AMI loses gap + log_sum.
+    PAMI loses, per label bit, log_sum minus the log of the table summed
+    over the hypotheses whose bit matches the sent label's: one indicator
+    product gives all 2m such sums, and the sent label's bits pick m of
+    them.
     """
     ami = None if gap is None else gap + log_sum
     if label_bits is None:
         return ami, None
     bits, indicator = label_bits
     m = bits.shape[1]
-    sums = np.matmul(indicator, exp_table, out=sums)
-    sent_bits = np.take(bits, sent, axis=0)
-    if sent.ndim == 1:
-        matched = np.where(sent_bits.T, sums[m:], sums[:m])
-    else:
-        # One sent hypothesis per row: copy whole rows of sums.
-        matched = sums[np.arange(sent.size)[:, None], m * sent_bits[:, 0] + np.arange(m)]
+    sums = np.matmul(indicator, exp_table)
+    matched = np.where(np.take(bits, sent, axis=0).T, sums[m:], sums[:m])
     np.log(matched, out=matched)
-    np.subtract(log_sum[..., None, :], matched, out=matched)
-    return ami, np.add.reduce(matched, axis=-2)
+    np.subtract(log_sum, matched, out=matched)
+    return ami, np.add.reduce(matched, axis=0)
 
 
 def _canonical_points(points: np.ndarray) -> np.ndarray:
@@ -271,31 +276,29 @@ class QuadEvaluator:
         self.grid = grid
         sigma = 1.0 / math.sqrt(params.k_n)
         if params.has_phase_noise:
-            t1, t2, t3, w = grid.product3()
-            self.noise = _SQRT2 * sigma * (t1 + 1j * t2)
-            phases = _SQRT2 * params.pnsd_rad * t3
-            self.rotation = np.exp(1j * phases)
+            self.noise = _SQRT2 * sigma * grid._noise3
             # The phase nodes are placed like a Gaussian of matching spread,
             # but each node is reweighted by the von Mises / Gaussian density
             # ratio (normalized over the one-dimensional phase rule), so the
             # circular prior is integrated without a surrogate bias.  Nodes
-            # landing outside one period get zero weight.
-            scale = _SQRT2 * params.pnsd_rad * grid.nodes
-            log_1d = _log_prior_ratio(scale, params.k_phi)
-            shift = float(log_1d.max())
-            total = float(np.dot(grid.weights, np.exp(log_1d - shift)))
+            # landing outside one period get zero weight.  Both factors are
+            # computed on the 1-D rule and expanded to the product nodes.
+            phases = _SQRT2 * params.pnsd_rad * grid.nodes
+            log_1d = _log_prior_ratio(phases, params.k_phi)
+            ratio = np.exp(log_1d - float(log_1d.max()))
+            total = float(np.dot(grid.weights, ratio))
             if total <= 0.0:
                 raise ValueError(
                     "phase spread too wide for the quadrature rule: every "
                     "node falls outside one period"
                 )
-            ratio = np.exp(_log_prior_ratio(phases, params.k_phi) - shift)
-            self.norm_weights = w * ratio / (math.pi * total)
+            index = grid._phase_index
+            self.rotation = np.exp(1j * phases)[index]
+            self.norm_weights = grid.product3()[3] * ratio[index] / (math.pi * total)
         else:
-            t1, t2, w = grid.product2()
-            self.noise = _SQRT2 * sigma * (t1 + 1j * t2)
+            self.noise = _SQRT2 * sigma * grid._noise2
             self.rotation = None
-            self.norm_weights = w / math.pi
+            self.norm_weights = grid.product2()[2] / math.pi
         # PAMI tables (points, exp(metric - peak), log of its sum over h): the
         # last one scored, and the ones a caller holds for label swaps to
         # reuse, the current state's and the best state's.
@@ -310,7 +313,7 @@ class QuadEvaluator:
         n, size, params = points.size, self.norm_weights.size, self.params
         if n != self._size:
             width = 3 if self.rotation is None else 4
-            self._size, self._index, self._tables = n, np.arange(n), []
+            self._size, self._tables = n, []
             self._ami_table = self._sums = None
             self._hyp, self._nodes = np.empty((n, width)), np.empty((n, width, size))
             self._nodes[:, -1] = 1.0
@@ -326,6 +329,7 @@ class QuadEvaluator:
             np.multiply(re_im, 2.0 * params.k_phi * params.k_n, out=hyp[:, :2])
             np.multiply(u2, params.k_n**2, out=hyp[:, 2])
             np.multiply(u2, 0.5 * params.k_n, out=self._half_u2)
+            self._half_u2_max = float(self._half_u2.max())
         else:
             np.multiply(re_im, params.k_n, out=hyp[:, :2])
             np.multiply(u2, -0.5 * params.k_n, out=hyp[:, 2])
@@ -345,7 +349,22 @@ class QuadEvaluator:
         jitter the metric k_n Re(conj(y) u) - k_n|u|^2/2 is itself one
         (M x 3) product, of [k_n Re u, k_n Im u, -k_n|u|^2/2] with
         [Re y, Im y, 1].  metric - peak is clamped at _EXP_FLOOR before the
-        exp."""
+        exp wherever that can change an entry.
+
+        With jitter the pass goes over the whole table seven times where
+        the floor bound below holds (product, sqrt, - k_n|u|^2/2, peak,
+        - peak, exp, sum) and eight where it fails and the clamp runs.
+        Where k_phi + k_n*conj(y)*u nearly vanishes, the expanded |w|^2 can
+        round below 0: its sqrt is a NaN, which the block's largest peak
+        carries, and only then are the NaN entries set to 0 - k_n|u|^2/2,
+        the value sqrt(max(|w|^2, 0)) gives, and the peaks taken again
+        (three passes more).  Since |w| >= 0 and rounding is monotone,
+        every metric is at least -max_h k_n|u_h|^2/2, so when the largest
+        peak plus that half-energy is at most -_EXP_FLOOR no metric - peak
+        falls below the floor and the clamp is skipped.  At 5-20 deg on
+        the degree-7 rule that holds below 22 dB for 16- and 64-QAM and
+        below 24-26 dB for 8-PSK.  Without jitter the clamp always runs:
+        six passes."""
         x = points[rows, None]
         y, nodes, peak = self._y[rows], self._nodes[rows], self._peak[rows]
         if self.rotation is not None:
@@ -358,17 +377,25 @@ class QuadEvaluator:
             np.add(x, self.noise, out=y)
         nodes[:, 0], nodes[:, 1] = y.real, y.imag
         metric = np.matmul(self._hyp, nodes, out=table[rows])
-        if self.rotation is not None:
-            # Where k_phi + k_n*conj(y)*u nearly vanishes, the expanded sum
-            # can round below 0.
-            np.maximum(metric, 0.0, out=metric)
-            np.sqrt(metric, out=metric)
+        if self.rotation is None:
+            np.maximum.reduce(metric, axis=1, out=peak)
+            clamp = True
+        else:
+            with np.errstate(invalid="ignore"):
+                np.sqrt(metric, out=metric)
             metric -= self._half_u2[:, None]
+            np.maximum.reduce(metric, axis=1, out=peak)
+            top = peak.max()
+            if math.isnan(top):
+                np.copyto(metric, np.subtract(0.0, self._half_u2)[:, None], where=np.isnan(metric))
+                np.maximum.reduce(metric, axis=1, out=peak)
+                top = peak.max()
+            clamp = top + self._half_u2_max > -_EXP_FLOOR
         # Entry (r, rows.start + r): every (M + 1)-th row of the (r*M, G) view.
         sent = metric.reshape(-1, metric.shape[2])[rows.start :: self._size + 1].copy()
-        np.maximum.reduce(metric, axis=1, out=peak)
         metric -= peak[:, None]
-        np.maximum(metric, _EXP_FLOOR, out=metric)
+        if clamp:
+            np.maximum(metric, _EXP_FLOOR, out=metric)
         np.exp(metric, out=metric)
         log_sum = np.add.reduce(metric, axis=1, out=log_sum[rows])
         return np.log(log_sum, out=log_sum), peak, sent
@@ -408,7 +435,11 @@ class QuadEvaluator:
         """Bitwise rate.  The table does not depend on the labels: it is
         reused when `points` equal those of `held_table` or `last_table`,
         and otherwise built and kept as `last_table`, in one of at most
-        three buffers, never `held_table` or `best_table`."""
+        three buffers, never `held_table` or `best_table`.  When the labels
+        change, an (M, m, M) indicator is built whose entry [j, i, h] marks
+        the hypotheses h whose bit i matches that of the label of point j;
+        one (m x M) @ (M x G) product per sent row then gives its m matched
+        subset sums."""
         canonical, n = self._bind(points), points.size
         kept = [t for t in (self.held_table, self.last_table) if t and np.array_equal(t[0], points)]
         if kept:
@@ -422,17 +453,20 @@ class QuadEvaluator:
             table, self.last_table = spare[0], None
         _, exp_table, log_sum = table
         if self._sums is None:
-            self._sums = np.empty((n, 2 * (n.bit_length() - 1), self.norm_weights.size))
+            self._sums = np.empty((n, n.bit_length() - 1, self.norm_weights.size))
         if self._labels is None or not np.array_equal(self._labels, labels):
-            self._labels, self._label_bits = labels.copy(), _label_bits(labels)
-        label_bits = self._label_bits
+            bits = _label_bits(labels)[0]
+            self._labels, self._matched = labels.copy(), (bits.T == bits[:, :, None]) * 1.0
 
         def integrand(rows: slice) -> np.ndarray:
             if not kept:
                 self._table_pass(canonical, rows, exp_table, log_sum)
-            sent = self._index[rows, None]
-            sums = self._sums[rows]
-            return _information(exp_table[rows], log_sum[rows], None, sent, label_bits, sums)[1]
+            # Per sent row and label bit, the table summed over the
+            # hypotheses whose bit matches the sent label's.
+            sums = np.matmul(self._matched[rows], exp_table[rows], out=self._sums[rows])
+            np.log(sums, out=sums)
+            np.subtract(log_sum[rows, None], sums, out=sums)
+            return np.add.reduce(sums, axis=1)
 
         mean = self._mean_over_blocks(n, integrand, threads)
         table[0][:] = points

@@ -78,12 +78,19 @@ class Constellation:
         return float(np.mean(np.abs(self.points) ** 2))
 
     def fingerprint(self) -> str:
-        """Stable short hash of the serialized points and labels."""
-        parts = [str(self.m)]
-        parts += [f"{p.real:.17g},{p.imag:.17g}" for p in self.points]
-        parts += [str(int(v)) for v in self.labels]
-        digest = hashlib.sha256(";".join(parts).encode("ascii")).hexdigest()
-        return digest[:16]
+        """Stable short hash of the serialized points and labels.
+
+        Computed on the first call and kept in the instance dict: the
+        points and labels are read-only, so the value cannot change.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            parts = [str(self.m)]
+            parts += [f"{p.real:.17g},{p.imag:.17g}" for p in self.points]
+            parts += [str(int(v)) for v in self.labels]
+            cached = hashlib.sha256(";".join(parts).encode("ascii")).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 def make_constellation(points, labels) -> Constellation:

@@ -7,10 +7,18 @@ estimate, as the log-integrand's peak, and serve as the reference that
 kernel is checked against; the von Mises and Gaussian densities are kept
 for the likelihood tests.  `masked_scores` is the former Monte Carlo
 scoring: one masked log-sum-exp per label bit, each with its own peak.
+
+`clamped_table_pass` and `subset_product_pami_bits` are the former forms of
+the quadrature table pass and its PAMI reduction: the pass with both of its
+clamps always on, and PAMI from all 2m bit-subset sums of one indicator
+product, of which the sent label's bits pick m.  The kernel skips a clamp
+only where it changes no entry and sums only the m matched subsets, so it
+must equal these bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,3 +179,55 @@ def masked_scores(vals, sent, m: int, labels=None):
         row_mask = bits[:, i][None, :] == bits[sent, i][:, None]
         total += lse_all - _row_log_sum_exp(np.where(row_mask, diff, -np.inf))
     return m - total / math.log(2.0)
+
+
+def clamped_table_pass(ev, points, rows, table, log_sum):
+    """`QuadEvaluator._table_pass` with both clamps always on: the expanded
+    |w|^2 floored at 0 before its sqrt, and metric - peak floored at
+    _EXP_FLOOR before its exp.  `points` are bound by `ev._bind`, whose
+    hypothesis matrix it reads; it writes table[rows] and log_sum[rows] and
+    returns (log_sum, peak, sent) for those rows, like the kernel."""
+    x = points[rows, None]
+    shape = (x.shape[0], ev._hyp.shape[1], ev.noise.size)
+    nodes = np.ones(shape)
+    if ev.rotation is not None:
+        y = x * ev.rotation
+        y += ev.noise
+        nodes[:, 2] = np.add(y.real * y.real, y.imag * y.imag)
+    else:
+        y = x + ev.noise
+    nodes[:, 0], nodes[:, 1] = y.real, y.imag
+    metric = np.matmul(ev._hyp, nodes, out=table[rows])
+    if ev.rotation is not None:
+        np.maximum(metric, 0.0, out=metric)
+        np.sqrt(metric, out=metric)
+        metric -= ev._half_u2[:, None]
+    index = np.arange(points.size)[rows]
+    sent = metric[np.arange(index.size), index].copy()
+    peak = np.maximum.reduce(metric, axis=1)
+    metric -= peak[:, None]
+    np.maximum(metric, _EXP_FLOOR, out=metric)
+    np.exp(metric, out=metric)
+    out = np.add.reduce(metric, axis=1, out=log_sum[rows])
+    return np.log(out, out=out), peak, sent
+
+
+def subset_product_pami_bits(ev, points, labels):
+    """PAMI of `points` and `labels` on the evaluator's channel and grid
+    from the clamp-always table and all 2m bit-subset sums of one (2m x M)
+    indicator product.  Returns the rate and the (M, m, G) per-bit losses,
+    log_sum - log(matched subset sum), of each sent row and node."""
+    points = ev._bind(points)
+    n, size = points.size, ev.norm_weights.size
+    table, log_sum = np.empty((n, n, size)), np.empty((n, size))
+    clamped_table_pass(ev, points, slice(None), table, log_sum)
+    m = n.bit_length() - 1
+    bits = (labels[:, None] >> np.arange(m)) & 1 == 1
+    indicator = np.concatenate([~bits.T, bits.T]) * 1.0
+    sums = np.matmul(indicator, table)
+    matched = sums[np.arange(n)[:, None], m * bits + np.arange(m)]
+    np.log(matched, out=matched)
+    np.subtract(log_sum[:, None, :], matched, out=matched)
+    rows = np.add.reduce(matched, axis=1)
+    mean = math.fsum(map(np.ndarray.dot, rows, itertools.repeat(ev.norm_weights))) / n
+    return m - mean / math.log(2.0), matched

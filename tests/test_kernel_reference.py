@@ -18,16 +18,19 @@ or 4(1 + m) eps S / ln 2, whichever is larger; the second term matters at
 high SNR, where S reaches a few thousand.
 
 The fast metric the quadrature kernel evaluates in bulk is checked against
-the scalar phase-estimate form in `metric_reference`.
+the scalar phase-estimate form in `metric_reference`, and the table pass and
+its PAMI reduction against their clamp-always and 2m-product forms there,
+bit for bit.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from phasecon import AMI, PAMI, make_constellation, reference_constellation
+from phasecon import AMI, PAMI, capacity, make_constellation, reference_constellation
 from phasecon.analysis import SNR_BRACKET_DB
 from phasecon.capacity import (
     QuadEvaluator,
@@ -41,7 +44,14 @@ from phasecon.capacity import (
 )
 from phasecon.likelihood import hypothesis_log_terms
 from conftest import channel
-from metric_reference import MetricContext, awgn_metric, decision_metric, masked_scores
+from metric_reference import (
+    MetricContext,
+    awgn_metric,
+    clamped_table_pass,
+    decision_metric,
+    masked_scores,
+    subset_product_pami_bits,
+)
 
 TOL_BITS = 1e-12
 GRID7 = QuadratureGrid.of_degree(7)
@@ -332,3 +342,111 @@ def test_pami_table_holds_no_subnormals_at_high_snr():
     assert exp_table.min() >= np.finfo(float).tiny
     # The clamp is reached, so the bound above is not met by chance.
     assert math.isclose(exp_table.min(), math.exp(_EXP_FLOOR), rel_tol=1e-12)
+
+
+def _plant_vanishing_w(ev, params, points, node):
+    """Make grid node `node` receive y = -(k_phi/k_n) / conj(u_0) for every
+    sent row, where w = k_phi + k_n*conj(y)*u_0 is 0."""
+    ev.rotation, ev.noise = ev.rotation.copy(), ev.noise.copy()
+    ev.rotation[node] = 0.0
+    ev.noise[node] = -(params.k_phi / params.k_n) * points[0] / abs(points[0]) ** 2
+
+
+def _pass_pair(ev, points, rows=slice(None)):
+    """(exp table, log-sum, peak, sent metric) of `rows` from the kernel's
+    pass and from the clamp-always reference, each on its own buffers."""
+    n, size = points.size, ev.noise.size
+    out = []
+    for table_pass in (ev._table_pass, functools.partial(clamped_table_pass, ev)):
+        table = np.empty((n, n, size))
+        out.append((table[rows], *table_pass(points, rows, table, np.empty((n, size)))))
+    return out
+
+
+def test_table_pass_nan_fallback_equals_the_clamped_pass():
+    """Where the expanded |w|^2 rounds below 0 the sqrt gives a NaN; the
+    pass sets those entries to what the clamped sqrt gives, and only those."""
+    params = channel(6.0, 5.0)
+    ev = QuadEvaluator(params, GRID7)
+    points = ev._bind(reference_constellation("psk", 8).points)
+    _plant_vanishing_w(ev, params, points, node=100)
+    y = points[:, None] * ev.rotation + ev.noise
+    columns = np.stack([y.real, y.imag, np.abs(y) ** 2, np.ones_like(y.real)], axis=1)
+    squared = ev._hyp @ columns
+    # The fallback is reached: hypothesis 0 rounds below 0 on the planted node.
+    assert squared[:, 0, 100].min() < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (slice(None), slice(2, 6)):
+            got, want = _pass_pair(ev, points, rows)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.all(np.isfinite(got[0]))
+
+
+class _FloorSpy:
+    """Stands in for numpy in `capacity`, counting the np.maximum calls
+    that clamp at _EXP_FLOOR."""
+
+    def __init__(self):
+        self.clamps = 0
+        spy = self
+
+        class Maximum:
+            def __call__(self, a, b, *args, **kwargs):
+                spy.clamps += isinstance(b, float) and b == _EXP_FLOOR
+                return np.maximum(a, b, *args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(np.maximum, name)
+
+        self.maximum = Maximum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize(
+    "kind, size, snr, pnsd, clamps",
+    [
+        ("psk", 8, 12.0, 20.0, False),
+        ("qam", 64, 12.0, 20.0, False),
+        ("psk", 8, 24.0, 10.0, False),
+        ("qam", 64, 24.0, 10.0, True),
+        ("psk", 8, 40.0, 20.0, True),
+        ("qam", 64, 40.0, 20.0, True),
+        ("qam", 64, 40.0, 0.0, True),
+    ],
+)
+def test_floor_clamp_runs_only_where_it_can_act(kind, size, snr, pnsd, clamps, monkeypatch):
+    """The clamp is skipped when the largest peak plus the largest
+    k_n|u|^2/2 is within -_EXP_FLOOR, and the exp table equals the
+    clamp-always one either way.  Without jitter it always runs."""
+    spy = _FloorSpy()
+    monkeypatch.setattr(capacity, "np", spy)
+    ev = QuadEvaluator(channel(snr, pnsd), GRID7)
+    points = ev._bind(reference_constellation(kind, size).points)
+    got, want = _pass_pair(ev, points)
+    assert spy.clamps == int(clamps)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if snr == 40.0 and size == 64:
+        assert got[0].min() == math.exp(_EXP_FLOOR)  # the clamp acted
+
+
+@pytest.mark.parametrize("pnsd", [0.0, 20.0])
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32, 64])
+def test_matched_subset_pami_equals_the_subset_product(size, pnsd, monkeypatch):
+    """PAMI from the m matched subset sums per sent row equals the former
+    2m-product-and-gather, entry for entry, on any split into row blocks."""
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    rng = np.random.default_rng(size)
+    c = reference_constellation("psk" if size <= 8 else "qam", size)
+    params = channel(12.0, pnsd)
+    for _ in range(2):
+        labels = rng.permutation(size)
+        want, losses = subset_product_pami_bits(QuadEvaluator(params, GRID7), c.points, labels)
+        for threads in (1, 4):
+            ev = QuadEvaluator(params, GRID7)
+            assert np.array_equal(ev.pami_bits(c.points, labels, threads=threads), want)
+            assert np.array_equal(ev._sums, losses), threads

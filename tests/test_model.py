@@ -1,5 +1,6 @@
 """Constellation and channel-parameter value objects, plus serialization."""
 
+import hashlib
 import json
 import math
 
@@ -96,6 +97,26 @@ def test_fingerprint_distinguishes_labelings():
     b = make_constellation([1, -1], [1, 0])
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() == make_constellation([1, -1], [0, 1]).fingerprint()
+
+
+def test_kept_fingerprint_equals_a_fresh_one_and_changes_nothing_else(tmp_path, rng):
+    c = random_unit_power_constellation(rng, size=16)
+    first = c.fingerprint()
+    parts = [str(c.m), *(f"{p.real:.17g},{p.imag:.17g}" for p in c.points), *map(str, c.labels)]
+    assert first == hashlib.sha256(";".join(parts).encode("ascii")).hexdigest()[:16]
+    # An equal instance holds no kept value until its first call.
+    fresh = Constellation(points=c.points.copy(), labels=c.labels.copy(), m=c.m)
+    assert "_fingerprint" not in fresh.__dict__
+    assert fresh.fingerprint() == first
+    assert c.fingerprint() is first
+    assert c == fresh and fresh == c
+    assert c != make_constellation(c.points, np.roll(c.labels, 1))
+    path = tmp_path / "c.json"
+    save_constellation(path, c, {"seed": 1})
+    loaded, meta = load_constellation(path)
+    assert loaded == c and meta == {"seed": 1}
+    assert loaded.fingerprint() == first
+    assert constellation_to_json(c, {"seed": 1}) == path.read_text(encoding="ascii")
 
 
 # --- normalization ---------------------------------------------------------

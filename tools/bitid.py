@@ -1,0 +1,172 @@
+"""Bit-identity check of two phasecon source trees.
+
+    python3 tools/bitid.py PARENT_SRC CHANGE_SRC [--out DIR] [--acceptance]
+
+Runs the same jobs once on each `src` tree (each in fresh interpreters with
+PYTHONPATH set to it) and compares every output file byte for byte with
+`cmp`:
+
+- a 12-command CLI script: `evaluate` (AMI and PAMI, 0 and 20 deg, 64-QAM
+  PAMI at 40 dB and a refused 2000 dB channel), `optimize` with its trace,
+  `validate`, both `sweep` axes, `campaign` and `mismatch`; every stdout,
+  stderr, exit code and written file is kept;
+- a rate grid: quadrature AMI and PAMI of 8-PSK, 16-QAM and 64-QAM at -5,
+  12, 30 and 40 dB and 0, 5, 20 and 45 deg, on 1, 2 and 4 threads with
+  blocks of any size, plus Monte Carlo AMI and PAMI of 8-PSK and 64-QAM at
+  0, 2, 5 and 20 deg, each value printed with repr;
+- the golden anneals of tests/test_annealer.py: design fingerprint, best
+  rate and the sha256 of the trace CSV;
+- with --acceptance, the verdict lines of tests/test_acceptance.py (about
+  two minutes a side).
+
+Exits 0 when every file is identical, 1 otherwise, listing each difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLI_SCRIPT = [
+    ("evaluate_ami_0", ["evaluate", "psk8.json", "--snr-db", "12", "--pnsd-deg", "0"]),
+    ("evaluate_ami_20", ["evaluate", "psk8.json", "--snr-db", "12", "--pnsd-deg", "20"]),
+    ("evaluate_pami_0", ["evaluate", "psk8.json", "--snr-db", "12", "--pnsd-deg", "0",
+                         "--objective", "PAMI"]),
+    ("evaluate_pami_20", ["evaluate", "psk8.json", "--snr-db", "12", "--pnsd-deg", "20",
+                          "--objective", "PAMI", "--output", "eval.json"]),
+    ("optimize", ["optimize", "--m-points", "8", "--snr-db", "12", "--pnsd-deg", "20",
+                  "--objective", "PAMI", "--iterations", "500", "--seed", "4",
+                  "--output", "opt.json", "--trace", "opt_trace.csv"]),
+    ("validate", ["validate", "psk8.json", "--snr-db", "12", "--pnsd-deg", "20",
+                  "--samples", "10000", "--seed", "2"]),
+    ("sweep_snr", ["sweep", "psk8.json", "--axis", "snr", "--from", "0", "--to", "20",
+                   "--step", "2.5", "--pnsd-deg", "10", "--output", "sw_snr.csv"]),
+    ("sweep_pnsd", ["sweep", "psk8.json", "--axis", "pnsd", "--from", "0", "--to", "25",
+                    "--step", "5", "--snr-db", "12", "--objective", "PAMI",
+                    "--output", "sw_pnsd.csv"]),
+    ("campaign", ["campaign", "--m-points", "4", "--snr-list", "6,12", "--pnsd-list", "10",
+                  "--iterations", "300", "--seed", "5", "--out-dir", "camp"]),
+    ("mismatch", ["mismatch", "--designs-dir", "camp", "--eval-pnsd-list", "0,10,20",
+                  "--output", "mm.csv"]),
+    ("evaluate_qam64_40db", ["evaluate", "qam64.json", "--snr-db", "40", "--pnsd-deg", "10",
+                             "--objective", "PAMI"]),
+    ("evaluate_refused", ["evaluate", "psk8.json", "--snr-db", "2000", "--pnsd-deg", "5"]),
+]
+
+SETUP = """
+import phasecon as pc
+pc.save_constellation("psk8.json", pc.reference_constellation("psk", 8))
+pc.save_constellation("qam64.json", pc.reference_constellation("qam", 64))
+"""
+
+RATE_GRID = """
+import warnings
+import phasecon as pc
+from phasecon import capacity
+
+warnings.simplefilter("ignore")
+capacity._MIN_BLOCK_ENTRIES = 1
+grid = pc.QuadratureGrid.of_degree(7)
+for kind, size in (("psk", 8), ("qam", 16), ("qam", 64)):
+    c = pc.reference_constellation(kind, size)
+    for snr in (-5.0, 12.0, 30.0, 40.0):
+        for pnsd in (0.0, 5.0, 20.0, 45.0):
+            p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
+            for rate in (pc.ami_quadrature, pc.pami_quadrature):
+                bits = [rate(c, p, grid, threads=t).bits for t in (1, 2, 4)]
+                print(kind, size, snr, pnsd, rate.__name__, *map(repr, bits))
+for kind, size, samples in (("psk", 8, 20000), ("qam", 64, 4000)):
+    c = pc.reference_constellation(kind, size)
+    for pnsd in (0.0, 2.0, 5.0, 20.0):
+        p = pc.ChannelParams.from_snr_pnsd(16.0, pnsd)
+        for rate in (pc.ami_monte_carlo, pc.pami_monte_carlo):
+            r = rate(c, p, samples, 7)
+            print(kind, size, pnsd, rate.__name__, repr(r.bits), repr(r.stderr))
+"""
+
+GOLDEN = """
+import hashlib
+import phasecon as pc
+
+grid = pc.QuadratureGrid.of_degree(7)
+runs = [("PAMI", 12.0, 20.0, 11, 300), ("AMI", 9.0, 0.0, 12, 300),
+        ("AMI", 9.0, 0.0, 3, 2000), ("PAMI", 12.0, 20.0, 7, 1000)]
+for objective, snr, pnsd, seed, iterations in runs:
+    cfg = pc.SAConfig(iterations=iterations, seed=seed)
+    p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
+    best, trace = pc.sa_optimize(8, p, objective, grid, cfg)
+    digest = hashlib.sha256(trace.to_csv().encode("ascii")).hexdigest()
+    print(objective, snr, pnsd, seed, iterations, best.fingerprint(),
+          repr(float(trace.best_bits[-1])), digest)
+"""
+
+
+def run(cmd, cwd: Path, src: Path, name: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    (cwd / f"{name}.out").write_text(done.stdout + f"exit {done.returncode}\n")
+    (cwd / f"{name}.err").write_text(done.stderr)
+
+
+def run_side(src: Path, out: Path, acceptance: bool) -> None:
+    out.mkdir(parents=True)
+    py = sys.executable
+    run([py, "-c", SETUP], out, src, "setup")
+    for name, args in CLI_SCRIPT:
+        run([py, "-m", "phasecon.cli", *args], out, src, f"cli_{name}")
+    run([py, "-c", RATE_GRID], out, src, "rate_grid")
+    run([py, "-c", GOLDEN], out, src, "golden")
+    if acceptance:
+        run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(ROOT / "tests" / "test_acceptance.py")], out, src, "acceptance_log")
+        log = (out / "acceptance_log.out").read_text().splitlines()
+        lines = sorted({line for line in log if line.startswith("criterion ")})
+        (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
+        for name in ("acceptance_log.out", "acceptance_log.err"):
+            (out / name).rename(out / f"{name}.log")
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    names = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    names |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    problems = []
+    for name in sorted(names):
+        if name.suffix == ".log":  # timings differ run to run
+            continue
+        if not (a / name).is_file() or not (b / name).is_file():
+            problems.append(f"{name}: only on one side")
+        elif subprocess.run(["cmp", "-s", a / name, b / name]).returncode != 0:
+            problems.append(f"{name}: differs")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--out", type=Path, help="directory for both sides' outputs")
+    parser.add_argument("--acceptance", action="store_true",
+                        help="also compare the acceptance suite's verdict lines")
+    args = parser.parse_args(argv)
+    out = args.out or Path(tempfile.mkdtemp(prefix="bitid-"))
+    sides = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+    for side, src in sides.items():
+        print(f"{side}: {src}", flush=True)
+        run_side(src, out / side, args.acceptance)
+    problems = compare(out / "parent", out / "change")
+    files = sum(1 for p in (out / "parent").rglob("*") if p.is_file() and p.suffix != ".log")
+    for line in problems:
+        print(line)
+    print(f"{files} files compared in {out}: "
+          f"{'identical' if not problems else f'{len(problems)} differ'}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
