@@ -55,13 +55,13 @@ def _check_axis(values, name: str) -> np.ndarray:
     return arr
 
 
-def _sweep(c, kind, values, fixed_name, fixed_value, objective, grid, threads):
+def _sweep(c, kind, values, fixed_name, fixed_value, objective, grid):
     """Rates along the axis `kind` ("snr_db" or "pnsd_deg") with the other
     channel parameter held at `fixed_value`.  Every channel is built before
     the first evaluation, so a bad value fails before any work."""
     xs = _check_axis(values, f"{kind}_list")
     channels = [ChannelParams.from_snr_pnsd(**{kind: x, fixed_name: fixed_value}) for x in xs]
-    bits = [_quadrature(c, params, grid, objective, threads).bits for params in channels]
+    bits = [_quadrature(c, params, grid, objective).bits for params in channels]
     return CapacityCurve(
         abscissa_kind=kind,
         xs=xs,
@@ -80,15 +80,13 @@ def snr_sweep(
     snr_db_list,
     objective: str,
     grid: QuadratureGrid,
-    *,
-    threads: int | None = None,
 ) -> CapacityCurve:
     """Evaluate the chosen objective across SNR at a fixed phase spread.
 
     Each point is the plain evaluator result; nothing is cached or
     interpolated between points.
     """
-    return _sweep(c, "snr_db", snr_db_list, "pnsd_deg", pnsd_deg, objective, grid, threads)
+    return _sweep(c, "snr_db", snr_db_list, "pnsd_deg", pnsd_deg, objective, grid)
 
 
 def pnsd_sweep(
@@ -97,11 +95,9 @@ def pnsd_sweep(
     pnsd_deg_list,
     objective: str,
     grid: QuadratureGrid,
-    *,
-    threads: int | None = None,
 ) -> CapacityCurve:
     """Evaluate the chosen objective across phase spread at a fixed SNR."""
-    return _sweep(c, "pnsd_deg", pnsd_deg_list, "snr_db", snr_db, objective, grid, threads)
+    return _sweep(c, "pnsd_deg", pnsd_deg_list, "snr_db", snr_db, objective, grid)
 
 
 def campaign_cell_seed(base_seed: int, snr_index: int, pnsd_index: int) -> int:
@@ -201,8 +197,6 @@ def mismatch_matrix(
     eval_snr_db_list,
     eval_pnsd_deg_list,
     grid: QuadratureGrid,
-    *,
-    threads: int | None = None,
 ) -> MismatchReport:
     """Cross-evaluate every design on every (snr, pnsd) evaluation cell."""
     if not designs:
@@ -217,7 +211,7 @@ def mismatch_matrix(
     bits = np.empty((len(design_cells), len(eval_cells)))
     for e, params in enumerate(channels):
         for d, cell in enumerate(design_cells):
-            bits[d, e] = _quadrature(designs[cell], params, grid, AMI, threads).bits
+            bits[d, e] = _quadrature(designs[cell], params, grid, AMI).bits
     loss = np.empty_like(bits)
     for e, cell in enumerate(eval_cells):
         if cell in designs:
@@ -265,8 +259,6 @@ def pragmatic_gap(
     params: ChannelParams,
     grid: QuadratureGrid,
     target_bits: float = DEFAULT_TARGET_BITS,
-    *,
-    threads: int | None = None,
 ) -> float:
     """SNR penalty (dB) of the bitwise design at a target rate.
 
@@ -283,7 +275,7 @@ def pragmatic_gap(
     def crossing(c: Constellation, objective: str) -> float:
         return _snr_reaching_target(
             lambda snr_db: _quadrature(
-                c, ChannelParams.from_snr_pnsd(snr_db, pnsd), grid, objective, threads
+                c, ChannelParams.from_snr_pnsd(snr_db, pnsd), grid, objective
             ).bits,
             target_bits,
         )

@@ -151,14 +151,14 @@ class CapacityResult:
     clamped: bool = False
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("PHASECON_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"PHASECON_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, int(threads))
+def _resolve_threads() -> int:
+    """The thread count PHASECON_THREADS sets (default 1, at least 1): the
+    one place it is read, once per evaluator build and Monte Carlo call."""
+    raw = os.environ.get("PHASECON_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError as exc:
+        raise ValueError(f"PHASECON_THREADS must be an integer, got {raw!r}") from exc
 
 
 def _require_normalized(c: Constellation) -> None:
@@ -193,12 +193,18 @@ def _warn_wide_phase(params: ChannelParams) -> None:
 
 
 @functools.cache
-def _pool(threads: int):
-    """One pool per thread count, reused by every evaluation; the import
+def _pool(k: int):
+    """One pool per thread count k, reused by every evaluation; the import
     waits for the first evaluation that runs on more than one thread."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(threads)
+    return ThreadPoolExecutor(k)
+
+
+def _map_blocks(fn, blocks: list, k: int) -> list:
+    """`fn` of each block, in order: in turn on the calling thread when k is
+    1, else on the reused pool of k threads."""
+    return list(map(fn, blocks) if k == 1 else _pool(k).map(fn, blocks))
 
 
 def _label_bits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,11 +273,13 @@ class QuadEvaluator:
     optimizer can call them in a hot loop.  The evaluator owns its work
     arrays: they are allocated on the first table pass for a given number
     of points and reused by every later pass, so one evaluator must not
-    score two sets at once.
+    score two sets at once.  The thread count is read from PHASECON_THREADS
+    once, when the evaluator is built.
     """
 
     def __init__(self, params: ChannelParams, grid: QuadratureGrid):
         _require_resolvable(params)
+        self._threads = _resolve_threads()
         self.params = params
         self.grid = grid
         sigma = 1.0 / math.sqrt(params.k_n)
@@ -400,24 +408,20 @@ class QuadEvaluator:
         log_sum = np.add.reduce(metric, axis=1, out=log_sum[rows])
         return np.log(log_sum, out=log_sum), peak, sent
 
-    def _mean_over_blocks(self, n: int, integrand_fn, threads: int) -> float:
+    def _mean_over_blocks(self, n: int, integrand_fn) -> float:
         """Weighted mean over nodes and sent rows of `integrand_fn(rows)`,
-        called on up to `threads` contiguous blocks of rows on a reused
-        pool, each block of _MIN_BLOCK_ENTRIES table entries or more.  Each
+        called on contiguous blocks of rows, at most one per thread, each of
+        _MIN_BLOCK_ENTRIES table entries or more.  Each
         row is computed alike whatever the split: blocks keep two rows or
         more, as numpy would sum a lone row on a one-node grid pairwise
         rather than in hypothesis order."""
         size = self.norm_weights.size
-        k = max(1, min(threads, n // 2, n * n * size // _MIN_BLOCK_ENTRIES))
-        if k == 1:
-            parts = (integrand_fn(slice(0, n)),)
-        else:
-            blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
-            parts = _pool(k).map(integrand_fn, blocks)
-        rows = itertools.chain.from_iterable(parts)
+        k = max(1, min(self._threads, n // 2, n * n * size // _MIN_BLOCK_ENTRIES))
+        blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
+        rows = itertools.chain.from_iterable(_map_blocks(integrand_fn, blocks, k))
         return math.fsum(map(np.ndarray.dot, rows, itertools.repeat(self.norm_weights))) / n
 
-    def ami_bits(self, points: np.ndarray, threads: int = 1) -> float:
+    def ami_bits(self, points: np.ndarray) -> float:
         points = self._bind(points)
         n = points.size
         if self._ami_table is None:
@@ -429,9 +433,9 @@ class QuadEvaluator:
             np.add(peak, log_sum, out=peak)
             return np.subtract(peak, sent, out=peak)
 
-        return (n.bit_length() - 1) - self._mean_over_blocks(n, integrand, threads) / _LN2
+        return (n.bit_length() - 1) - self._mean_over_blocks(n, integrand) / _LN2
 
-    def pami_bits(self, points: np.ndarray, labels: np.ndarray, threads: int = 1) -> float:
+    def pami_bits(self, points: np.ndarray, labels: np.ndarray) -> float:
         """Bitwise rate.  The table does not depend on the labels: it is
         reused when `points` equal those of `held_table` or `last_table`,
         and otherwise built and kept as `last_table`, in one of at most
@@ -468,7 +472,7 @@ class QuadEvaluator:
             np.subtract(log_sum[rows, None], sums, out=sums)
             return np.add.reduce(sums, axis=1)
 
-        mean = self._mean_over_blocks(n, integrand, threads)
+        mean = self._mean_over_blocks(n, integrand)
         table[0][:] = points
         self.last_table = table
         return (n.bit_length() - 1) - mean / _LN2
@@ -499,7 +503,6 @@ def _quadrature(
     params: ChannelParams,
     grid: QuadratureGrid,
     objective: str,
-    threads: int | None = None,
 ) -> CapacityResult:
     """The chosen objective by quadrature: the one place that dispatches it."""
     if objective not in OBJECTIVES:
@@ -507,38 +510,29 @@ def _quadrature(
     _require_normalized(c)
     _warn_wide_phase(params)
     ev = QuadEvaluator(params, grid)
-    threads = _resolve_threads(threads)
     if objective == AMI:
-        bits = ev.ami_bits(c.points, threads=threads)
+        bits = ev.ami_bits(c.points)
     else:
-        bits = ev.pami_bits(c.points, c.labels, threads=threads)
+        bits = ev.pami_bits(c.points, c.labels)
     return _wrap_result(bits, "quadrature", 0.0, params, c, objective)
 
 
 def ami_quadrature(
-    c: Constellation,
-    params: ChannelParams,
-    grid: QuadratureGrid,
-    *,
-    threads: int | None = None,
+    c: Constellation, params: ChannelParams, grid: QuadratureGrid
 ) -> CapacityResult:
     """Symbol-wise achievable rate by Gauss-Hermite quadrature.
 
     Requires a unit-average-power constellation (rejected otherwise, never
     silently rescaled).
     """
-    return _quadrature(c, params, grid, AMI, threads)
+    return _quadrature(c, params, grid, AMI)
 
 
 def pami_quadrature(
-    c: Constellation,
-    params: ChannelParams,
-    grid: QuadratureGrid,
-    *,
-    threads: int | None = None,
+    c: Constellation, params: ChannelParams, grid: QuadratureGrid
 ) -> CapacityResult:
     """Bitwise (pragmatic) rate of the constellation's labeling."""
-    return _quadrature(c, params, grid, PAMI, threads)
+    return _quadrature(c, params, grid, PAMI)
 
 
 # --- sampling --------------------------------------------------------------
@@ -631,9 +625,9 @@ def _mc_sample_bits(
     seed: int,
     objective: str,
     chunk: int,
-    threads: int,
 ) -> np.ndarray:
     """Per-sample information in bits under the exact likelihood."""
+    k = _resolve_threads()
     pts = _canonical_points(c.points)
     idx, y = _draw_channel_samples(pts, params, n_samples, seed)
     label_bits = _label_bits(c.labels) if objective == PAMI else None
@@ -656,11 +650,7 @@ def _mc_sample_bits(
         out[sl] = c.m - (ami if label_bits is None else pami) / _LN2
 
     slices = [slice(s, min(s + chunk, n_samples)) for s in range(0, n_samples, chunk)]
-    if threads <= 1:
-        for sl in slices:
-            fill(sl)
-    else:
-        list(_pool(threads).map(fill, slices))
+    _map_blocks(fill, slices, k)
     return out
 
 
@@ -671,13 +661,12 @@ def _monte_carlo(
     seed: int,
     objective: str,
     chunk: int = 2048,
-    threads: int | None = None,
 ) -> CapacityResult:
     _require_normalized(c)
     _require_resolvable(params)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_MC_SAMPLES}, got {n_samples}")
-    bits = _mc_sample_bits(c, params, n_samples, seed, objective, chunk, _resolve_threads(threads))
+    bits = _mc_sample_bits(c, params, n_samples, seed, objective, chunk)
     mean = float(np.mean(bits))
     stderr = float(np.std(bits, ddof=1) / math.sqrt(n_samples))
     return _wrap_result(mean, "monte_carlo", stderr, params, c, objective)
@@ -690,18 +679,18 @@ def ami_monte_carlo(
     seed: int,
     *,
     chunk: int = 2048,
-    threads: int | None = None,
 ) -> CapacityResult:
     """Symbol-wise rate estimated by sampling the exact channel.
 
     Reproducible for a fixed seed; `stderr` is the standard error of the
     per-sample mean.  Samples are scored `chunk` at a time, which bounds the
-    (chunk, M) temporaries; `threads` scores chunks in parallel.  Each
-    chunk's exact-likelihood values become one table of exp(value - peak),
-    which scores AMI here and PAMI in `pami_monte_carlo` the way the
-    quadrature does, so PAMI costs little more than AMI.
+    (chunk, M) temporaries; PHASECON_THREADS, read once per call, sets how
+    many chunks are scored at once.  Each chunk's exact-likelihood values
+    become one table of exp(value - peak), which scores AMI here and PAMI in
+    `pami_monte_carlo` the way the quadrature does, so PAMI costs little
+    more than AMI.
     """
-    return _monte_carlo(c, params, n_samples, seed, AMI, chunk, threads)
+    return _monte_carlo(c, params, n_samples, seed, AMI, chunk)
 
 
 def pami_monte_carlo(
@@ -711,7 +700,6 @@ def pami_monte_carlo(
     seed: int,
     *,
     chunk: int = 2048,
-    threads: int | None = None,
 ) -> CapacityResult:
     """Bitwise rate estimated by sampling the exact channel."""
-    return _monte_carlo(c, params, n_samples, seed, PAMI, chunk, threads)
+    return _monte_carlo(c, params, n_samples, seed, PAMI, chunk)

@@ -4,8 +4,9 @@ Angles are degrees and signal-to-noise ratios are dB at this boundary;
 conversion to concentrations happens in one place.  Exit codes: 0 success,
 1 validation failure, 2 unreadable or malformed file, 3 invalid parameters.
 All randomness is seeded, so identical invocations write identical bytes.
-The PHASECON_THREADS environment variable sets evaluator parallelism
-(default 1); results do not depend on it.
+The PHASECON_THREADS environment variable sets the thread count of every
+evaluation, the annealing of `optimize` and `campaign` included (default
+1); results do not depend on it, and a value that is not an integer exits 3.
 """
 
 from __future__ import annotations

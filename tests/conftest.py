@@ -37,6 +37,20 @@ def channel(snr_db, pnsd_deg):
     return ChannelParams.from_snr_pnsd(snr_db, pnsd_deg)
 
 
+def set_threads(monkeypatch, threads):
+    """Set PHASECON_THREADS, the one thread setting, for the rest of the test."""
+    monkeypatch.setenv("PHASECON_THREADS", str(threads))
+
+
+def spy_pools(monkeypatch):
+    """The thread count of every pool an evaluation asks for, from now on."""
+    from phasecon import capacity
+
+    pools, real_pool = [], capacity._pool
+    monkeypatch.setattr(capacity, "_pool", lambda k: pools.append(k) or real_pool(k))
+    return pools
+
+
 # Relative tolerance for detecting tied nearest-neighbour distances.
 GRAY_TIE_RTOL = 1e-9
 

@@ -27,7 +27,7 @@ from phasecon.analysis import _snr_reaching_target
 from phasecon.capacity import QuadEvaluator
 from phasecon.cli import main
 import conftest
-from conftest import channel, random_unit_power_constellation
+from conftest import channel, random_unit_power_constellation, set_threads, spy_pools
 
 GRID7 = QuadratureGrid.of_degree(7)
 GRID15 = QuadratureGrid.of_degree(15)
@@ -287,7 +287,7 @@ def test_criterion_7_two_point_designs_match_exhaustive_search():
     assert ok
 
 
-def test_criterion_8_determinism(tmp_path, capsys):
+def test_criterion_8_determinism(tmp_path, capsys, monkeypatch):
     psk_file = tmp_path / "psk8.json"
     from phasecon import save_constellation
 
@@ -306,11 +306,15 @@ def test_criterion_8_determinism(tmp_path, capsys):
     capsys.readouterr()
     files_equal = out_a.read_bytes() == out_b.read_bytes()
 
+    # 64 x 64 x 343 table entries: four blocks on four threads, each above
+    # the pool's threshold, so the parallel call really runs on the pool.
     p = channel(9.0, 12.0)
-    thread_dev = abs(
-        ami_quadrature(PSK8, p, GRID7, threads=1).bits
-        - ami_quadrature(PSK8, p, GRID7, threads=4).bits
-    )
+    qam64 = reference_constellation("qam", 64)
+    pools = spy_pools(monkeypatch)
+    set_threads(monkeypatch, 1)
+    serial = ami_quadrature(qam64, p, GRID7).bits
+    set_threads(monkeypatch, 4)
+    thread_dev = abs(serial - ami_quadrature(qam64, p, GRID7).bits)
     ok = (first == second) and files_equal and thread_dev < 1e-10
     report(
         8,
@@ -319,3 +323,4 @@ def test_criterion_8_determinism(tmp_path, capsys):
         f"serial-parallel dev {thread_dev:.1e} < 1e-10",
     )
     assert ok
+    assert pools == [4], pools

@@ -9,12 +9,13 @@ import pytest
 from phasecon import (
     SAConfig,
     ami_quadrature,
+    capacity,
     make_constellation,
     metropolis_accept,
     sa_optimize,
 )
 from phasecon.capacity import QuadEvaluator
-from conftest import channel, is_gray
+from conftest import channel, is_gray, set_threads, spy_pools
 
 
 def small_config(**over):
@@ -114,7 +115,7 @@ def _point_moves(grid, monkeypatch):
     scored = []
     original = QuadEvaluator.ami_bits
     monkeypatch.setattr(
-        QuadEvaluator, "ami_bits", lambda ev, pts, threads=1: scored.append(pts.copy()) or original(ev, pts, threads)
+        QuadEvaluator, "ami_bits", lambda ev, pts: scored.append(pts.copy()) or original(ev, pts)
     )
     cfg = small_config(iterations=200, reanneal_count=0)
     _, trace = sa_optimize(8, channel(10.0, 10.0), "AMI", grid, cfg)
@@ -289,6 +290,24 @@ def test_golden_runs_are_unchanged(
     assert best.fingerprint() == fingerprint
     assert abs(trace.best_bits[-1] - best_bits) <= 1e-12
     assert int(trace.accepted.sum()) == accepted
+
+
+@pytest.mark.parametrize("objective", ["AMI", "PAMI"])
+def test_annealing_honours_the_thread_setting(objective, grid7, monkeypatch):
+    """sa_optimize scores its candidates on PHASECON_THREADS threads, read
+    when its evaluator is built, and the design does not depend on it."""
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    pools = spy_pools(monkeypatch)
+    cfg = SAConfig(iterations=40, seed=9)
+    runs = []
+    for threads in (1, 3):
+        set_threads(monkeypatch, threads)
+        best, trace = sa_optimize(32, channel(14.0, 10.0), objective, grid7, cfg)
+        runs.append((best.fingerprint(), trace.to_csv()))
+        # One call per scored candidate, every one split into three blocks.
+        assert pools == ([] if threads == 1 else [3] * len(pools)), threads
+    assert len(pools) > cfg.iterations // 2
+    assert runs[1] == runs[0]
 
 
 def test_recycled_pami_buffers_are_never_the_held_or_best_table(grid7, monkeypatch):

@@ -25,7 +25,7 @@ from phasecon import (
     reference_constellation,
     sample_tikhonov,
 )
-from conftest import channel, random_unit_power_constellation
+from conftest import channel, random_unit_power_constellation, set_threads, spy_pools
 
 
 # --- Gauss-Hermite rule ----------------------------------------------------
@@ -410,19 +410,29 @@ def test_parallel_evaluation_matches_serial(psk8, grid7, monkeypatch):
     monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
     for threads in (2, 4):
         for rate in (ami_quadrature, pami_quadrature):
-            serial = rate(psk8, p, grid7, threads=1).bits
-            assert rate(psk8, p, grid7, threads=threads).bits == serial, (rate.__name__, threads)
+            set_threads(monkeypatch, 1)
+            serial = rate(psk8, p, grid7).bits
+            set_threads(monkeypatch, threads)
+            assert rate(psk8, p, grid7).bits == serial, (rate.__name__, threads)
         for rate in (ami_monte_carlo, pami_monte_carlo):
-            mc_serial = rate(psk8, p, 20000, seed=3, threads=1).bits
-            mc_parallel = rate(psk8, p, 20000, seed=3, threads=threads).bits
+            set_threads(monkeypatch, 1)
+            mc_serial = rate(psk8, p, 20000, seed=3).bits
+            set_threads(monkeypatch, threads)
+            mc_parallel = rate(psk8, p, 20000, seed=3).bits
             assert abs(mc_serial - mc_parallel) < 1e-10, (rate.__name__, threads)
-    # One evaluator scoring many sets on a pool, as the annealer would.
-    ev, rng = capacity.QuadEvaluator(p, grid7), np.random.default_rng(4)
+    # Evaluators scoring many sets on a pool, as the annealer would; the
+    # thread count is read when each evaluator is built.
+    evaluators = []
+    for threads in (4, 2, 1):
+        set_threads(monkeypatch, threads)
+        evaluators.append(capacity.QuadEvaluator(p, grid7))
+    *pooled, serial = evaluators
+    rng = np.random.default_rng(4)
     for _ in range(20):
         c = random_unit_power_constellation(rng)
-        serial = capacity.QuadEvaluator(p, grid7)
-        assert ev.ami_bits(c.points, threads=4) == serial.ami_bits(c.points)
-        assert ev.pami_bits(c.points, c.labels, threads=2) == serial.pami_bits(c.points, c.labels)
+        want = serial.ami_bits(c.points), serial.pami_bits(c.points, c.labels)
+        for ev in pooled:
+            assert (ev.ami_bits(c.points), ev.pami_bits(c.points, c.labels)) == want
 
 
 @pytest.mark.parametrize(
@@ -431,7 +441,9 @@ def test_parallel_evaluation_matches_serial(psk8, grid7, monkeypatch):
     ids=["0.0", "20.0", "0.0-40dB", "20.0-40dB"],
 )
 @pytest.mark.parametrize("kind, size", [("psk", 8), ("qam", 64)])
-def test_quadrature_is_bit_identical_for_any_thread_count(kind, size, pnsd, snr, grid7):
+def test_quadrature_is_bit_identical_for_any_thread_count(
+    kind, size, pnsd, snr, grid7, monkeypatch
+):
     c = reference_constellation(kind, size)
     p = channel(snr, pnsd)
     # Blocks write disjoint slices of one PAMI table; a short switch
@@ -440,12 +452,18 @@ def test_quadrature_is_bit_identical_for_any_thread_count(kind, size, pnsd, snr,
     sys.setswitchinterval(1e-6)
     try:
         for rate in (ami_quadrature, pami_quadrature):
-            bits = [rate(c, p, grid7, threads=t).bits for t in (1, 2, 3)]
+            bits = []
+            for t in (1, 2, 3):
+                set_threads(monkeypatch, t)
+                bits.append(rate(c, p, grid7).bits)
             assert bits[1] == bits[0] and bits[2] == bits[0], (rate.__name__, bits)
         # Monte Carlo chunks go to the same pools and write disjoint slices.
         for rate in (ami_monte_carlo, pami_monte_carlo):
-            runs = [rate(c, p, 2000, 4, chunk=128, threads=t) for t in (1, 2, 3)]
-            bits = [(r.bits, r.stderr) for r in runs]
+            bits = []
+            for t in (1, 2, 3):
+                set_threads(monkeypatch, t)
+                r = rate(c, p, 2000, 4, chunk=128)
+                bits.append((r.bits, r.stderr))
             assert bits[1] == bits[0] and bits[2] == bits[0], (rate.__name__, bits)
     finally:
         sys.setswitchinterval(interval)
@@ -456,29 +474,29 @@ def test_one_node_grid_is_bit_identical_for_any_thread_count(monkeypatch):
     # splits for every thread count above 1, into at most n // 2 = 8 blocks:
     # numpy would sum a lone row on one node pairwise, so blocks keep two.
     monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
-    pools = []
-    real_pool = capacity._pool
-    monkeypatch.setattr(capacity, "_pool", lambda k: pools.append(k) or real_pool(k))
+    pools = spy_pools(monkeypatch)
     c = reference_constellation("qam", 16)
     p = channel(12.0, 0.0)
     grid = QuadratureGrid.of_degree(1)
-    bits = {pami_quadrature(c, p, grid, threads=t).bits for t in range(1, 17)}
+    bits = set()
+    for t in range(1, 17):
+        set_threads(monkeypatch, t)
+        bits.add(pami_quadrature(c, p, grid).bits)
     assert len(bits) == 1, bits
     assert pools == [min(t, 8) for t in range(2, 17)]
 
 
 def test_small_tables_stay_off_the_pool(grid7, monkeypatch):
-    pools = []
-    real_pool = capacity._pool
-    monkeypatch.setattr(capacity, "_pool", lambda k: pools.append(k) or real_pool(k))
+    pools = spy_pools(monkeypatch)
     p = channel(12.0, 20.0)
+    set_threads(monkeypatch, 2)
     for rate in (ami_quadrature, pami_quadrature):
         # 8 x 8 x 343 and 16 x 16 x 343 entries: one block each.
         for size in (8, 16):
-            rate(reference_constellation("qam", size), p, grid7, threads=2)
+            rate(reference_constellation("qam", size), p, grid7)
         assert pools == []
         # 64 x 64 x 343 entries: two blocks.
-        rate(reference_constellation("qam", 64), p, grid7, threads=2)
+        rate(reference_constellation("qam", 64), p, grid7)
         assert pools == [2]
         pools.clear()
 
@@ -489,5 +507,10 @@ def test_thread_count_env_override(psk8, grid7, monkeypatch):
     monkeypatch.setenv("PHASECON_THREADS", "3")
     assert ami_quadrature(psk8, p, grid7).bits == pytest.approx(base, abs=1e-10)
     monkeypatch.setenv("PHASECON_THREADS", "soup")
-    with pytest.raises(ValueError):
-        ami_quadrature(psk8, p, grid7)
+    for route in (
+        lambda: ami_quadrature(psk8, p, grid7),
+        lambda: capacity.QuadEvaluator(p, grid7),
+        lambda: pami_monte_carlo(psk8, p, 2000, seed=0),
+    ):
+        with pytest.raises(ValueError, match="PHASECON_THREADS must be an integer, got 'soup'"):
+            route()

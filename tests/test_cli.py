@@ -237,6 +237,23 @@ def test_validate_fails_when_quadrature_is_starved(psk8_file, capsys):
     assert out.splitlines()[-1] == "verdict FAIL"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "optimize", "validate"])
+def test_a_non_integer_thread_setting_is_a_parameter_error(command, psk8_file, tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setenv("PHASECON_THREADS", "soup")
+    out = tmp_path / "opt.json"
+    argv = {
+        "evaluate": ["evaluate", psk8_file, "--snr-db", "12"],
+        "optimize": ["optimize", "--m-points", "4", "--snr-db", "12", "--iterations", "10",
+                     "--output", str(out)],
+        "validate": ["validate", psk8_file, "--snr-db", "12", "--samples", "2000"],
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 3
+    assert stdout == "" and not out.exists()
+    assert err == "error: PHASECON_THREADS must be an integer, got 'soup'\n"
+
+
 def test_validate_rejects_tiny_sample_counts(psk8_file, capsys):
     code, _, _ = run(
         capsys, "validate", psk8_file, "--snr-db", "12", "--pnsd-deg", "5",

@@ -43,7 +43,7 @@ from phasecon.capacity import (
     _mc_sample_bits,
 )
 from phasecon.likelihood import hypothesis_log_terms
-from conftest import channel
+from conftest import channel, set_threads
 from metric_reference import (
     MetricContext,
     awgn_metric,
@@ -236,7 +236,7 @@ def test_mc_scoring_matches_trapezoid_reference(size, pnsd):
         eps = np.finfo(np.float64).eps
         tol = np.maximum(TOL_BITS, 4 * (1 + c.m) * eps * ref["scale"] / math.log(2))
         for objective in (AMI, PAMI):
-            got = _mc_sample_bits(c, params, MC_SAMPLES, 5, objective, MC_CHUNK, 1)
+            got = _mc_sample_bits(c, params, MC_SAMPLES, 5, objective, MC_CHUNK)
             assert np.all(np.isfinite(got)), (objective, snr)
             excess = np.abs(got - ref[objective]) / tol
             worst.append((float(excess.max()), objective, snr))
@@ -259,7 +259,7 @@ def test_mc_ami_bits_equal_the_masked_reference_on_the_package_values(kind, size
         masked_scores(hypothesis_log_terms(y[s:s + chunk, None], pts, params), idx[s:s + chunk], c.m)
         for s in range(0, n_samples, chunk)
     ])
-    got = _mc_sample_bits(c, params, n_samples, 5, AMI, chunk, 1)
+    got = _mc_sample_bits(c, params, n_samples, 5, AMI, chunk)
     assert np.array_equal(got, want)
 
 
@@ -447,6 +447,7 @@ def test_matched_subset_pami_equals_the_subset_product(size, pnsd, monkeypatch):
         labels = rng.permutation(size)
         want, losses = subset_product_pami_bits(QuadEvaluator(params, GRID7), c.points, labels)
         for threads in (1, 4):
+            set_threads(monkeypatch, threads)
             ev = QuadEvaluator(params, GRID7)
-            assert np.array_equal(ev.pami_bits(c.points, labels, threads=threads), want)
+            assert np.array_equal(ev.pami_bits(c.points, labels), want)
             assert np.array_equal(ev._sums, losses), threads

@@ -14,10 +14,14 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   12, 30 and 40 dB and 0, 5, 20 and 45 deg, on 1, 2 and 4 threads with
   blocks of any size, plus Monte Carlo AMI and PAMI of 8-PSK and 64-QAM at
   0, 2, 5 and 20 deg, each value printed with repr;
-- the golden anneals of tests/test_annealer.py: design fingerprint, best
+- the golden anneals of tests/test_annealer.py, and 32-point AMI and PAMI
+  anneals at 14 dB, 10 deg on 1 and 2 threads: design fingerprint, best
   rate and the sha256 of the trace CSV;
 - with --acceptance, the verdict lines of tests/test_acceptance.py (about
   two minutes a side).
+
+Thread counts are set through PHASECON_THREADS, which every evaluation
+reads; a tree whose annealer ignores it runs those anneals serially.
 
 Exits 0 when every file is identical, 1 otherwise, listing each difference.
 """
@@ -66,6 +70,7 @@ pc.save_constellation("qam64.json", pc.reference_constellation("qam", 64))
 """
 
 RATE_GRID = """
+import os
 import warnings
 import phasecon as pc
 from phasecon import capacity
@@ -79,8 +84,12 @@ for kind, size in (("psk", 8), ("qam", 16), ("qam", 64)):
         for pnsd in (0.0, 5.0, 20.0, 45.0):
             p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
             for rate in (pc.ami_quadrature, pc.pami_quadrature):
-                bits = [rate(c, p, grid, threads=t).bits for t in (1, 2, 4)]
+                bits = []
+                for t in (1, 2, 4):
+                    os.environ["PHASECON_THREADS"] = str(t)
+                    bits.append(rate(c, p, grid).bits)
                 print(kind, size, snr, pnsd, rate.__name__, *map(repr, bits))
+os.environ["PHASECON_THREADS"] = "1"
 for kind, size, samples in (("psk", 8, 20000), ("qam", 64, 4000)):
     c = pc.reference_constellation(kind, size)
     for pnsd in (0.0, 2.0, 5.0, 20.0):
@@ -92,17 +101,21 @@ for kind, size, samples in (("psk", 8, 20000), ("qam", 64, 4000)):
 
 GOLDEN = """
 import hashlib
+import os
 import phasecon as pc
 
 grid = pc.QuadratureGrid.of_degree(7)
-runs = [("PAMI", 12.0, 20.0, 11, 300), ("AMI", 9.0, 0.0, 12, 300),
-        ("AMI", 9.0, 0.0, 3, 2000), ("PAMI", 12.0, 20.0, 7, 1000)]
-for objective, snr, pnsd, seed, iterations in runs:
+runs = [(8, "PAMI", 12.0, 20.0, 11, 300, 1), (8, "AMI", 9.0, 0.0, 12, 300, 1),
+        (8, "AMI", 9.0, 0.0, 3, 2000, 1), (8, "PAMI", 12.0, 20.0, 7, 1000, 1)]
+runs += [(32, objective, 14.0, 10.0, 5, 400, threads)
+         for objective in ("AMI", "PAMI") for threads in (1, 2)]
+for size, objective, snr, pnsd, seed, iterations, threads in runs:
+    os.environ["PHASECON_THREADS"] = str(threads)
     cfg = pc.SAConfig(iterations=iterations, seed=seed)
     p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
-    best, trace = pc.sa_optimize(8, p, objective, grid, cfg)
+    best, trace = pc.sa_optimize(size, p, objective, grid, cfg)
     digest = hashlib.sha256(trace.to_csv().encode("ascii")).hexdigest()
-    print(objective, snr, pnsd, seed, iterations, best.fingerprint(),
+    print(size, objective, snr, pnsd, seed, iterations, threads, best.fingerprint(),
           repr(float(trace.best_bits[-1])), digest)
 """
 
