@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .annealer import SAConfig, sa_optimize
-from .capacity import AMI, PAMI, QuadratureGrid, _quadrature
+from .capacity import AMI, PAMI, QuadratureGrid, _quadrature, _require_resolvable
 from .model import ChannelParams, Constellation
 
 SNR_BRACKET_DB = (-10.0, 40.0)
@@ -119,9 +119,10 @@ def campaign_cells(
     """Check a campaign grid, then return an iterator that anneals its cells.
 
     Both axes must be non-empty and strictly increasing, and every cell a
-    valid channel; all of this is checked before the first cell runs.  The
-    iterator yields (snr_db, pnsd_deg, seed, best, trace) per cell, SNR-major,
-    where ``seed`` is the cell's seed derived from ``config.seed``.
+    valid channel the evaluator can resolve; all of this is checked before
+    the first cell runs.  The iterator yields (snr_db, pnsd_deg, seed, best,
+    trace) per cell, SNR-major, where ``seed`` is the cell's seed derived
+    from ``config.seed``.
     """
     snrs = _check_axis(snr_db_list, "snr_db_list")
     pnsds = _check_axis(pnsd_deg_list, "pnsd_deg_list")
@@ -131,6 +132,8 @@ def campaign_cells(
         for j, pnsd in enumerate(pnsds)
     ]
     params = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd, _ in cells]
+    for cell_params in params:
+        _require_resolvable(cell_params)
 
     def run():
         for (snr, pnsd, seed), cell_params in zip(cells, params):

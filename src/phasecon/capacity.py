@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import hypothesis_log_terms, log_bessel_i0
+from .likelihood import hypothesis_log_terms
 from .model import ChannelParams, Constellation, ConstellationError
 
 AMI = "AMI"
@@ -216,7 +216,7 @@ def _label_bits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _information(exp_table, log_sum, gap, sent, label_bits):
     """Per-column information lost, in nats, by the symbol-wise (AMI) and
-    the bitwise (PAMI) decision; a None `gap` or `label_bits` skips one.
+    the bitwise (PAMI) decision; a None `label_bits` skips PAMI.
 
     `exp_table` holds exp(value - column peak), clamped at exp(_EXP_FLOOR),
     one row per hypothesis and one column per sample; `log_sum` is the log
@@ -227,7 +227,7 @@ def _information(exp_table, log_sum, gap, sent, label_bits):
     product gives all 2m such sums, and the sent label's bits pick m of
     them.
     """
-    ami = None if gap is None else gap + log_sum
+    ami = gap + log_sum
     if label_bits is None:
         return ami, None
     bits, indicator = label_bits
@@ -538,30 +538,11 @@ def pami_quadrature(
 # --- sampling --------------------------------------------------------------
 
 
-# Largest concentration sampled from a uniform proposal; above it the
-# Gaussian proposal of sample_tikhonov takes less time.  At 60 deg (k =
-# 0.91) they accept 0.49 and 0.75 of their draws, but a uniform draw costs
-# less.  On a 2-core machine, uniform against Gaussian for 5e4 draws (best of 7):
-# 4.2 against 5.3 ms at 90 deg (k = 0.41), 5.2 against 5.0 at 60 deg
-# (k = 0.91), 6.3 against 5.4 at 50 deg (k = 1.31), 22 against 3.9 at 20 deg;
-# for 2e3 draws, 0.15 against 0.16 ms at 60 deg and 0.18 against 0.16 at
-# 50 deg.
-_UNIFORM_MAX_K_PHI = 1.0
-
-
 def sample_tikhonov(k_phi: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` von Mises phase angles in (-pi, pi) by rejection.
-
-    A concentration up to _UNIFORM_MAX_K_PHI (spreads above 57 deg) uses a
-    uniform proposal with envelope exp(k_phi); a larger one a centered
-    Gaussian proposal whose variance pi^2/(4 k_phi) makes
-    exp(k_phi (cos p - 1)) <= exp(-p^2/(2 var)) hold on the whole interval,
-    since 1 - cos p >= 2 p^2 / pi^2 there.  That envelope accepts
-    4 sqrt(k_phi / (2 pi)) I_0(k_phi) e^-k_phi of its draws: 0.75 at k_phi
-    = 1, 2/pi as k_phi grows, against I_0(k_phi) e^-k_phi for the uniform
-    one (0.14 at 20 deg).  The switch sits where the Gaussian proposal's
-    fewer rejections start to outweigh its dearer draws.  k_phi = inf
-    returns zeros, k_phi = 0 the uniform distribution.
+    """Draw `size` von Mises phase angles in [-pi, pi] with numpy's
+    `Generator.vonmises` (Best & Fisher's exact method; a wrapped normal
+    above k_phi = 1e6).  k_phi = inf returns zeros, k_phi = 0 the uniform
+    distribution.
     """
     if math.isnan(k_phi) or k_phi < 0:
         raise ValueError(f"k_phi must be >= 0, got {k_phi}")
@@ -569,35 +550,7 @@ def sample_tikhonov(k_phi: float, size: int, rng: np.random.Generator) -> np.nda
         raise ValueError(f"size must be >= 0, got {size}")
     if not math.isfinite(k_phi):
         return np.zeros(size)
-    if k_phi == 0.0:
-        return rng.uniform(-math.pi, math.pi, size)
-    out = np.empty(size)
-    have = 0
-    if k_phi <= _UNIFORM_MAX_K_PHI:
-        # Acceptance probability of the uniform proposal.
-        rate = math.exp(log_bessel_i0(k_phi) - k_phi)
-        while have < size:
-            batch = max(4096, int(1.2 * (size - have) / rate))
-            cand = rng.uniform(-math.pi, math.pi, batch)
-            keep = rng.random(batch) < np.exp(k_phi * (np.cos(cand) - 1.0))
-            got = cand[keep]
-            take = min(size - have, got.size)
-            out[have : have + take] = got[:take]
-            have += take
-    else:
-        sigma = math.pi / (2.0 * math.sqrt(k_phi))
-        while have < size:
-            batch = max(4096, int(2.0 * (size - have)))
-            cand = rng.standard_normal(batch) * sigma
-            # cos(p) - 1 = -2 sin^2(p/2), which keeps its precision where
-            # cos(p) rounds to 1 (|p| below about 1e-8).
-            accept_log = -2.0 * k_phi * np.sin(cand / 2) ** 2 + cand * cand / (2.0 * sigma * sigma)
-            keep = (np.abs(cand) < math.pi) & (np.log(rng.random(batch)) < accept_log)
-            got = cand[keep]
-            take = min(size - have, got.size)
-            out[have : have + take] = got[:take]
-            have += take
-    return out
+    return rng.vonmises(0.0, k_phi, size)
 
 
 # --- Monte Carlo -----------------------------------------------------------

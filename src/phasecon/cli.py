@@ -267,9 +267,9 @@ def cmd_campaign(ns: argparse.Namespace) -> int:
     grid = QuadratureGrid.of_degree(ns.quad_degree)
     base = _sa_config(ns)
     runs = campaign_cells(ns.m_points, ns.snr_list, ns.pnsd_list, ns.objective, grid, base)
-    os.makedirs(ns.out_dir, exist_ok=True)
     cells = []
     for snr, pnsd, seed, best, trace in runs:
+        os.makedirs(ns.out_dir, exist_ok=True)
         name = _design_filename(snr, pnsd)
         meta = {
             "objective": ns.objective,

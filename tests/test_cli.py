@@ -237,7 +237,7 @@ def test_validate_fails_when_quadrature_is_starved(psk8_file, capsys):
     assert out.splitlines()[-1] == "verdict FAIL"
 
 
-@pytest.mark.parametrize("command", ["evaluate", "optimize", "validate"])
+@pytest.mark.parametrize("command", ["evaluate", "optimize", "validate", "campaign"])
 def test_a_non_integer_thread_setting_is_a_parameter_error(command, psk8_file, tmp_path, capsys,
                                                             monkeypatch):
     monkeypatch.setenv("PHASECON_THREADS", "soup")
@@ -247,6 +247,8 @@ def test_a_non_integer_thread_setting_is_a_parameter_error(command, psk8_file, t
         "optimize": ["optimize", "--m-points", "4", "--snr-db", "12", "--iterations", "10",
                      "--output", str(out)],
         "validate": ["validate", psk8_file, "--snr-db", "12", "--samples", "2000"],
+        "campaign": ["campaign", "--m-points", "4", "--snr-list", "6", "--pnsd-list", "10",
+                     "--iterations", "10", "--out-dir", str(out)],
     }[command]
     code, stdout, err = run(capsys, *argv)
     assert code == 3
@@ -366,15 +368,20 @@ def test_campaign_manifest_records_each_cells_rate(tmp_path, capsys):
 
 def test_campaign_with_a_repeated_cell_writes_nothing(tmp_path, capsys):
     # Two cells at 6 dB would share one design file, so the first cell's
-    # manifest entry would name a design its rate does not belong to.
-    out_dir = tmp_path / "camp"
-    code, text, err = run(
-        capsys, "campaign", "--m-points", "4", "--snr-list", "6,6", "--pnsd-list", "0",
-        "--iterations", "30", "--out-dir", str(out_dir),
-    )
-    assert code == 3
-    assert "strictly increasing" in err and text == ""
-    assert not out_dir.exists()
+    # manifest entry would name a design its rate does not belong to.  A
+    # 2000 dB cell at 5 deg is one the evaluator refuses; it must be refused
+    # before any cell anneals, wherever it sits in the grid.
+    cases = [("6,6", "0", "strictly increasing"), ("6,2000", "5", "too high"),
+             ("2000", "5", "too high")]
+    for i, (snrs, pnsds, message) in enumerate(cases):
+        out_dir = tmp_path / f"camp{i}"
+        code, text, err = run(
+            capsys, "campaign", "--m-points", "4", "--snr-list", snrs, "--pnsd-list", pnsds,
+            "--iterations", "30", "--out-dir", str(out_dir),
+        )
+        assert code == 3, snrs
+        assert message in err and text == "", snrs
+        assert not out_dir.exists(), snrs
 
 
 def test_single_cell_campaign_equals_direct_optimize(tmp_path, capsys):
