@@ -67,6 +67,21 @@ _EXP_FLOOR = -700.0
 # faster; 32-QAM with 343 nodes: 3.5e5, 30% faster).
 _MIN_BLOCK_ENTRIES = 1 << 16
 
+# Most table entries (rows x M x G) in one tile of a table pass: a block runs
+# the whole pass on one tile of its sent rows while the tile is in cache, then
+# moves to the next.  2^17 float64 entries are 1 MB, half a 2 MB L2.  On a
+# 2-core machine, AMI and PAMI of 64-QAM at 8-24 dB, 10 deg on 343 nodes,
+# one fresh evaluator each, ran at 215, 213, 221, 209 and 190 evaluations/s
+# with tiles of 2^15 to 2^19 entries, 195 untiled and 180 before tiling.
+_TILE_ENTRIES = 1 << 17
+
+# Table entries (samples x M) of a default Monte Carlo chunk: 2048 samples at
+# M = 8, 256 at M = 64.  On one thread of a 2-core machine, 2e4 samples at
+# 16 dB, 10 deg took AMI 9.7, 16.0 and 28.1 ms at M = 16, 32 and 64, against
+# 11.5, 23.2 and 44.3 ms in 2048-sample chunks.  Two threads gain less from
+# them: 1e4 samples at M = 64 took 12.1 ms in 256-sample chunks, 8.1 in 1024.
+_MC_CHUNK_ENTRIES = 1 << 14
+
 # Jitter channels both routes refuse.  |w| = |k_phi + k_n conj(y) u| is
 # about k_n |y||u|, so as k_n / k_phi grows the k_phi terms that carry the
 # phase sink into the rounding of the k_n terms.  Against their rates at
@@ -81,7 +96,9 @@ _MAX_K_N = 1e150
 # Widest Monte Carlo table whose per-sample peak is taken over a transposed
 # copy: numpy's max along rows this short is slow.  On a 2-core machine a
 # (2048, M) chunk took 155 against 16 us at M = 8, 182 against 95 at 32, but
-# 201 against 234 at 64.  A max is exact, so either way gives the same bits.
+# 201 against 234 at 64; default chunks of 2^14 entries split alike (19
+# against 28 us at M = 32, 19 against 16 at 64).  A max is exact, so either
+# way gives the same bits.
 _MC_PEAK_BY_COPY = 32
 
 
@@ -266,15 +283,59 @@ def _log_prior_ratio(phases: np.ndarray, k_phi: float) -> np.ndarray:
     return np.where(np.abs(phases) <= math.pi, core, -np.inf)
 
 
+def _split(start: int, stop: int, parts: int) -> list[slice]:
+    """Rows start..stop cut into `parts` contiguous slices of near-equal size."""
+    n = stop - start
+    return [slice(start + n * b // parts, start + n * (b + 1) // parts) for b in range(parts)]
+
+
+class _Block:
+    """One thread block of a table pass: its sent rows cut into tiles, and
+    the work arrays each tile in turn reuses, sized for the longest tile.
+
+    A tile holds at most `tile_rows` rows, but two rows or more where the
+    block has two: numpy would sum a lone row on a one-node grid pairwise
+    rather than in hypothesis order.
+    """
+
+    def __init__(self, rows: slice, tile_rows: int, width: int, size: int):
+        count = rows.stop - rows.start
+        parts = max(1, min(count // 2, -(-count // tile_rows)))
+        self.tiles, longest = _split(rows.start, rows.stop, parts), -(-count // parts)
+        self.y = np.empty((longest, size), dtype=np.complex128)
+        self.nodes = np.empty((longest, width, size))
+        self.nodes[:, -1] = 1.0
+        self.peak, self.sent, self.log_sum = np.empty((3, longest, size))
+        self._table = np.empty(0)
+
+    def table_of(self, rows: slice, depth: int) -> np.ndarray:
+        """A (rows, depth, G) view of the block's one tile buffer: AMI's
+        table tile at depth M, PAMI's matched subset sums at depth m.  The
+        buffer is allocated at the first use that needs it deeper.  An
+        M-deep tile held for PAMI alone made glibc trim and re-fault the heap
+        on every fresh evaluator: 16-QAM PAMI at 14 dB, 10 deg took 0.70
+        against 0.40 ms on a 2-core machine."""
+        longest, size = self.y.shape
+        if self._table.size < longest * depth * size:
+            self._table = np.empty(longest * depth * size)
+        count = rows.stop - rows.start
+        return self._table[: count * depth * size].reshape(count, depth, size)
+
+
 class QuadEvaluator:
     """Reusable quadrature machinery bound to one (params, grid) pair.
 
     The per-candidate entry points take raw point/label arrays so an
     optimizer can call them in a hot loop.  The evaluator owns its work
-    arrays: they are allocated on the first table pass for a given number
-    of points and reused by every later pass, so one evaluator must not
-    score two sets at once.  The thread count is read from PHASECON_THREADS
-    once, when the evaluator is built.
+    arrays: `_bind` allocates them on the first call for a given number of
+    points, and every later call reuses them, so one evaluator must not
+    score two sets at once.  Per set: the hypothesis matrix and the (M, G)
+    half-energy grid.  Per thread block, each sized for one tile of at most
+    _TILE_ENTRIES table entries: the node columns, received samples, peaks,
+    sent metrics, log-sums, and one buffer, allocated at its first use, that
+    holds AMI's table tile or PAMI's matched subset sums.  PAMI's own full
+    tables, kept for label swaps, are allocated in `pami_bits`.  The thread
+    count is read from PHASECON_THREADS once, when the evaluator is built.
     """
 
     def __init__(self, params: ChannelParams, grid: QuadratureGrid):
@@ -315,20 +376,22 @@ class QuadEvaluator:
         self._labels = None
 
     def _bind(self, points: np.ndarray) -> np.ndarray:
-        """The canonical copy of `points`, with the hypothesis matrix filled
-        and the work arrays sized for it: allocated on the first call at its
-        size, then reused.  Each row block of a pass writes its own rows."""
+        """The canonical copy of `points`, with the hypothesis matrix and the
+        half-energy grid filled, and the work arrays sized for it: allocated
+        on the first call at its size, then reused.  That first call also
+        splits the sent rows into thread blocks, at most one per thread, each
+        of _MIN_BLOCK_ENTRIES table entries or more and two rows or more, and
+        each block into tiles (`_Block`)."""
         n, size, params = points.size, self.norm_weights.size, self.params
         if n != self._size:
             width = 3 if self.rotation is None else 4
             self._size, self._tables = n, []
-            self._ami_table = self._sums = None
-            self._hyp, self._nodes = np.empty((n, width)), np.empty((n, width, size))
-            self._nodes[:, -1] = 1.0
+            self._hyp = np.empty((n, width))
             if self.rotation is not None:
-                self._hyp[:, -1], self._half_u2 = params.k_phi**2, np.empty(n)
-            self._y = np.empty((n, size), dtype=np.complex128)
-            self._peak = np.empty((n, size))
+                self._hyp[:, -1], self._half_u2 = params.k_phi**2, np.empty((n, size))
+            k = max(1, min(self._threads, n // 2, n * n * size // _MIN_BLOCK_ENTRIES))
+            tile_rows = max(2, _TILE_ENTRIES // (n * size))
+            self._blocks = [_Block(b, tile_rows, width, size) for b in _split(0, n, k)]
         points = _canonical_points(points)
         u2 = np.abs(points) ** 2
         # Columns Re u and Im u at once, from the (n, 2) float view of u.
@@ -336,18 +399,28 @@ class QuadEvaluator:
         if self.rotation is not None:
             np.multiply(re_im, 2.0 * params.k_phi * params.k_n, out=hyp[:, :2])
             np.multiply(u2, params.k_n**2, out=hyp[:, 2])
-            np.multiply(u2, 0.5 * params.k_n, out=self._half_u2)
-            self._half_u2_max = float(self._half_u2.max())
+            half_u2 = np.multiply(u2, 0.5 * params.k_n)
+            np.copyto(self._half_u2, half_u2[:, None])
+            self._half_u2_max = float(half_u2.max())
         else:
             np.multiply(re_im, params.k_n, out=hyp[:, :2])
             np.multiply(u2, -0.5 * params.k_n, out=hyp[:, 2])
         return points
 
-    def _table_pass(self, points: np.ndarray, rows: slice, table: np.ndarray, log_sum: np.ndarray):
+    def _table_pass(
+        self,
+        points: np.ndarray,
+        rows: slice,
+        table: np.ndarray,
+        log_sum: np.ndarray,
+        work: _Block | None = None,
+    ):
         """Metric table (sent point rows[r], hypothesis h, grid node g) of the
         `points` bound by `_bind`, made exp(metric - peak) in place in
-        table[rows]; the log of its sum over h goes to log_sum[rows].
-        Returns that log-sum, the peak and the sent point's own metric.
+        `table`, one (M, G) slab per sent row of `rows`; the log of its sum
+        over h goes to `log_sum`, one row per sent row.  Returns that
+        log-sum, the peak and the sent point's own metric, in `work`'s
+        arrays (a `_Block`; fresh ones if None).
 
         With jitter the metric is |w| - k_n|u|^2/2, w = k_phi + k_n*conj(y)*u,
         and |w|^2 = k_phi^2 + 2 k_phi k_n Re(conj(y) u) + k_n^2 |y|^2 |u|^2 is
@@ -357,24 +430,32 @@ class QuadEvaluator:
         jitter the metric k_n Re(conj(y) u) - k_n|u|^2/2 is itself one
         (M x 3) product, of [k_n Re u, k_n Im u, -k_n|u|^2/2] with
         [Re y, Im y, 1].  metric - peak is clamped at _EXP_FLOOR before the
-        exp wherever that can change an entry.
+        exp wherever that can change an entry.  The half-energy k_n|u_h|^2/2
+        is subtracted from an (M, G) grid that `_bind` fills, so each sent
+        row's slab and the grid run as one contiguous loop, not as G-long
+        loops that broadcast one value each.
 
-        With jitter the pass goes over the whole table seven times where
-        the floor bound below holds (product, sqrt, - k_n|u|^2/2, peak,
-        - peak, exp, sum) and eight where it fails and the clamp runs.
-        Where k_phi + k_n*conj(y)*u nearly vanishes, the expanded |w|^2 can
-        round below 0: its sqrt is a NaN, which the block's largest peak
-        carries, and only then are the NaN entries set to 0 - k_n|u|^2/2,
-        the value sqrt(max(|w|^2, 0)) gives, and the peaks taken again
-        (three passes more).  Since |w| >= 0 and rounding is monotone,
-        every metric is at least -max_h k_n|u_h|^2/2, so when the largest
-        peak plus that half-energy is at most -_EXP_FLOOR no metric - peak
-        falls below the floor and the clamp is skipped.  At 5-20 deg on
-        the degree-7 rule that holds below 22 dB for 16- and 64-QAM and
-        below 24-26 dB for 8-PSK.  Without jitter the clamp always runs:
-        six passes."""
-        x = points[rows, None]
-        y, nodes, peak = self._y[rows], self._nodes[rows], self._peak[rows]
+        A pass covers one tile, which its caller keeps in cache.  With jitter
+        it goes over the tile seven times where the floor bound below holds
+        (product, sqrt, - half-energy, peak, - peak, exp, sum) and eight
+        where it fails and the clamp runs.  Where k_phi + k_n*conj(y)*u
+        nearly vanishes, the expanded |w|^2 can round below 0: its sqrt is a
+        NaN, which the tile's largest peak carries, and only then are the NaN
+        entries set to 0 - k_n|u|^2/2, the value sqrt(max(|w|^2, 0)) gives,
+        and the peaks taken again (three passes more).  Since |w| >= 0 and
+        rounding is monotone, every metric is at least -max_h k_n|u_h|^2/2,
+        so when the largest peak plus that half-energy is at most -_EXP_FLOOR
+        no metric - peak falls below the floor and the clamp is skipped.  At
+        5-20 deg on the degree-7 rule that holds below 22 dB for 16- and
+        64-QAM and below 24-26 dB for 8-PSK.  Without jitter the clamp
+        always runs: six passes.  Every entry is computed alike whatever the
+        tile, so the bits do not depend on the split."""
+        start, stop, _ = rows.indices(self._size)
+        count, size = stop - start, self.norm_weights.size
+        if work is None:
+            work = _Block(slice(start, stop), count, self._hyp.shape[1], size)
+        x = points[start:stop, None]
+        y, nodes, peak = work.y[:count], work.nodes[:count], work.peak[:count]
         if self.rotation is not None:
             np.multiply(x, self.rotation, out=y)
             y += self.noise
@@ -384,56 +465,63 @@ class QuadEvaluator:
         else:
             np.add(x, self.noise, out=y)
         nodes[:, 0], nodes[:, 1] = y.real, y.imag
-        metric = np.matmul(self._hyp, nodes, out=table[rows])
+        metric = np.matmul(self._hyp, nodes, out=table)
         if self.rotation is None:
             np.maximum.reduce(metric, axis=1, out=peak)
             clamp = True
         else:
             with np.errstate(invalid="ignore"):
                 np.sqrt(metric, out=metric)
-            metric -= self._half_u2[:, None]
+            metric -= self._half_u2
             np.maximum.reduce(metric, axis=1, out=peak)
             top = peak.max()
             if math.isnan(top):
-                np.copyto(metric, np.subtract(0.0, self._half_u2)[:, None], where=np.isnan(metric))
+                np.copyto(metric, np.subtract(0.0, self._half_u2), where=np.isnan(metric))
                 np.maximum.reduce(metric, axis=1, out=peak)
                 top = peak.max()
             clamp = top + self._half_u2_max > -_EXP_FLOOR
-        # Entry (r, rows.start + r): every (M + 1)-th row of the (r*M, G) view.
-        sent = metric.reshape(-1, metric.shape[2])[rows.start :: self._size + 1].copy()
+        # Entry (r, start + r): every (M + 1)-th row of the (r*M, G) view.
+        sent = work.sent[:count]
+        np.copyto(sent, metric.reshape(-1, size)[start :: self._size + 1])
         metric -= peak[:, None]
         if clamp:
             np.maximum(metric, _EXP_FLOOR, out=metric)
         np.exp(metric, out=metric)
-        log_sum = np.add.reduce(metric, axis=1, out=log_sum[rows])
+        np.add.reduce(metric, axis=1, out=log_sum)
         return np.log(log_sum, out=log_sum), peak, sent
 
-    def _mean_over_blocks(self, n: int, integrand_fn) -> float:
-        """Weighted mean over nodes and sent rows of `integrand_fn(rows)`,
-        called on contiguous blocks of rows, at most one per thread, each of
-        _MIN_BLOCK_ENTRIES table entries or more.  Each
-        row is computed alike whatever the split: blocks keep two rows or
-        more, as numpy would sum a lone row on a one-node grid pairwise
-        rather than in hypothesis order."""
-        size = self.norm_weights.size
-        k = max(1, min(self._threads, n // 2, n * n * size // _MIN_BLOCK_ENTRIES))
-        blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
-        rows = itertools.chain.from_iterable(_map_blocks(integrand_fn, blocks, k))
-        return math.fsum(map(np.ndarray.dot, rows, itertools.repeat(self.norm_weights))) / n
+    def _mean_over_tiles(self, tile_losses) -> float:
+        """Weighted mean over nodes and sent rows of the per-row losses
+        `tile_losses(rows, block)` returns for each tile: each thread block
+        runs its tiles in turn on its own work arrays, and each row's
+        weighted sum is taken before the next tile overwrites them."""
+
+        def run(block: _Block) -> list:
+            weights = self.norm_weights
+            return [row.dot(weights) for rows in block.tiles for row in tile_losses(rows, block)]
+
+        rows = _map_blocks(run, self._blocks, len(self._blocks))
+        return math.fsum(itertools.chain.from_iterable(rows)) / self._size
 
     def ami_bits(self, points: np.ndarray) -> float:
         points = self._bind(points)
         n = points.size
-        if self._ami_table is None:
-            size = self.norm_weights.size
-            self._ami_table, self._log_sum = np.empty((n, n, size)), np.empty((n, size))
 
-        def integrand(rows: slice) -> np.ndarray:
-            log_sum, peak, sent = self._table_pass(points, rows, self._ami_table, self._log_sum)
+        def tile_losses(rows: slice, block: _Block) -> np.ndarray:
+            table, log_sum = block.table_of(rows, n), block.log_sum[: rows.stop - rows.start]
+            log_sum, peak, sent = self._table_pass(points, rows, table, log_sum, block)
             np.add(peak, log_sum, out=peak)
             return np.subtract(peak, sent, out=peak)
 
-        return (n.bit_length() - 1) - self._mean_over_blocks(n, integrand) / _LN2
+        return (n.bit_length() - 1) - self._mean_over_tiles(tile_losses) / _LN2
+
+    def _bit_losses(self, rows: slice, exp_table, log_sum, sums) -> np.ndarray:
+        """Per sent row of `rows` and label bit, the information PAMI loses:
+        log_sum minus the log of the table summed over the hypotheses whose
+        bit matches the sent label's, made in `sums`."""
+        np.matmul(self._matched[rows], exp_table[rows], out=sums)
+        np.log(sums, out=sums)
+        return np.subtract(log_sum[rows, None], sums, out=sums)
 
     def pami_bits(self, points: np.ndarray, labels: np.ndarray) -> float:
         """Bitwise rate.  The table does not depend on the labels: it is
@@ -443,7 +531,7 @@ class QuadEvaluator:
         change, an (M, m, M) indicator is built whose entry [j, i, h] marks
         the hypotheses h whose bit i matches that of the label of point j;
         one (m x M) @ (M x G) product per sent row then gives its m matched
-        subset sums."""
+        subset sums.  The table is filled and summed one tile at a time."""
         canonical, n = self._bind(points), points.size
         kept = [t for t in (self.held_table, self.last_table) if t and np.array_equal(t[0], points)]
         if kept:
@@ -456,23 +544,18 @@ class QuadEvaluator:
                 self._tables.append(spare[0])
             table, self.last_table = spare[0], None
         _, exp_table, log_sum = table
-        if self._sums is None:
-            self._sums = np.empty((n, n.bit_length() - 1, self.norm_weights.size))
         if self._labels is None or not np.array_equal(self._labels, labels):
             bits = _label_bits(labels)[0]
             self._labels, self._matched = labels.copy(), (bits.T == bits[:, :, None]) * 1.0
+        m = self._matched.shape[1]
 
-        def integrand(rows: slice) -> np.ndarray:
+        def tile_losses(rows: slice, block: _Block) -> np.ndarray:
             if not kept:
-                self._table_pass(canonical, rows, exp_table, log_sum)
-            # Per sent row and label bit, the table summed over the
-            # hypotheses whose bit matches the sent label's.
-            sums = np.matmul(self._matched[rows], exp_table[rows], out=self._sums[rows])
-            np.log(sums, out=sums)
-            np.subtract(log_sum[rows, None], sums, out=sums)
-            return np.add.reduce(sums, axis=1)
+                self._table_pass(canonical, rows, exp_table[rows], log_sum[rows], block)
+            losses = self._bit_losses(rows, exp_table, log_sum, block.table_of(rows, m))
+            return np.add.reduce(losses, axis=1, out=block.log_sum[: rows.stop - rows.start])
 
-        mean = self._mean_over_blocks(n, integrand)
+        mean = self._mean_over_tiles(tile_losses)
         table[0][:] = points
         self.last_table = table
         return (n.bit_length() - 1) - mean / _LN2
@@ -613,12 +696,14 @@ def _monte_carlo(
     n_samples: int,
     seed: int,
     objective: str,
-    chunk: int = 2048,
+    chunk: int | None = None,
 ) -> CapacityResult:
     _require_normalized(c)
     _require_resolvable(params)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_MC_SAMPLES}, got {n_samples}")
+    if chunk is None:
+        chunk = max(1, _MC_CHUNK_ENTRIES // c.points.size)
     bits = _mc_sample_bits(c, params, n_samples, seed, objective, chunk)
     mean = float(np.mean(bits))
     stderr = float(np.std(bits, ddof=1) / math.sqrt(n_samples))
@@ -631,17 +716,19 @@ def ami_monte_carlo(
     n_samples: int,
     seed: int,
     *,
-    chunk: int = 2048,
+    chunk: int | None = None,
 ) -> CapacityResult:
     """Symbol-wise rate estimated by sampling the exact channel.
 
     Reproducible for a fixed seed; `stderr` is the standard error of the
     per-sample mean.  Samples are scored `chunk` at a time, which bounds the
-    (chunk, M) temporaries; PHASECON_THREADS, read once per call, sets how
-    many chunks are scored at once.  Each chunk's exact-likelihood values
-    become one table of exp(value - peak), which scores AMI here and PAMI in
-    `pami_monte_carlo` the way the quadrature does, so PAMI costs little
-    more than AMI.
+    (chunk, M) temporaries; the default holds 2^14 table entries, 2048
+    samples at M = 8 and 256 at M = 64.  Each sample is scored alone, so
+    the chunk does not change the bits.  PHASECON_THREADS, read once per
+    call, sets how many chunks are scored at once.  Each chunk's
+    exact-likelihood values become one table of exp(value - peak), which
+    scores AMI here and PAMI in `pami_monte_carlo` the way the quadrature
+    does, so PAMI costs little more than AMI.
     """
     return _monte_carlo(c, params, n_samples, seed, AMI, chunk)
 
@@ -652,7 +739,8 @@ def pami_monte_carlo(
     n_samples: int,
     seed: int,
     *,
-    chunk: int = 2048,
+    chunk: int | None = None,
 ) -> CapacityResult:
-    """Bitwise rate estimated by sampling the exact channel."""
+    """Bitwise rate estimated by sampling the exact channel, scored in
+    chunks as in `ami_monte_carlo`."""
     return _monte_carlo(c, params, n_samples, seed, PAMI, chunk)

@@ -51,6 +51,27 @@ def spy_pools(monkeypatch):
     return pools
 
 
+def spy_bit_losses(monkeypatch):
+    """The (M, m, G) per-bit losses of the last PAMI evaluation, assembled
+    from every tile, from now on: call the returned function after it."""
+    from phasecon.capacity import QuadEvaluator
+
+    tiles, real = {}, QuadEvaluator._bit_losses
+
+    def spy(ev, rows, *args):
+        losses = real(ev, rows, *args)
+        tiles[rows.start] = losses.copy()
+        return losses
+
+    monkeypatch.setattr(QuadEvaluator, "_bit_losses", spy)
+
+    def last():
+        rows = [tiles.pop(start) for start in sorted(tiles)]
+        return np.concatenate(rows)
+
+    return last
+
+
 # Relative tolerance for detecting tied nearest-neighbour distances.
 GRAY_TIE_RTOL = 1e-9
 

@@ -185,8 +185,9 @@ def clamped_table_pass(ev, points, rows, table, log_sum):
     """`QuadEvaluator._table_pass` with both clamps always on: the expanded
     |w|^2 floored at 0 before its sqrt, and metric - peak floored at
     _EXP_FLOOR before its exp.  `points` are bound by `ev._bind`, whose
-    hypothesis matrix it reads; it writes table[rows] and log_sum[rows] and
-    returns (log_sum, peak, sent) for those rows, like the kernel."""
+    hypothesis matrix and half-energy grid it reads; like the kernel, it
+    writes the exp table of `rows` to `table` and its log-sum to `log_sum`,
+    one row each per sent row, and returns (log_sum, peak, sent)."""
     x = points[rows, None]
     shape = (x.shape[0], ev._hyp.shape[1], ev.noise.size)
     nodes = np.ones(shape)
@@ -197,18 +198,18 @@ def clamped_table_pass(ev, points, rows, table, log_sum):
     else:
         y = x + ev.noise
     nodes[:, 0], nodes[:, 1] = y.real, y.imag
-    metric = np.matmul(ev._hyp, nodes, out=table[rows])
+    metric = np.matmul(ev._hyp, nodes, out=table)
     if ev.rotation is not None:
         np.maximum(metric, 0.0, out=metric)
         np.sqrt(metric, out=metric)
-        metric -= ev._half_u2[:, None]
+        metric -= ev._half_u2
     index = np.arange(points.size)[rows]
     sent = metric[np.arange(index.size), index].copy()
     peak = np.maximum.reduce(metric, axis=1)
     metric -= peak[:, None]
     np.maximum(metric, _EXP_FLOOR, out=metric)
     np.exp(metric, out=metric)
-    out = np.add.reduce(metric, axis=1, out=log_sum[rows])
+    out = np.add.reduce(metric, axis=1, out=log_sum)
     return np.log(out, out=out), peak, sent
 
 

@@ -316,14 +316,16 @@ def test_recycled_pami_buffers_are_never_the_held_or_best_table(grid7, monkeypat
     written, distinct_held_and_best = [], []
     original = QuadEvaluator._table_pass
 
-    def checked_pass(ev, points, rows, table, log_sum):
+    def checked_pass(ev, points, rows, table, log_sum, work):
         for name in ("held_table", "best_table"):
             held = getattr(ev, name)
-            assert held is None or (held[1] is not table and held[2] is not log_sum), name
-        written.append(id(table))
+            assert held is None or not (
+                np.shares_memory(held[1], table) or np.shares_memory(held[2], log_sum)
+            ), name
+        written.append(id(table.base))
         both = ev.held_table is not None and ev.best_table is not None
         distinct_held_and_best.append(both and ev.held_table is not ev.best_table)
-        return original(ev, points, rows, table, log_sum)
+        return original(ev, points, rows, table, log_sum, work)
 
     monkeypatch.setattr(QuadEvaluator, "_table_pass", checked_pass)
     cfg = SAConfig(iterations=400, seed=7, label_swap_prob=0.3)

@@ -25,7 +25,13 @@ from phasecon import (
     reference_constellation,
     sample_tikhonov,
 )
-from conftest import channel, random_unit_power_constellation, set_threads, spy_pools
+from conftest import (
+    channel,
+    random_unit_power_constellation,
+    set_threads,
+    spy_bit_losses,
+    spy_pools,
+)
 
 
 # --- Gauss-Hermite rule ----------------------------------------------------
@@ -514,3 +520,80 @@ def test_thread_count_env_override(psk8, grid7, monkeypatch):
     ):
         with pytest.raises(ValueError, match="PHASECON_THREADS must be an integer, got 'soup'"):
             route()
+
+
+# --- row tiles -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pnsd", [0.0, 20.0])
+@pytest.mark.parametrize("degree", [1, 7])
+def test_tiled_pass_is_bit_identical_for_any_tile_size(degree, pnsd, monkeypatch):
+    """Tiles of two rows give the default tiles' rates and per-bit losses,
+    entry for entry, on one thread and on four blocks of any size."""
+    bit_losses = spy_bit_losses(monkeypatch)
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    grid, p = QuadratureGrid.of_degree(degree), channel(12.0, pnsd)
+    default = capacity._TILE_ENTRIES
+    rng = np.random.default_rng(degree)
+    for size in (2, 4, 8, 16, 32, 64):
+        c = reference_constellation("psk" if size <= 8 else "qam", size)
+        labels = rng.permutation(size)
+        for threads in (1, 4):
+            set_threads(monkeypatch, threads)
+            runs = []
+            for tile_entries in (default, 1):
+                monkeypatch.setattr(capacity, "_TILE_ENTRIES", tile_entries)
+                ev = capacity.QuadEvaluator(p, grid)
+                ami = ev.ami_bits(c.points)
+                pami = ev.pami_bits(c.points, labels)
+                runs.append((ami, pami, bit_losses()))
+            tiles = [t.stop - t.start for b in ev._blocks for t in b.tiles]
+            # The split is real: two rows a tile, never a lone last row.
+            assert tiles == [2] * (size // 2), (size, threads)
+            (ami, pami, losses), (ami2, pami2, losses2) = runs
+            assert (ami2, pami2) == (ami, pami), (size, threads)
+            assert np.array_equal(losses2, losses), (size, threads)
+
+
+def test_ami_allocates_tiles_not_the_table(grid7, monkeypatch):
+    """One 64-QAM AMI evaluation, 64 x 64 x 343 entries (11.2 MB), holds
+    less than two tiles' worth at its peak."""
+    set_threads(monkeypatch, 1)
+    c, p = reference_constellation("qam", 64), channel(12.0, 20.0)
+    tracemalloc.start()
+    try:
+        ami_quadrature(c, p, grid7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * capacity._TILE_ENTRIES, peak
+
+
+def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
+    """An 8 x 8 x 343 table is one tile: a reused evaluator runs it on the
+    arrays it already holds, AMI and PAMI alike, and allocates no table."""
+    set_threads(monkeypatch, 1)
+    ev = capacity.QuadEvaluator(channel(12.0, 20.0), grid7)
+
+    def work_arrays():
+        blocks = [a for b in ev._blocks for a in (b.y, b.nodes, b.peak, b._table)]
+        return [ev._hyp, ev._half_u2, *ev._tables, *blocks]
+
+    ev.ami_bits(psk8.points)
+    ev.pami_bits(psk8.points, psk8.labels)
+    arrays = work_arrays()
+    table_bytes = 8 * 8 * grid7.degree**3 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            ev.ami_bits(psk8.points)
+            ev.last_table = None  # so each PAMI call runs the table pass
+            ev.pami_bits(psk8.points, psk8.labels)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    now = work_arrays()
+    assert len(now) == len(arrays) and all(a is b for a, b in zip(now, arrays))
+    assert peak - start < table_bytes, (peak - start) / table_bytes
+    assert end - start < table_bytes / 10, (end - start) / table_bytes

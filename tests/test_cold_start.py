@@ -1,6 +1,6 @@
 """Start-up cost and dependencies: no route loads scipy, the quadrature
-route and the CLI leave the thread pool unloaded, and every route runs
-with scipy absent."""
+route, annealing and the CLI leave the thread pool and numpy.ma unloaded,
+and every route runs with scipy absent."""
 
 import json
 import os
@@ -20,7 +20,7 @@ from phasecon import cli
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                  or m.startswith("concurrent.futures"))
+                  or m.startswith("concurrent.futures") or m.split(".")[:2] == ["numpy", "ma"])
 
 c = pc.reference_constellation("psk", 8)
 p = pc.ChannelParams.from_snr_pnsd(12.0, 20.0)
@@ -71,7 +71,8 @@ def run_child(source: str) -> dict:
 
 
 def test_quadrature_and_cli_do_not_load_scipy_or_the_pool(tmp_path):
-    # Nor does Monte Carlo load scipy, after the quadrature and the CLI.
+    # Nor numpy.ma, which np.unique imports.  Nor does Monte Carlo load
+    # scipy, after the quadrature and the CLI.
     result = run_child(CHILD.format(src=SRC, path=str(tmp_path / "psk8.json")))
     assert result["code"] == 0
     assert result["before"] == []

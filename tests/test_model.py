@@ -55,6 +55,19 @@ def test_make_constellation_rejects_duplicate_point():
         make_constellation([1, 1, -1, -1j], [0, 1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "zero, signed",
+    [(complex(0.0, 1.0), complex(-0.0, 1.0)), (complex(1.0, 0.0), complex(1.0, -0.0))],
+    ids=["real", "imag"],
+)
+def test_make_constellation_rejects_points_differing_in_the_sign_of_zero(zero, signed):
+    # -0.0 == 0.0: the points are equal, wherever they sort.
+    with pytest.raises(ConstellationError, match="duplicate"):
+        make_constellation([zero, 2.0, signed, -2.0], [0, 1, 2, 3])
+    with pytest.raises(ConstellationError, match="duplicate"):
+        make_constellation([signed, -1.0, 2j, zero], [0, 1, 2, 3])
+
+
 def test_make_constellation_rejects_non_finite_point():
     with pytest.raises(ConstellationError):
         make_constellation([1, np.nan, -1, -1j], [0, 1, 2, 3])

@@ -15,9 +15,10 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   20 and 45 deg, on 1, 2 and 4 threads with blocks of any size; and
   mc_grid, Monte Carlo AMI and PAMI of 8-PSK and 64-QAM at 0, 2, 5 and 20
   deg, so a change to the Monte Carlo stream alone leaves quad_grid equal;
-- the golden anneals of tests/test_annealer.py, and 32-point AMI and PAMI
-  anneals at 14 dB, 10 deg on 1 and 2 threads: design fingerprint, best
-  rate and the sha256 of the trace CSV;
+- the golden anneals of tests/test_annealer.py, and 32-point (400 steps)
+  and 64-point (20 steps) AMI and PAMI anneals at 14 dB, 10 deg on 1 and 2
+  threads, whose tables span several tiles: design fingerprint, best rate
+  and the sha256 of the trace CSV;
 - with --acceptance, the verdict lines of tests/test_acceptance.py (about
   two minutes a side).
 
@@ -114,7 +115,8 @@ import phasecon as pc
 grid = pc.QuadratureGrid.of_degree(7)
 runs = [(8, "PAMI", 12.0, 20.0, 11, 300, 1), (8, "AMI", 9.0, 0.0, 12, 300, 1),
         (8, "AMI", 9.0, 0.0, 3, 2000, 1), (8, "PAMI", 12.0, 20.0, 7, 1000, 1)]
-runs += [(32, objective, 14.0, 10.0, 5, 400, threads)
+runs += [(size, objective, 14.0, 10.0, 5, iterations, threads)
+         for size, iterations in ((32, 400), (64, 20))
          for objective in ("AMI", "PAMI") for threads in (1, 2)]
 for size, objective, snr, pnsd, seed, iterations, threads in runs:
     os.environ["PHASECON_THREADS"] = str(threads)
