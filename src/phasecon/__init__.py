@@ -13,6 +13,7 @@ from .analysis import (
     mismatch_matrix,
     pnsd_sweep,
     pragmatic_gap,
+    snr_at_rate,
     snr_sweep,
 )
 from .annealer import (
@@ -91,5 +92,6 @@ __all__ = [
     "sa_optimize",
     "sample_tikhonov",
     "save_constellation",
+    "snr_at_rate",
     "snr_sweep",
 ]

@@ -227,16 +227,31 @@ def mismatch_matrix(
     )
 
 
-def _snr_reaching_target(
-    eval_bits,
+def snr_at_rate(
+    c: Constellation,
+    pnsd_deg: float,
+    objective: str,
     target_bits: float,
-    *,
-    lo: float = SNR_BRACKET_DB[0],
-    hi: float = SNR_BRACKET_DB[1],
+    grid: QuadratureGrid,
 ) -> float:
-    """Bisect for the SNR at which a monotone rate curve crosses the target."""
-    f_lo = eval_bits(lo)
-    f_hi = eval_bits(hi)
+    """SNR (dB) at which the quadrature rate `objective` of `c` reaches
+    `target_bits` at phase spread `pnsd_deg`.
+
+    Bisects SNR_BRACKET_DB until the bracket is SNR_BISECT_TOL_DB wide,
+    taking the rate to grow with the SNR, and returns the bracket's
+    midpoint.  Raises ValueError when the target lies outside (0, m) or
+    the rate at the bracket's ends does not straddle it.
+    """
+    if not 0 < target_bits < c.m:
+        raise ValueError(f"target_bits must lie in (0, {c.m}), got {target_bits}")
+
+    def rate(snr_db: float) -> float:
+        params = ChannelParams.from_snr_pnsd(snr_db, pnsd_deg)
+        return _quadrature(c, params, grid, objective).bits
+
+    lo, hi = SNR_BRACKET_DB
+    f_lo = rate(lo)
+    f_hi = rate(hi)
     if f_lo >= target_bits:
         raise ValueError(
             f"target {target_bits} bits already reached at {lo} dB; bracket too high"
@@ -249,7 +264,7 @@ def _snr_reaching_target(
         if hi - lo <= SNR_BISECT_TOL_DB:
             break
         mid = 0.5 * (lo + hi)
-        if eval_bits(mid) >= target_bits:
+        if rate(mid) >= target_bits:
             hi = mid
         else:
             lo = mid
@@ -263,25 +278,10 @@ def pragmatic_gap(
     grid: QuadratureGrid,
     target_bits: float = DEFAULT_TARGET_BITS,
 ) -> float:
-    """SNR penalty (dB) of the bitwise design at a target rate.
-
-    Finds the SNR at which the AMI curve of `c_ami` and the PAMI curve of
-    `c_pami` each reach `target_bits` (phase spread taken from `params`)
-    and returns their difference; positive means the bitwise route needs
-    more SNR.
+    """SNR penalty (dB) of the bitwise design at a target rate: the SNR at
+    which the PAMI of `c_pami` reaches `target_bits` less the one at which
+    the AMI of `c_ami` does (`snr_at_rate`, phase spread taken from
+    `params`); positive means the bitwise route needs more SNR.
     """
-    m = min(c_ami.m, c_pami.m)
-    if not 0 < target_bits < m:
-        raise ValueError(f"target_bits must lie in (0, {m}), got {target_bits}")
-    pnsd = params.pnsd_deg
-
-    def crossing(c: Constellation, objective: str) -> float:
-        return _snr_reaching_target(
-            lambda snr_db: _quadrature(
-                c, ChannelParams.from_snr_pnsd(snr_db, pnsd), grid, objective
-            ).bits,
-            target_bits,
-        )
-
-    snr_ami = crossing(c_ami, AMI)
-    return crossing(c_pami, PAMI) - snr_ami
+    snr_ami = snr_at_rate(c_ami, params.pnsd_deg, AMI, target_bits, grid)
+    return snr_at_rate(c_pami, params.pnsd_deg, PAMI, target_bits, grid) - snr_ami

@@ -172,7 +172,6 @@ def sa_optimize(
         warnings.warn("PAMI optimization with label_swap_prob=0 cannot move labels")
     m = size.bit_length() - 1
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    evaluator = QuadEvaluator(params, grid)
     pairs = np.triu_indices(size, 1)
 
     if initial is not None:
@@ -184,19 +183,23 @@ def sa_optimize(
         pts = _renormalize(_random_disc_points(size, rng))
         labs = rng.permutation(size).astype(np.int64)
 
+    # A label swap leaves the PAMI table unchanged, and an evaluator reuses
+    # the table of the last points it scored.  So swaps score on `held`,
+    # whose last points are the current state's, and point moves on
+    # `spare`; the two trade places when a point move is accepted.
+    held = QuadEvaluator(params, grid)
     if objective == PAMI:
-        score = lambda p, l: evaluator.pami_bits(p, l)  # noqa: E731
+        spare = QuadEvaluator(params, grid)
+        score = lambda ev, p, l: ev.pami_bits(p, l)  # noqa: E731
         swap_prob = config.label_swap_prob
     else:
-        score = lambda p, l: evaluator.ami_bits(p)  # noqa: E731
+        spare = held
+        score = lambda ev, p, l: ev.ami_bits(p)  # noqa: E731
         swap_prob = 0.0
 
-    current = score(pts, labs)
+    current = score(held, pts, labs)
     best = current
     best_pts, best_labs = pts.copy(), labs.copy()
-    # A label swap leaves the PAMI table unchanged: hold the table of the
-    # accepted state (and of the best, for re-heats) so swaps reuse it.
-    evaluator.held_table = evaluator.best_table = evaluator.last_table
 
     n_steps = config.iterations
     col_step = np.arange(n_steps, dtype=np.int64)
@@ -212,7 +215,6 @@ def sa_optimize(
             # Re-heat from the incumbent best.
             pts, labs = best_pts.copy(), best_labs.copy()
             current = best
-            evaluator.held_table = evaluator.best_table
         for local in range(p_len):
             temp = _geometric(local, p_len, config.t_initial, config.t_final)
             disp = _geometric(local, p_len, config.d_initial, config.d_final)
@@ -236,17 +238,17 @@ def sa_optimize(
                 collided = _min_pairwise(cand_pts, pairs) < COLLISION_MIN_DIST
             accepted = False
             if not collided:
-                cand = score(cand_pts, cand_labs)
+                cand = score(held if move == MOVE_SWAP else spare, cand_pts, cand_labs)
                 delta = cand - current
                 draw = rng.random() if delta < 0 else 0.0
                 accepted = metropolis_accept(delta, temp, draw)
                 if accepted:
                     pts, labs, current = cand_pts, cand_labs, cand
-                    evaluator.held_table = evaluator.last_table
+                    if move == MOVE_POINT:
+                        held, spare = spare, held
                     if current > best:
                         best = current
                         best_pts, best_labs = pts.copy(), labs.copy()
-                        evaluator.best_table = evaluator.held_table
             col_temp[g] = temp
             col_cur[g] = current
             col_best[g] = best

@@ -75,11 +75,14 @@ _MIN_BLOCK_ENTRIES = 1 << 16
 # with tiles of 2^15 to 2^19 entries, 195 untiled and 180 before tiling.
 _TILE_ENTRIES = 1 << 17
 
-# Table entries (samples x M) of a default Monte Carlo chunk: 2048 samples at
-# M = 8, 256 at M = 64.  On one thread of a 2-core machine, 2e4 samples at
-# 16 dB, 10 deg took AMI 9.7, 16.0 and 28.1 ms at M = 16, 32 and 64, against
-# 11.5, 23.2 and 44.3 ms in 2048-sample chunks.  Two threads gain less from
-# them: 1e4 samples at M = 64 took 12.1 ms in 256-sample chunks, 8.1 in 1024.
+# Table entries (samples x M) of a default Monte Carlo chunk on one thread:
+# 2048 samples at M = 8, 256 at M = 64.  On one thread of a 2-core machine,
+# 2e4 samples at 16 dB, 10 deg took AMI 9.7, 16.0 and 28.1 ms at M = 16, 32
+# and 64, against 11.5, 23.2 and 44.3 ms in 2048-sample chunks.  On more
+# threads, which share the interpreter lock each chunk's Python steps hold,
+# a chunk holds twice as many: on two, 5e4 samples took AMI 11.5, 17.5 and
+# 47.5 ms at M = 8, 16 and 64, against 13.1, 20.9 and 59.9 in one-thread
+# chunks.  Larger factors are unmeasured; k threads hold k chunks at once.
 _MC_CHUNK_ENTRIES = 1 << 14
 
 # Jitter channels both routes refuse.  |w| = |k_phi + k_n conj(y) u| is
@@ -109,10 +112,11 @@ class QuadratureGrid:
     The 3-D product covers (noise real, noise imag, phase); the 2-D product
     drops the phase dimension for the jitter-free channel.  Offsets are in
     normalized units: evaluators scale Gaussian dimensions by sigma*sqrt(2)
-    and the phase dimension by sigma_phi*sqrt(2).  The grid also keeps each
-    product's unit complex noise offsets t1 + j t2 and, for the 3-D one, the
-    index of each node's phase in the 1-D rule, so an evaluator computes
-    its phase factors on the `degree` phase nodes and expands them.
+    and the phase dimension by sigma_phi*sqrt(2).  For each product the grid
+    keeps the unit complex noise offsets t1 + j t2 and the product weights,
+    and for the 3-D one the index of each node's phase in the 1-D rule, so
+    an evaluator computes its phase factors on the `degree` phase nodes and
+    expands them.
     """
 
     degree: int
@@ -124,19 +128,19 @@ class QuadratureGrid:
         weights = np.array(self.weights, dtype=np.float64)
         k = np.arange(nodes.size)
         i1, i2, i3 = (i.ravel() for i in np.meshgrid(k, k, k, indexing="ij"))
-        prod3 = (nodes[i1], nodes[i2], nodes[i3], weights[i1] * weights[i2] * weights[i3])
         j1, j2 = (j.ravel() for j in np.meshgrid(k, k, indexing="ij"))
-        prod2 = (nodes[j1], nodes[j2], weights[j1] * weights[j2])
-        noise3, noise2 = prod3[0] + 1j * prod3[1], prod2[0] + 1j * prod2[1]
-        for arr in (nodes, weights, *prod3, *prod2, noise3, noise2, i3):
+        kept = {
+            "nodes": nodes,
+            "weights": weights,
+            "_noise3": nodes[i1] + 1j * nodes[i2],
+            "_weights3": weights[i1] * weights[i2] * weights[i3],
+            "_phase_index": i3,
+            "_noise2": nodes[j1] + 1j * nodes[j2],
+            "_weights2": weights[j1] * weights[j2],
+        }
+        for name, arr in kept.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_prod3", prod3)
-        object.__setattr__(self, "_prod2", prod2)
-        object.__setattr__(self, "_noise3", noise3)
-        object.__setattr__(self, "_noise2", noise2)
-        object.__setattr__(self, "_phase_index", i3)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def of_degree(cls, degree: int) -> "QuadratureGrid":
@@ -147,12 +151,6 @@ class QuadratureGrid:
             raise ValueError(f"degree must be in 1..30, got {degree}")
         nodes, weights = np.polynomial.hermite.hermgauss(int(degree))
         return cls(degree=int(degree), nodes=nodes, weights=weights)
-
-    def product3(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self._prod3
-
-    def product2(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._prod2
 
 
 @dataclass(frozen=True)
@@ -333,9 +331,10 @@ class QuadEvaluator:
     half-energy grid.  Per thread block, each sized for one tile of at most
     _TILE_ENTRIES table entries: the node columns, received samples, peaks,
     sent metrics, log-sums, and one buffer, allocated at its first use, that
-    holds AMI's table tile or PAMI's matched subset sums.  PAMI's own full
-    tables, kept for label swaps, are allocated in `pami_bits`.  The thread
-    count is read from PHASECON_THREADS once, when the evaluator is built.
+    holds AMI's table tile or PAMI's matched subset sums.  PAMI keeps one
+    full table of its own, the last set's, so that a label swap reuses it
+    (`pami_bits`).  The thread count is read from PHASECON_THREADS once,
+    when the evaluator is built.
     """
 
     def __init__(self, params: ChannelParams, grid: QuadratureGrid):
@@ -363,15 +362,12 @@ class QuadEvaluator:
                 )
             index = grid._phase_index
             self.rotation = np.exp(1j * phases)[index]
-            self.norm_weights = grid.product3()[3] * ratio[index] / (math.pi * total)
+            self.norm_weights = grid._weights3 * ratio[index] / (math.pi * total)
         else:
             self.noise = _SQRT2 * sigma * grid._noise2
             self.rotation = None
-            self.norm_weights = grid.product2()[2] / math.pi
-        # PAMI tables (points, exp(metric - peak), log of its sum over h): the
-        # last one scored, and the ones a caller holds for label swaps to
-        # reuse, the current state's and the best state's.
-        self.last_table = self.held_table = self.best_table = None
+            self.norm_weights = grid._weights2 / math.pi
+        self._pami = None
         self._size = 0
         self._labels = None
 
@@ -381,11 +377,12 @@ class QuadEvaluator:
         on the first call at its size, then reused.  That first call also
         splits the sent rows into thread blocks, at most one per thread, each
         of _MIN_BLOCK_ENTRIES table entries or more and two rows or more, and
-        each block into tiles (`_Block`)."""
+        each block into tiles (`_Block`), and drops the PAMI table of
+        another size."""
         n, size, params = points.size, self.norm_weights.size, self.params
         if n != self._size:
             width = 3 if self.rotation is None else 4
-            self._size, self._tables = n, []
+            self._size, self._pami = n, None
             self._hyp = np.empty((n, width))
             if self.rotation is not None:
                 self._hyp[:, -1], self._half_u2 = params.k_phi**2, np.empty((n, size))
@@ -413,14 +410,14 @@ class QuadEvaluator:
         rows: slice,
         table: np.ndarray,
         log_sum: np.ndarray,
-        work: _Block | None = None,
+        work: _Block,
     ):
         """Metric table (sent point rows[r], hypothesis h, grid node g) of the
         `points` bound by `_bind`, made exp(metric - peak) in place in
         `table`, one (M, G) slab per sent row of `rows`; the log of its sum
         over h goes to `log_sum`, one row per sent row.  Returns that
-        log-sum, the peak and the sent point's own metric, in `work`'s
-        arrays (a `_Block`; fresh ones if None).
+        log-sum, the peak and the sent point's own metric, in the arrays of
+        `work`, a `_Block` of `rows.stop - rows.start` rows or more.
 
         With jitter the metric is |w| - k_n|u|^2/2, w = k_phi + k_n*conj(y)*u,
         and |w|^2 = k_phi^2 + 2 k_phi k_n Re(conj(y) u) + k_n^2 |y|^2 |u|^2 is
@@ -452,8 +449,6 @@ class QuadEvaluator:
         tile, so the bits do not depend on the split."""
         start, stop, _ = rows.indices(self._size)
         count, size = stop - start, self.norm_weights.size
-        if work is None:
-            work = _Block(slice(start, stop), count, self._hyp.shape[1], size)
         x = points[start:stop, None]
         y, nodes, peak = work.y[:count], work.nodes[:count], work.peak[:count]
         if self.rotation is not None:
@@ -524,26 +519,22 @@ class QuadEvaluator:
         return np.subtract(log_sum[rows, None], sums, out=sums)
 
     def pami_bits(self, points: np.ndarray, labels: np.ndarray) -> float:
-        """Bitwise rate.  The table does not depend on the labels: it is
-        reused when `points` equal those of `held_table` or `last_table`,
-        and otherwise built and kept as `last_table`, in one of at most
-        three buffers, never `held_table` or `best_table`.  When the labels
-        change, an (M, m, M) indicator is built whose entry [j, i, h] marks
-        the hypotheses h whose bit i matches that of the label of point j;
-        one (m x M) @ (M x G) product per sent row then gives its m matched
-        subset sums.  The table is filled and summed one tile at a time."""
+        """Bitwise rate.  The table does not depend on the labels, and the
+        evaluator keeps one: the points, exp(metric - peak) and its log-sum
+        over the hypotheses of the last set scored.  A call whose `points`
+        equal the kept ones reuses it; any other call refills it, one tile
+        at a time.  When the labels change, an (M, m, M) indicator is built
+        whose entry [j, i, h] marks the hypotheses h whose bit i matches
+        that of the label of point j; one (m x M) @ (M x G) product per
+        sent row then gives its m matched subset sums."""
         canonical, n = self._bind(points), points.size
-        kept = [t for t in (self.held_table, self.last_table) if t and np.array_equal(t[0], points)]
-        if kept:
-            table = kept[0]
-        else:
-            spare = [t for t in self._tables if t is not self.held_table and t is not self.best_table]
-            if not spare:
-                size = self.norm_weights.size
-                spare.append((np.empty(n, complex), np.empty((n, n, size)), np.empty((n, size))))
-                self._tables.append(spare[0])
-            table, self.last_table = spare[0], None
-        _, exp_table, log_sum = table
+        kept = self._pami is not None and np.array_equal(self._pami[0], points)
+        if self._pami is None:
+            size = self.norm_weights.size
+            self._pami = (np.empty(n, complex), np.empty((n, n, size)), np.empty((n, size)))
+        kept_points, exp_table, log_sum = self._pami
+        if not kept:
+            kept_points[:] = np.nan  # matches no set until the pass below completes
         if self._labels is None or not np.array_equal(self._labels, labels):
             bits = _label_bits(labels)[0]
             self._labels, self._matched = labels.copy(), (bits.T == bits[:, :, None]) * 1.0
@@ -556,8 +547,7 @@ class QuadEvaluator:
             return np.add.reduce(losses, axis=1, out=block.log_sum[: rows.stop - rows.start])
 
         mean = self._mean_over_tiles(tile_losses)
-        table[0][:] = points
-        self.last_table = table
+        kept_points[:] = points
         return (n.bit_length() - 1) - mean / _LN2
 
 
@@ -660,10 +650,12 @@ def _mc_sample_bits(
     n_samples: int,
     seed: int,
     objective: str,
-    chunk: int,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """Per-sample information in bits under the exact likelihood."""
     k = _resolve_threads()
+    if chunk is None:
+        chunk = max(1, _MC_CHUNK_ENTRIES * min(k, 2) // c.points.size)
     pts = _canonical_points(c.points)
     idx, y = _draw_channel_samples(pts, params, n_samples, seed)
     label_bits = _label_bits(c.labels) if objective == PAMI else None
@@ -702,8 +694,6 @@ def _monte_carlo(
     _require_resolvable(params)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_MC_SAMPLES}, got {n_samples}")
-    if chunk is None:
-        chunk = max(1, _MC_CHUNK_ENTRIES // c.points.size)
     bits = _mc_sample_bits(c, params, n_samples, seed, objective, chunk)
     mean = float(np.mean(bits))
     stderr = float(np.std(bits, ddof=1) / math.sqrt(n_samples))
@@ -722,13 +712,14 @@ def ami_monte_carlo(
 
     Reproducible for a fixed seed; `stderr` is the standard error of the
     per-sample mean.  Samples are scored `chunk` at a time, which bounds the
-    (chunk, M) temporaries; the default holds 2^14 table entries, 2048
-    samples at M = 8 and 256 at M = 64.  Each sample is scored alone, so
-    the chunk does not change the bits.  PHASECON_THREADS, read once per
-    call, sets how many chunks are scored at once.  Each chunk's
-    exact-likelihood values become one table of exp(value - peak), which
-    scores AMI here and PAMI in `pami_monte_carlo` the way the quadrature
-    does, so PAMI costs little more than AMI.
+    (chunk, M) temporaries; the default holds 2^14 table entries on one
+    thread, 2048 samples at M = 8 and 256 at M = 64, and twice that on
+    more.  Each sample is scored alone, so the chunk does not change the
+    bits.  PHASECON_THREADS, read once per call, sets how many chunks are
+    scored at once.  Each chunk's exact-likelihood values become one table
+    of exp(value - peak), which scores AMI here and PAMI in
+    `pami_monte_carlo` the way the quadrature does, so PAMI costs little
+    more than AMI.
     """
     return _monte_carlo(c, params, n_samples, seed, AMI, chunk)
 

@@ -22,8 +22,8 @@ from phasecon import (
     pragmatic_gap,
     reference_constellation,
     sa_optimize,
+    snr_at_rate,
 )
-from phasecon.analysis import _snr_reaching_target
 from phasecon.capacity import QuadEvaluator
 from phasecon.cli import main
 import conftest
@@ -218,7 +218,9 @@ def test_criterion_6_pragmatic_gap_at_target_rate(gap_designs):
         _, c_pami = gap_designs[(pnsd, "PAMI")]
         design = channel(design_snr, pnsd)
 
-        gap = pragmatic_gap(c_ami, c_pami, design, GRID7, C6_TARGET_BITS)
+        snr_ami = snr_at_rate(c_ami, pnsd, "AMI", C6_TARGET_BITS, GRID7)
+        snr_cross = snr_at_rate(c_pami, pnsd, "PAMI", C6_TARGET_BITS, GRID7)
+        gap = snr_cross - snr_ami
 
         ev = QuadEvaluator(design, GRID7)
         own_bits = ev.pami_bits(c_pami.points, c_pami.labels)
@@ -227,10 +229,6 @@ def test_criterion_6_pragmatic_gap_at_target_rate(gap_designs):
         relabelled = make_constellation(c_ami.points, classes[int(np.argmax(ami_geometry))])
         relabelled_gap = pragmatic_gap(c_ami, relabelled, design, GRID7, C6_TARGET_BITS)
 
-        snr_cross = _snr_reaching_target(
-            lambda snr: pami_quadrature(c_pami, channel(snr, pnsd), GRID7).bits,
-            C6_TARGET_BITS,
-        )
         cross = channel(snr_cross, pnsd)
         pairs = (
             (ami_quadrature(c_ami, cross, GRID7),

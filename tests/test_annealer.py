@@ -14,6 +14,7 @@ from phasecon import (
     metropolis_accept,
     sa_optimize,
 )
+from phasecon.annealer import _pass_lengths
 from phasecon.capacity import QuadEvaluator
 from conftest import channel, is_gray, set_threads, spy_pools
 
@@ -310,31 +311,32 @@ def test_annealing_honours_the_thread_setting(objective, grid7, monkeypatch):
     assert runs[1] == runs[0]
 
 
-def test_recycled_pami_buffers_are_never_the_held_or_best_table(grid7, monkeypatch):
-    """A table pass writes into one of at most three buffers, never the one
-    the current state (held) or the best state holds for label swaps."""
-    written, distinct_held_and_best = [], []
-    original = QuadEvaluator._table_pass
-
-    def checked_pass(ev, points, rows, table, log_sum, work):
-        for name in ("held_table", "best_table"):
-            held = getattr(ev, name)
-            assert held is None or not (
-                np.shares_memory(held[1], table) or np.shares_memory(held[2], log_sum)
-            ), name
-        written.append(id(table.base))
-        both = ev.held_table is not None and ev.best_table is not None
-        distinct_held_and_best.append(both and ev.held_table is not ev.best_table)
-        return original(ev, points, rows, table, log_sum, work)
-
-    monkeypatch.setattr(QuadEvaluator, "_table_pass", checked_pass)
-    cfg = SAConfig(iterations=400, seed=7, label_swap_prob=0.3)
-    _, trace = sa_optimize(8, channel(12.0, 20.0), "PAMI", grid7, cfg)
-    assert (trace.accepted & (trace.move_type == "swap")).any()
-    # Passes ran while the held and best tables were two buffers, so only
-    # one buffer was free to recycle; three in all were used.
-    assert any(distinct_held_and_best)
-    assert len(set(written)) == 3
+def test_table_passes_are_bounded_by_point_moves_and_reheats(grid7, monkeypatch):
+    """Over swap-heavy 8-point PAMI anneals, the evaluations that run a table
+    pass number the scored point moves plus the first evaluation, plus at
+    most one per re-heat: label swaps reuse the current state's table, but
+    a re-heat from a best state with other points leaves none to reuse."""
+    passes, scored = [], []
+    original_pass, original_pami = QuadEvaluator._table_pass, QuadEvaluator.pami_bits
+    monkeypatch.setattr(
+        QuadEvaluator, "_table_pass", lambda *a: passes.append(len(scored)) or original_pass(*a)
+    )
+    monkeypatch.setattr(
+        QuadEvaluator, "pami_bits", lambda *a: scored.append(1) or original_pami(*a)
+    )
+    reheated_away = []
+    for seed in range(4):
+        passes.clear()
+        scored.clear()
+        cfg = SAConfig(iterations=400, seed=seed, label_swap_prob=0.3)
+        _, trace = sa_optimize(8, channel(12.0, 20.0), "PAMI", grid7, cfg)
+        point_moves = len(scored) - 1 - int((trace.move_type == "swap").sum())
+        with_pass = len(set(passes))
+        assert point_moves + 1 <= with_pass <= point_moves + 1 + cfg.reanneal_count, seed
+        starts = np.cumsum(_pass_lengths(cfg.iterations, cfg.reanneal_count + 1))[:-1]
+        reheated_away += [trace.current_bits[s - 1] != trace.best_bits[s - 1] for s in starts]
+    # The runs cover a re-heat from a best state that was not the current one.
+    assert any(reheated_away)
 
 
 def test_pami_anneal_allocates_less_than_a_table_per_step(grid7, monkeypatch):
@@ -364,7 +366,7 @@ def test_pami_anneal_allocates_less_than_a_table_per_step(grid7, monkeypatch):
     assert sum(rises) < steps * table_bytes, sum(rises) / table_bytes
 
 
-def test_label_swaps_never_rebuild_the_table(grid7, monkeypatch):
+def test_label_swaps_rebuild_the_table_only_after_a_reheat(grid7, monkeypatch):
     passes, scored = [], []
     original_pass, original_pami = QuadEvaluator._table_pass, QuadEvaluator.pami_bits
 
@@ -382,12 +384,13 @@ def test_label_swaps_never_rebuild_the_table(grid7, monkeypatch):
     _, trace = sa_optimize(8, channel(12.0, 20.0), "PAMI", grid7, cfg)
     swap = trace.move_type == "swap"
     # Call k + 1 scores step k (no collisions in this run); a table pass
-    # during that call must be a point move's.
+    # during that call must be a point move's, but for the swap that opens
+    # the third pass: that pass is re-heated from a best state that was not
+    # the current one, so the swap's evaluator holds another state's table.
     assert len(scored) == trace.step.size + 1
-    assert all(k == 1 or not swap[k - 2] for k in passes)
-    assert len(passes) == 1 + int((~swap).sum())
-    # The run covers a swap after a rejected point move, and one that opens
-    # a pass re-heated from a best state that was not the current one.
+    assert [k - 2 for k in passes if k > 1 and swap[k - 2]] == [200]
+    assert len(passes) == 2 + int((~swap).sum())
+    # The run covers a swap after a rejected point move.
     after_reject = swap[1:] & ~swap[:-1] & ~trace.accepted[:-1]
     assert after_reject.any()
     assert swap[200] and trace.current_bits[199] != trace.best_bits[199]

@@ -77,19 +77,22 @@ def test_gauss_hermite_rejects_bad_degrees():
 def test_quadrature_grid_product_shapes_and_sums(grid7):
     assert grid7.degree == 7
     assert grid7.nodes.size == 7
-    a, b, c, w3 = grid7.product3()
-    assert a.size == b.size == c.size == w3.size == 7**3
-    assert math.fsum(w3) == pytest.approx(math.pi**1.5, rel=1e-12)
-    x, y, w2 = grid7.product2()
-    assert x.size == y.size == w2.size == 7**2
-    assert math.fsum(w2) == pytest.approx(math.pi, rel=1e-12)
+    assert grid7._noise3.size == grid7._weights3.size == grid7._phase_index.size == 7**3
+    assert math.fsum(grid7._weights3) == pytest.approx(math.pi**1.5, rel=1e-12)
+    assert grid7._noise2.size == grid7._weights2.size == 7**2
+    assert math.fsum(grid7._weights2) == pytest.approx(math.pi, rel=1e-12)
+    # Node (i1, i2, i3) of the 3-D product is t[i1] + j t[i2] at phase t[i3].
+    t = grid7.nodes
+    assert grid7._noise3[7 * 7 * 2 + 7 * 5 + 3] == t[2] + 1j * t[5]
+    assert grid7._phase_index[7 * 7 * 2 + 7 * 5 + 3] == 3
+    assert grid7._noise2[7 * 4 + 6] == t[4] + 1j * t[6]
 
 
 def test_quadrature_grid_arrays_are_read_only(grid7):
-    with pytest.raises(ValueError):
-        grid7.nodes[0] = 0.0
-    with pytest.raises(ValueError):
-        grid7.product3()[3][0] = 0.0
+    kept = ("nodes", "weights", "_noise3", "_weights3", "_phase_index", "_noise2", "_weights2")
+    for name in kept:
+        with pytest.raises(ValueError):
+            getattr(grid7, name)[0] = 0.0
 
 
 # --- AMI via quadrature ----------------------------------------------------
@@ -475,6 +478,26 @@ def test_quadrature_is_bit_identical_for_any_thread_count(
         sys.setswitchinterval(interval)
 
 
+def test_default_mc_chunk_doubles_on_more_than_one_thread(monkeypatch):
+    """A default Monte Carlo chunk holds 2^14 table entries on one thread
+    and 2^15 on two or more; the bits are the same."""
+    chunks, real = [], capacity._map_blocks
+    monkeypatch.setattr(
+        capacity,
+        "_map_blocks",
+        lambda fn, blocks, k: chunks.append(blocks[0].stop) or real(fn, blocks, k),
+    )
+    p = channel(16.0, 10.0)
+    for kind, size in (("psk", 8), ("qam", 64)):
+        c = reference_constellation(kind, size)
+        bits = []
+        for t in (1, 2, 3):
+            set_threads(monkeypatch, t)
+            bits.append(ami_monte_carlo(c, p, 5000, 3).bits)
+        assert chunks[-3:] == [2**14 // size, 2**15 // size, 2**15 // size], size
+        assert bits[1] == bits[0] and bits[2] == bits[0], size
+
+
 def test_one_node_grid_is_bit_identical_for_any_thread_count(monkeypatch):
     # The 16 x 16 x 1 table is far below the pool's threshold; lowered, it
     # splits for every thread count above 1, into at most n // 2 = 8 blocks:
@@ -577,23 +600,77 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
 
     def work_arrays():
         blocks = [a for b in ev._blocks for a in (b.y, b.nodes, b.peak, b._table)]
-        return [ev._hyp, ev._half_u2, *ev._tables, *blocks]
+        return [ev._hyp, ev._half_u2, *ev._pami, *blocks]
 
+    # Alternating between two point sets, every PAMI call runs the table pass.
+    sets = (psk8.points, psk8.points * 1j)
+    passes = []
+    original = capacity.QuadEvaluator._table_pass
+    monkeypatch.setattr(
+        capacity.QuadEvaluator, "_table_pass", lambda *a: passes.append(1) or original(*a)
+    )
     ev.ami_bits(psk8.points)
-    ev.pami_bits(psk8.points, psk8.labels)
+    ev.pami_bits(sets[1], psk8.labels)
     arrays = work_arrays()
     table_bytes = 8 * 8 * grid7.degree**3 * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        for _ in range(100):
+        for k in range(100):
             ev.ami_bits(psk8.points)
-            ev.last_table = None  # so each PAMI call runs the table pass
-            ev.pami_bits(psk8.points, psk8.labels)
+            ev.pami_bits(sets[k % 2], psk8.labels)
         end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     now = work_arrays()
+    assert len(passes) == 2 + 200
     assert len(now) == len(arrays) and all(a is b for a, b in zip(now, arrays))
     assert peak - start < table_bytes, (peak - start) / table_bytes
     assert end - start < table_bytes / 10, (end - start) / table_bytes
+
+
+def test_pami_table_is_reused_for_equal_points_only(grid7, monkeypatch):
+    """An evaluator keeps the PAMI table of the last points it scored: a
+    fresh evaluator runs a table pass, equal points reuse the table at any
+    labels, and other points, another size or a failed pass rebuild it."""
+    set_threads(monkeypatch, 1)
+    p = channel(12.0, 20.0)
+    qam16, psk8 = reference_constellation("qam", 16), reference_constellation("psk", 8)
+    turned = qam16.points * 1j
+    calls = [  # points, labels, table passes expected
+        (qam16.points, qam16.labels, 1),  # fresh
+        (qam16.points.copy(), np.roll(qam16.labels, 3), 0),  # equal points
+        (turned, qam16.labels, 1),  # other points
+        (turned.copy(), qam16.labels, 0),
+        (psk8.points, psk8.labels, 1),  # another size
+        (turned, qam16.labels, 1),  # and back
+    ]
+    fresh = [capacity.QuadEvaluator(p, grid7).pami_bits(x, labels) for x, labels, _ in calls]
+    passes = []
+    original = capacity.QuadEvaluator._table_pass
+    monkeypatch.setattr(
+        capacity.QuadEvaluator, "_table_pass", lambda *a: passes.append(1) or original(*a)
+    )
+    ev = capacity.QuadEvaluator(p, grid7)
+    for (x, labels, expected), want in zip(calls, fresh):
+        passes.clear()
+        assert ev.pami_bits(x, labels) == want
+        assert len(passes) == expected
+    # An AMI evaluation of a set of the same size keeps the table.
+    ev.ami_bits(qam16.points)
+    passes.clear()
+    assert ev.pami_bits(turned, qam16.labels) == fresh[-1]
+    assert passes == []
+    # A call whose pass fails after filling the table leaves none to reuse.
+    def failing_pass(*a):
+        original(*a)
+        raise RuntimeError("interrupted")
+
+    counted = capacity.QuadEvaluator._table_pass
+    monkeypatch.setattr(capacity.QuadEvaluator, "_table_pass", failing_pass)
+    with pytest.raises(RuntimeError):
+        ev.pami_bits(qam16.points, qam16.labels)
+    monkeypatch.setattr(capacity.QuadEvaluator, "_table_pass", counted)
+    passes.clear()
+    assert ev.pami_bits(turned, qam16.labels) == fresh[-1]
+    assert passes == [1]

@@ -151,20 +151,21 @@ def test_kernel_matches_reference(size, pnsd):
 
 
 def test_swap_path_reuses_the_table_and_equals_a_fresh_evaluation(monkeypatch):
+    """As in the annealer: `held` scores the current state and a swap of its
+    labels, `spare` another point set in between."""
     c = reference_constellation("qam", 16)
     params = channel(12.0, 20.0)
     other = np.roll(c.labels, 3)
-    ev = QuadEvaluator(params, GRID7)
+    held, spare = QuadEvaluator(params, GRID7), QuadEvaluator(params, GRID7)
     passes = []
     original = QuadEvaluator._table_pass
     monkeypatch.setattr(
         QuadEvaluator, "_table_pass", lambda *a, **k: passes.append(1) or original(*a, **k)
     )
-    ev.pami_bits(c.points, c.labels)
-    ev.held_table = ev.last_table
-    ev.pami_bits(c.points * 0.5 + 0.5, c.labels)  # some other point set
+    held.pami_bits(c.points, c.labels)
+    spare.pami_bits(c.points * 0.5 + 0.5, c.labels)  # some other point set
     assert len(passes) == 2
-    swapped = ev.pami_bits(c.points.copy(), other)  # same points: the held table
+    swapped = held.pami_bits(c.points.copy(), other)  # same points: held's table
     assert len(passes) == 2
     assert swapped == QuadEvaluator(params, GRID7).pami_bits(c.points, other)
     assert len(passes) == 3
@@ -295,6 +296,11 @@ def test_information_matches_the_masked_reference_on_hand_built_columns():
 # --- fast metric -----------------------------------------------------------
 
 
+def _block(ev, rows):
+    """Work arrays for a table pass of `ev` over up to `rows` sent rows."""
+    return capacity._Block(slice(0, rows), rows, ev._hyp.shape[1], ev.noise.size)
+
+
 @pytest.mark.parametrize("pnsd", (0.0, 20.0))
 @pytest.mark.parametrize("kind, size", [("psk", 8), ("qam", 16)])
 def test_table_pass_sent_metric_is_the_scalar_decision_metric(kind, size, pnsd):
@@ -303,7 +309,7 @@ def test_table_pass_sent_metric_is_the_scalar_decision_metric(kind, size, pnsd):
     ev = QuadEvaluator(params, GRID7)
     points = ev._bind(c.points)
     table, log_sum = np.empty((size, size, ev.noise.size)), np.empty((size, ev.noise.size))
-    sent = ev._table_pass(points, slice(None), table, log_sum)[2]
+    sent = ev._table_pass(points, slice(None), table, log_sum, _block(ev, size))[2]
     ctx = MetricContext.for_points(points, params)
     scalar = decision_metric if params.has_phase_noise else awgn_metric
     rotation = ev.rotation if ev.rotation is not None else np.ones(ev.noise.size)
@@ -325,7 +331,9 @@ def test_table_pass_is_finite_where_w_vanishes():
     ev.noise = np.array([-(params.k_phi / params.k_n) * points[0] / abs(points[0]) ** 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        log_sum, peak, sent = ev._table_pass(points, slice(None), np.empty((8, 8, 1)), np.empty((8, 1)))
+        log_sum, peak, sent = ev._table_pass(
+            points, slice(None), np.empty((8, 8, 1)), np.empty((8, 1)), _block(ev, 8)
+        )
     assert np.all(np.isfinite(log_sum)) and np.all(np.isfinite(peak))
     assert np.all(np.isfinite(sent))
     # |w| is 0 up to the rounding of the expanded sum, of size eps*k_phi^2.
@@ -338,7 +346,7 @@ def test_pami_table_holds_no_subnormals_at_high_snr():
     c = reference_constellation("qam", 64)
     ev = QuadEvaluator(channel(40.0, 10.0), GRID7)
     ev.pami_bits(c.points, c.labels)
-    exp_table = ev.last_table[1]
+    exp_table = ev._pami[1]
     assert exp_table.min() >= np.finfo(float).tiny
     # The clamp is reached, so the bound above is not met by chance.
     assert math.isclose(exp_table.min(), math.exp(_EXP_FLOOR), rel_tol=1e-12)
@@ -356,8 +364,9 @@ def _pass_pair(ev, points, rows=slice(None)):
     """(exp table, log-sum, peak, sent metric) of `rows` from the kernel's
     pass and from the clamp-always reference, each on its own buffers."""
     n, size = points.size, ev.noise.size
+    kernel = functools.partial(ev._table_pass, work=_block(ev, n))
     out = []
-    for table_pass in (ev._table_pass, functools.partial(clamped_table_pass, ev)):
+    for table_pass in (kernel, functools.partial(clamped_table_pass, ev)):
         table = np.empty((n, n, size))[rows]
         out.append((table, *table_pass(points, rows, table, np.empty((n, size))[rows])))
     return out

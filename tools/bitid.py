@@ -15,12 +15,17 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   20 and 45 deg, on 1, 2 and 4 threads with blocks of any size; and
   mc_grid, Monte Carlo AMI and PAMI of 8-PSK and 64-QAM at 0, 2, 5 and 20
   deg, so a change to the Monte Carlo stream alone leaves quad_grid equal;
-- the golden anneals of tests/test_annealer.py, and 32-point (400 steps)
-  and 64-point (20 steps) AMI and PAMI anneals at 14 dB, 10 deg on 1 and 2
-  threads, whose tables span several tiles: design fingerprint, best rate
-  and the sha256 of the trace CSV;
-- with --acceptance, the verdict lines of tests/test_acceptance.py (about
-  two minutes a side).
+- the golden anneals of tests/test_annealer.py, 32-point (400 steps) and
+  64-point (20 steps) AMI and PAMI anneals at 14 dB, 10 deg on 1 and 2
+  threads, whose tables span several tiles, and swap-heavy PAMI anneals
+  of 8 points at 12 dB, 20 deg and 32 points at 14 dB, 10 deg
+  (label_swap_prob 0.3; t_final 0.01, so the current state is seldom the
+  best when a re-heat starts from the best): their label swaps reuse the
+  current state's table, and a re-heat can leave none to reuse; design
+  fingerprint, best rate and the sha256 of the trace CSV;
+- with --acceptance, the verdict lines of the tests/test_acceptance.py
+  beside each `src` tree, so each tree runs its own criteria against its
+  own API (about two minutes a side).
 
 Thread counts are set through PHASECON_THREADS, which every evaluation
 reads; a tree whose annealer ignores it runs those anneals serially.
@@ -36,8 +41,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
 
 CLI_SCRIPT = [
     ("evaluate_ami_0", ["evaluate", "psk8.json", "--snr-db", "12", "--pnsd-deg", "0"]),
@@ -113,18 +116,22 @@ import os
 import phasecon as pc
 
 grid = pc.QuadratureGrid.of_degree(7)
-runs = [(8, "PAMI", 12.0, 20.0, 11, 300, 1), (8, "AMI", 9.0, 0.0, 12, 300, 1),
-        (8, "AMI", 9.0, 0.0, 3, 2000, 1), (8, "PAMI", 12.0, 20.0, 7, 1000, 1)]
-runs += [(size, objective, 14.0, 10.0, 5, iterations, threads)
+swap_heavy = {"label_swap_prob": 0.3, "t_final": 0.01}
+runs = [(8, "PAMI", 12.0, 20.0, 11, 300, 1, {}), (8, "AMI", 9.0, 0.0, 12, 300, 1, {}),
+        (8, "AMI", 9.0, 0.0, 3, 2000, 1, {}), (8, "PAMI", 12.0, 20.0, 7, 1000, 1, {})]
+runs += [(size, objective, 14.0, 10.0, 5, iterations, threads, {})
          for size, iterations in ((32, 400), (64, 20))
          for objective in ("AMI", "PAMI") for threads in (1, 2)]
-for size, objective, snr, pnsd, seed, iterations, threads in runs:
+runs += [(8, "PAMI", 12.0, 20.0, seed, 400, 1, swap_heavy) for seed in range(4)]
+runs += [(32, "PAMI", 14.0, 10.0, seed, 300, threads, swap_heavy)
+         for seed in (0, 1) for threads in (1, 2)]
+for size, objective, snr, pnsd, seed, iterations, threads, extra in runs:
     os.environ["PHASECON_THREADS"] = str(threads)
-    cfg = pc.SAConfig(iterations=iterations, seed=seed)
+    cfg = pc.SAConfig(iterations=iterations, seed=seed, **extra)
     p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
     best, trace = pc.sa_optimize(size, p, objective, grid, cfg)
     digest = hashlib.sha256(trace.to_csv().encode("ascii")).hexdigest()
-    print(size, objective, snr, pnsd, seed, iterations, threads, best.fingerprint(),
+    print(size, objective, snr, pnsd, threads, cfg, best.fingerprint(),
           repr(float(trace.best_bits[-1])), digest)
 """
 
@@ -147,7 +154,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", GOLDEN], out, src, "golden")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             str(ROOT / "tests" / "test_acceptance.py")], out, src, "acceptance_log")
+             str(src.parent / "tests" / "test_acceptance.py")], out, src, "acceptance_log")
         log = (out / "acceptance_log.out").read_text().splitlines()
         lines = sorted({line for line in log if line.startswith("criterion ")})
         (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
