@@ -9,7 +9,7 @@ from .analysis import (
     CapacityCurve,
     MismatchReport,
     campaign_cell_seed,
-    design_campaign,
+    campaign_cells,
     mismatch_matrix,
     pnsd_sweep,
     pragmatic_gap,
@@ -73,9 +73,9 @@ __all__ = [
     "ami_monte_carlo",
     "ami_quadrature",
     "campaign_cell_seed",
+    "campaign_cells",
     "constellation_from_json",
     "constellation_to_json",
-    "design_campaign",
     "exact_log_likelihood",
     "gray_code",
     "load_constellation",

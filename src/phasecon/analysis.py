@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .annealer import SAConfig, sa_optimize
-from .capacity import AMI, PAMI, QuadratureGrid, _quadrature, _require_resolvable
+from .capacity import AMI, PAMI, QuadratureGrid, _quadrature
 from .model import ChannelParams, Constellation
 
 SNR_BRACKET_DB = (-10.0, 40.0)
@@ -58,7 +58,8 @@ def _check_axis(values, name: str) -> np.ndarray:
 def _sweep(c, kind, values, fixed_name, fixed_value, objective, grid):
     """Rates along the axis `kind` ("snr_db" or "pnsd_deg") with the other
     channel parameter held at `fixed_value`.  Every channel is built before
-    the first evaluation, so a bad value fails before any work."""
+    the first evaluation, so a bad value or an unresolvable jitter channel
+    (`ChannelParams`) fails before any work."""
     xs = _check_axis(values, f"{kind}_list")
     channels = [ChannelParams.from_snr_pnsd(**{kind: x, fixed_name: fixed_value}) for x in xs]
     bits = [_quadrature(c, params, grid, objective).bits for params in channels]
@@ -118,11 +119,13 @@ def campaign_cells(
 ):
     """Check a campaign grid, then return an iterator that anneals its cells.
 
-    Both axes must be non-empty and strictly increasing, and every cell a
-    valid channel the evaluator can resolve; all of this is checked before
-    the first cell runs.  The iterator yields (snr_db, pnsd_deg, seed, best,
-    trace) per cell, SNR-major, where ``seed`` is the cell's seed derived
-    from ``config.seed``.
+    Both axes must be non-empty and strictly increasing, and every cell's
+    channel is built, which refuses a bad value or an unresolvable jitter
+    channel (`ChannelParams`), before the first cell runs.  The iterator
+    yields (snr_db, pnsd_deg, seed, best, trace) per cell, SNR-major, where
+    ``seed`` is the cell's seed derived from ``config.seed`` and the cell
+    indices, so a campaign is reproducible cell by cell and a 1x1 campaign
+    equals a single direct optimization with the derived seed.
     """
     snrs = _check_axis(snr_db_list, "snr_db_list")
     pnsds = _check_axis(pnsd_deg_list, "pnsd_deg_list")
@@ -132,8 +135,6 @@ def campaign_cells(
         for j, pnsd in enumerate(pnsds)
     ]
     params = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd, _ in cells]
-    for cell_params in params:
-        _require_resolvable(cell_params)
 
     def run():
         for (snr, pnsd, seed), cell_params in zip(cells, params):
@@ -141,24 +142,6 @@ def campaign_cells(
             yield snr, pnsd, seed, best, trace
 
     return run()
-
-
-def design_campaign(
-    size: int,
-    snr_db_list,
-    pnsd_deg_list,
-    objective: str,
-    grid: QuadratureGrid,
-    config: SAConfig,
-) -> dict[tuple[float, float], Constellation]:
-    """Run one optimization per (snr_db, pnsd_deg) cell.
-
-    Cell seeds are derived from ``config.seed`` and the cell indices, so a
-    campaign is reproducible cell-by-cell and a 1x1 campaign equals a
-    single direct optimization with the derived seed.
-    """
-    cells = campaign_cells(size, snr_db_list, pnsd_deg_list, objective, grid, config)
-    return {(snr, pnsd): best for snr, pnsd, _, best, _ in cells}
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +184,10 @@ def mismatch_matrix(
     eval_pnsd_deg_list,
     grid: QuadratureGrid,
 ) -> MismatchReport:
-    """Cross-evaluate every design on every (snr, pnsd) evaluation cell."""
+    """Cross-evaluate every design on every (snr, pnsd) evaluation cell.
+
+    Every cell's channel is built, and so checked, before the first
+    evaluation."""
     if not designs:
         raise ValueError("designs must not be empty")
     snrs = np.asarray(eval_snr_db_list, dtype=np.float64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import OBJECTIVES, PAMI, QuadEvaluator, QuadratureGrid
+from .capacity import OBJECTIVES, PAMI, QuadEvaluator, QuadratureGrid, _warn_wide_phase
 from .model import ChannelParams, Constellation
 
 # Reject candidates that bring two points closer than this; such near
@@ -170,6 +170,7 @@ def sa_optimize(
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if objective == PAMI and config.label_swap_prob == 0.0:
         warnings.warn("PAMI optimization with label_swap_prob=0 cannot move labels")
+    _warn_wide_phase(params, 3)
     m = size.bit_length() - 1
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pairs = np.triu_indices(size, 1)

@@ -44,7 +44,8 @@ _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 
 # Above this phase-noise standard deviation the Gaussian node placement
-# covers the circular prior poorly; evaluators warn but proceed.
+# covers the circular prior poorly; quadrature evaluations and anneals warn
+# but proceed.
 PNSD_WARN_DEG = 30.0
 
 MIN_MC_SAMPLES = 1000
@@ -84,17 +85,6 @@ _TILE_ENTRIES = 1 << 17
 # 47.5 ms at M = 8, 16 and 64, against 13.1, 20.9 and 59.9 in one-thread
 # chunks.  Larger factors are unmeasured; k threads hold k chunks at once.
 _MC_CHUNK_ENTRIES = 1 << 14
-
-# Jitter channels both routes refuse.  |w| = |k_phi + k_n conj(y) u| is
-# about k_n |y||u|, so as k_n / k_phi grows the k_phi terms that carry the
-# phase sink into the rounding of the k_n terms.  Against their rates at
-# k_n / k_phi = 1e7, 8- and 16-PSK and 16- and 64-QAM at 1-30 deg (degree 7)
-# moved by at most 5.6e-4 bits up to 1e12, by 7.7e-3 at 1e13 and by 0.033 at
-# 1e14; from about 1e16 they fell to 0.  Monte Carlo fails the same way:
-# 8-PSK at 5 deg scored 3.0 bits at 150 dB (k_n / k_phi = 1.5e13) but 0.0 at
-# 170 dB.  Above _MAX_K_N, k_n^2 |y|^2 |u|^2 nears float64's overflow.
-_MAX_NOISE_TO_PHASE = 1e12
-_MAX_K_N = 1e150
 
 # Widest Monte Carlo table whose per-sample peak is taken over a transposed
 # copy: numpy's max along rows this short is slow.  On a 2-core machine a
@@ -185,25 +175,15 @@ def _require_normalized(c: Constellation) -> None:
         )
 
 
-def _require_resolvable(params: ChannelParams) -> None:
-    """Refuse a jitter channel past the _MAX_NOISE_TO_PHASE or _MAX_K_N cut;
-    both routes call it, so they refuse the same channels."""
-    k_n, k_phi = params.k_n, params.k_phi
-    if params.has_phase_noise and not (k_n <= _MAX_NOISE_TO_PHASE * k_phi and k_n <= _MAX_K_N):
-        raise ValueError(
-            f"SNR {params.snr_db:.6g} dB is too high for the phase-jitter metric at "
-            f"{params.pnsd_deg:.6g} deg: it needs k_n <= {_MAX_NOISE_TO_PHASE:.0e} k_phi and "
-            f"k_n <= {_MAX_K_N:.0e}, got k_n = {k_n:.3g}, k_phi = {k_phi:.3g}"
-        )
-
-
-def _warn_wide_phase(params: ChannelParams) -> None:
+def _warn_wide_phase(params: ChannelParams, stacklevel: int) -> None:
+    """Warn above PNSD_WARN_DEG; `stacklevel` counts as in warnings.warn,
+    from this function."""
     if params.has_phase_noise and params.pnsd_deg > PNSD_WARN_DEG:
         warnings.warn(
             f"phase-noise spread {params.pnsd_deg:.1f} deg exceeds "
             f"{PNSD_WARN_DEG:.0f} deg; the Gaussian placement of the phase "
             "quadrature nodes loses accuracy there",
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
 
 
@@ -338,7 +318,6 @@ class QuadEvaluator:
     """
 
     def __init__(self, params: ChannelParams, grid: QuadratureGrid):
-        _require_resolvable(params)
         self._threads = _resolve_threads()
         self.params = params
         self.grid = grid
@@ -581,7 +560,7 @@ def _quadrature(
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     _require_normalized(c)
-    _warn_wide_phase(params)
+    _warn_wide_phase(params, 4)
     ev = QuadEvaluator(params, grid)
     if objective == AMI:
         bits = ev.ami_bits(c.points)
@@ -691,7 +670,6 @@ def _monte_carlo(
     chunk: int | None = None,
 ) -> CapacityResult:
     _require_normalized(c)
-    _require_resolvable(params)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_MC_SAMPLES}, got {n_samples}")
     bits = _mc_sample_bits(c, params, n_samples, seed, objective, chunk)

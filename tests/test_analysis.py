@@ -9,7 +9,7 @@ from phasecon import (
     SAConfig,
     ami_quadrature,
     campaign_cell_seed,
-    design_campaign,
+    campaign_cells,
     make_constellation,
     mismatch_matrix,
     pami_quadrature,
@@ -19,6 +19,7 @@ from phasecon import (
     sa_optimize,
     snr_sweep,
 )
+from phasecon.capacity import QuadEvaluator
 from phasecon.model import ChannelParams
 from conftest import channel
 
@@ -104,9 +105,14 @@ def test_cell_seed_is_deterministic_and_spread():
     assert campaign_cell_seed(8, 0, 0) != a
 
 
+def campaign_designs(*args):
+    """The best design of each campaign cell, keyed by (snr_db, pnsd_deg)."""
+    return {(snr, pnsd): best for snr, pnsd, _, best, _ in campaign_cells(*args)}
+
+
 def test_single_cell_campaign_equals_direct_run(grid7):
     cfg = tiny_config()
-    designs = design_campaign(4, [10.0], [15.0], "AMI", grid7, cfg)
+    designs = campaign_designs(4, [10.0], [15.0], "AMI", grid7, cfg)
     assert list(designs) == [(10.0, 15.0)]
     direct_cfg = replace(cfg, seed=campaign_cell_seed(cfg.seed, 0, 0))
     direct, _ = sa_optimize(4, channel(10.0, 15.0), "AMI", grid7, direct_cfg)
@@ -115,7 +121,7 @@ def test_single_cell_campaign_equals_direct_run(grid7):
 
 
 def test_campaign_covers_the_grid(grid7):
-    designs = design_campaign(4, [6.0, 12.0], [0.0, 20.0], "AMI", grid7, tiny_config())
+    designs = campaign_designs(4, [6.0, 12.0], [0.0, 20.0], "AMI", grid7, tiny_config())
     assert set(designs) == {(6.0, 0.0), (6.0, 20.0), (12.0, 0.0), (12.0, 20.0)}
     for c in designs.values():
         assert c.size == 4
@@ -124,9 +130,9 @@ def test_campaign_covers_the_grid(grid7):
 
 def test_campaign_validates_axes(grid7):
     with pytest.raises(ValueError):
-        design_campaign(4, [], [0.0], "AMI", grid7, tiny_config())
+        campaign_designs(4, [], [0.0], "AMI", grid7, tiny_config())
     with pytest.raises(ValueError):
-        design_campaign(4, [3.0], [20.0, 10.0], "AMI", grid7, tiny_config())
+        campaign_designs(4, [3.0], [20.0, 10.0], "AMI", grid7, tiny_config())
 
 
 # --- mismatch --------------------------------------------------------------
@@ -186,6 +192,29 @@ def test_mismatch_validates_inputs(two_designs, grid7):
         mismatch_matrix(two_designs, [], [0.0], grid7)
     with pytest.raises(ValueError):
         mismatch_matrix(two_designs, [10.0], [], grid7)
+
+
+def test_an_unresolvable_channel_fails_before_any_evaluator_is_built(psk8, grid7, monkeypatch):
+    # 8-PSK at 5 deg: the k_n / k_phi cut falls at 138.2 dB, so 150 dB is
+    # refused; at 150 dB, 0 deg (jitter-free) and 1 deg (k_phi = 3283, above
+    # k_n / 1e12 = 2000) are fine and 5 deg is refused.
+    builds = []
+    real = QuadEvaluator.__init__
+    monkeypatch.setattr(
+        QuadEvaluator, "__init__", lambda ev, *args: builds.append(args) or real(ev, *args)
+    )
+    jobs = {
+        "snr_sweep": lambda: snr_sweep(psk8, 5.0, [0.0, 12.0, 150.0], "AMI", grid7),
+        "pnsd_sweep": lambda: pnsd_sweep(psk8, 150.0, [0.0, 1.0, 5.0], "AMI", grid7),
+        "mismatch_matrix": lambda: mismatch_matrix({(12.0, 5.0): psk8}, [12.0, 150.0], [5.0], grid7),
+        "campaign_cells": lambda: campaign_cells(4, [6.0, 150.0], [5.0], "AMI", grid7, tiny_config()),
+    }
+    built = {}
+    for name, job in jobs.items():
+        with pytest.raises(ValueError, match="too high"):
+            job()
+        built[name], builds[:] = len(builds), []
+    assert built == dict.fromkeys(jobs, 0)
 
 
 # --- pragmatic gap ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ def test_optimize_validates_arguments(psk8, grid7):
 def test_optimize_warns_when_labels_cannot_move(grid7):
     with pytest.warns(UserWarning):
         sa_optimize(4, channel(8.0, 0.0), "PAMI", grid7, small_config(iterations=8, label_swap_prob=0.0))
+
+
+def test_optimize_warns_once_above_the_wide_phase_spread(grid7):
+    cfg = small_config(iterations=10, reanneal_count=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sa_optimize(4, channel(10.0, 45.0), "AMI", grid7, cfg)
+    assert [str(w.message)[:31] for w in caught] == ["phase-noise spread 45.0 deg exc"]
+    assert caught[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sa_optimize(4, channel(10.0, 20.0), "AMI", grid7, cfg)
 
 
 def test_optimize_is_reproducible(grid7):

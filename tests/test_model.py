@@ -279,9 +279,11 @@ def test_channel_params_tiny_spread_counts_as_jitter_free():
         p = ChannelParams.from_snr_pnsd(12.0, pnsd)
         assert p.has_phase_noise is jittered
         assert p.pnsd_deg == pytest.approx(pnsd, rel=1e-12)
-    # k_n times the ratio overflows here; the rule must not.
+    # k_n times the ratio overflows here; the rule must not.  At 5 deg the
+    # channel keeps its jitter, so it is refused as one too fine to resolve.
     assert not ChannelParams.from_snr_pnsd(3000.0, 0.0).has_phase_noise
-    assert ChannelParams.from_snr_pnsd(3000.0, 5.0).has_phase_noise
+    with pytest.raises(ValueError, match="too high"):
+        ChannelParams.from_snr_pnsd(3000.0, 5.0)
 
 
 def test_channel_params_rejects_bad_concentrations():
@@ -291,6 +293,17 @@ def test_channel_params_rejects_bad_concentrations():
         ChannelParams(k_n=math.inf, k_phi=10.0)
     with pytest.raises(ValueError):
         ChannelParams(k_n=1.0, k_phi=-1.0)
+
+
+def test_channel_params_refuses_jitter_it_cannot_resolve():
+    # 8-PSK's cut at 20 deg lies between 125 and 130 dB (k_n / k_phi of
+    # 7.7e11 and 2.4e12); a huge k_n under the ratio cut would overflow k_n^2.
+    assert ChannelParams.from_snr_pnsd(125.0, 20.0).has_phase_noise
+    with pytest.raises(ValueError, match="too high"):
+        ChannelParams.from_snr_pnsd(130.0, 20.0)
+    with pytest.raises(ValueError, match="too high"):
+        ChannelParams(k_n=1e160, k_phi=1e155)
+    assert not ChannelParams(k_n=1e160, k_phi=1e170).has_phase_noise
 
 
 def test_channel_params_rejects_negative_pnsd():

@@ -6,10 +6,11 @@ Runs the same jobs once on each `src` tree (each in fresh interpreters with
 PYTHONPATH set to it) and compares every output file byte for byte with
 `cmp`:
 
-- a 12-command CLI script: `evaluate` (AMI and PAMI, 0 and 20 deg, 64-QAM
+- a 14-command CLI script: `evaluate` (AMI and PAMI, 0 and 20 deg, 64-QAM
   PAMI at 40 dB and a refused 2000 dB channel), `optimize` with its trace,
-  `validate`, both `sweep` axes, `campaign` and `mismatch`; every stdout,
-  stderr, exit code and written file is kept;
+  `validate`, both `sweep` axes, `campaign` and `mismatch`, and a `sweep`
+  and a `mismatch` whose last channels cross the high-SNR cut at 5 deg;
+  every stdout, stderr, exit code and written file is kept;
 - two rate grids, each value printed with repr: quad_grid, quadrature AMI
   and PAMI of 8-PSK, 16-QAM and 64-QAM at -5, 12, 30 and 40 dB and 0, 5,
   20 and 45 deg, on 1, 2 and 4 threads with blocks of any size; and
@@ -66,6 +67,10 @@ CLI_SCRIPT = [
     ("evaluate_qam64_40db", ["evaluate", "qam64.json", "--snr-db", "40", "--pnsd-deg", "10",
                              "--objective", "PAMI"]),
     ("evaluate_refused", ["evaluate", "psk8.json", "--snr-db", "2000", "--pnsd-deg", "5"]),
+    ("sweep_refused", ["sweep", "psk8.json", "--axis", "snr", "--from", "0", "--to", "200",
+                       "--step", "50", "--pnsd-deg", "5", "--output", "sw_refused.csv"]),
+    ("mismatch_refused", ["mismatch", "--designs-dir", "camp", "--eval-snr-list", "6,2000",
+                          "--eval-pnsd-list", "5", "--output", "mm_refused.csv"]),
 ]
 
 SETUP = """
