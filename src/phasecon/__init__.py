@@ -16,25 +16,18 @@ from .analysis import (
     snr_at_rate,
     snr_sweep,
 )
-from .annealer import (
-    AnnealTrace,
-    SAConfig,
-    metropolis_accept,
-    sa_optimize,
-)
+from .annealer import AnnealTrace, SAConfig, sa_optimize
 from .capacity import (
     AMI,
     MIN_MC_SAMPLES,
     OBJECTIVES,
     PAMI,
-    PNSD_WARN_DEG,
     CapacityResult,
     QuadratureGrid,
     ami_monte_carlo,
     ami_quadrature,
     pami_monte_carlo,
     pami_quadrature,
-    sample_tikhonov,
 )
 from .likelihood import exact_log_likelihood, log_bessel_i0
 from .model import (
@@ -67,7 +60,6 @@ __all__ = [
     "MismatchReport",
     "OBJECTIVES",
     "PAMI",
-    "PNSD_WARN_DEG",
     "QuadratureGrid",
     "SAConfig",
     "ami_monte_carlo",
@@ -81,7 +73,6 @@ __all__ = [
     "load_constellation",
     "log_bessel_i0",
     "make_constellation",
-    "metropolis_accept",
     "mismatch_matrix",
     "normalize_average_power",
     "pami_monte_carlo",
@@ -90,7 +81,6 @@ __all__ = [
     "pragmatic_gap",
     "reference_constellation",
     "sa_optimize",
-    "sample_tikhonov",
     "save_constellation",
     "snr_at_rate",
     "snr_sweep",

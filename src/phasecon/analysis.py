@@ -260,14 +260,14 @@ def snr_at_rate(
 def pragmatic_gap(
     c_ami: Constellation,
     c_pami: Constellation,
-    params: ChannelParams,
+    pnsd_deg: float,
     grid: QuadratureGrid,
     target_bits: float = DEFAULT_TARGET_BITS,
 ) -> float:
-    """SNR penalty (dB) of the bitwise design at a target rate: the SNR at
-    which the PAMI of `c_pami` reaches `target_bits` less the one at which
-    the AMI of `c_ami` does (`snr_at_rate`, phase spread taken from
-    `params`); positive means the bitwise route needs more SNR.
+    """SNR penalty (dB) of the bitwise design at a target rate and phase
+    spread `pnsd_deg`: the SNR at which the PAMI of `c_pami` reaches
+    `target_bits` less the one at which the AMI of `c_ami` does
+    (`snr_at_rate`); positive means the bitwise route needs more SNR.
     """
-    snr_ami = snr_at_rate(c_ami, params.pnsd_deg, AMI, target_bits, grid)
-    return snr_at_rate(c_pami, params.pnsd_deg, PAMI, target_bits, grid) - snr_ami
+    snr_ami = snr_at_rate(c_ami, pnsd_deg, AMI, target_bits, grid)
+    return snr_at_rate(c_pami, pnsd_deg, PAMI, target_bits, grid) - snr_ami

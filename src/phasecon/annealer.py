@@ -94,16 +94,6 @@ def _geometric(step: int, length: int, start: float, end: float) -> float:
     return start * (end / start) ** (step / (length - 1))
 
 
-def metropolis_accept(delta: float, temperature: float, draw: float) -> bool:
-    """Accept rule for a maximization step: always uphill, downhill with
-    probability exp(delta / temperature) compared against `draw`."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    if delta >= 0:
-        return True
-    return draw < math.exp(delta / temperature)
-
-
 def _displacement(max_disp: float, draw_a: float, draw_b: float) -> complex:
     """Uniform draw from the closed disc of radius `max_disp`."""
     radius = max_disp * math.sqrt(draw_a)
@@ -240,9 +230,10 @@ def sa_optimize(
             accepted = False
             if not collided:
                 cand = score(held if move == MOVE_SWAP else spare, cand_pts, cand_labs)
+                # Metropolis rule for a maximization: always uphill, downhill
+                # with probability exp(delta / temp); a NaN delta draws nothing.
                 delta = cand - current
-                draw = rng.random() if delta < 0 else 0.0
-                accepted = metropolis_accept(delta, temp, draw)
+                accepted = delta >= 0 or (delta < 0 and rng.random() < math.exp(delta / temp))
                 if accepted:
                     pts, labs, current = cand_pts, cand_labs, cand
                     if move == MOVE_POINT:

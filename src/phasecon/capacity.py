@@ -210,8 +210,8 @@ def _label_bits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _information(exp_table, log_sum, gap, sent, label_bits):
-    """Per-column information lost, in nats, by the symbol-wise (AMI) and
-    the bitwise (PAMI) decision; a None `label_bits` skips PAMI.
+    """Per-column information lost, in nats, by the symbol-wise (AMI)
+    decision when `label_bits` is None, else by the bitwise (PAMI) one.
 
     `exp_table` holds exp(value - column peak), clamped at exp(_EXP_FLOOR),
     one row per hypothesis and one column per sample; `log_sum` is the log
@@ -222,16 +222,15 @@ def _information(exp_table, log_sum, gap, sent, label_bits):
     product gives all 2m such sums, and the sent label's bits pick m of
     them.
     """
-    ami = gap + log_sum
     if label_bits is None:
-        return ami, None
+        return gap + log_sum
     bits, indicator = label_bits
     m = bits.shape[1]
     sums = np.matmul(indicator, exp_table)
     matched = np.where(np.take(bits, sent, axis=0).T, sums[m:], sums[:m])
     np.log(matched, out=matched)
     np.subtract(log_sum, matched, out=matched)
-    return ami, np.add.reduce(matched, axis=0)
+    return np.add.reduce(matched, axis=0)
 
 
 def _canonical_points(points: np.ndarray) -> np.ndarray:
@@ -320,7 +319,6 @@ class QuadEvaluator:
     def __init__(self, params: ChannelParams, grid: QuadratureGrid):
         self._threads = _resolve_threads()
         self.params = params
-        self.grid = grid
         sigma = 1.0 / math.sqrt(params.k_n)
         if params.has_phase_noise:
             self.noise = _SQRT2 * sigma * grid._noise3
@@ -587,39 +585,23 @@ def pami_quadrature(
     return _quadrature(c, params, grid, PAMI)
 
 
-# --- sampling --------------------------------------------------------------
-
-
-def sample_tikhonov(k_phi: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` von Mises phase angles in [-pi, pi] with numpy's
-    `Generator.vonmises` (Best & Fisher's exact method; a wrapped normal
-    above k_phi = 1e6).  k_phi = inf returns zeros, k_phi = 0 the uniform
-    distribution.
-    """
-    if math.isnan(k_phi) or k_phi < 0:
-        raise ValueError(f"k_phi must be >= 0, got {k_phi}")
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    if not math.isfinite(k_phi):
-        return np.zeros(size)
-    return rng.vonmises(0.0, k_phi, size)
-
-
 # --- Monte Carlo -----------------------------------------------------------
 
 
 def _draw_channel_samples(
     points: np.ndarray, params: ChannelParams, n_samples: int, seed: int
 ):
-    """Transmitted indices and received samples, in a fixed draw order."""
+    """Transmitted indices and received samples, in a fixed draw order:
+    indices, then the von Mises phases wherever k_phi is finite (numpy's
+    Best & Fisher method, a wrapped normal above k_phi = 1e6), also past the
+    jitter-free cut, then the Gaussian noise."""
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.integers(0, points.size, n_samples)
-    phases = sample_tikhonov(params.k_phi, n_samples, rng)
+    x = points[idx]
+    if math.isfinite(params.k_phi):
+        x = x * np.exp(1j * rng.vonmises(0.0, params.k_phi, n_samples))
     gauss = rng.standard_normal((n_samples, 2))
     sigma = 1.0 / math.sqrt(params.k_n)
-    x = points[idx]
-    if phases.any():  # without jitter every phase is 0 and x * e^0 is x
-        x = x * np.exp(1j * phases)
     return idx, x + sigma * (gauss[:, 0] + 1j * gauss[:, 1])
 
 
@@ -653,8 +635,7 @@ def _mc_sample_bits(
         np.maximum(table, _EXP_FLOOR, out=table)
         np.exp(table, out=table)
         log_sum = np.log(np.add.reduce(table, axis=1))
-        ami, pami = _information(table.T, log_sum, peak, sent, label_bits)
-        out[sl] = c.m - (ami if label_bits is None else pami) / _LN2
+        out[sl] = c.m - _information(table.T, log_sum, peak, sent, label_bits) / _LN2
 
     slices = [slice(s, min(s + chunk, n_samples)) for s in range(0, n_samples, chunk)]
     _map_blocks(fill, slices, k)
@@ -672,6 +653,8 @@ def _monte_carlo(
     _require_normalized(c)
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_MC_SAMPLES}, got {n_samples}")
+    if chunk is not None and not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     bits = _mc_sample_bits(c, params, n_samples, seed, objective, chunk)
     mean = float(np.mean(bits))
     stderr = float(np.std(bits, ddof=1) / math.sqrt(n_samples))
@@ -689,15 +672,15 @@ def ami_monte_carlo(
     """Symbol-wise rate estimated by sampling the exact channel.
 
     Reproducible for a fixed seed; `stderr` is the standard error of the
-    per-sample mean.  Samples are scored `chunk` at a time, which bounds the
-    (chunk, M) temporaries; the default holds 2^14 table entries on one
-    thread, 2048 samples at M = 8 and 256 at M = 64, and twice that on
-    more.  Each sample is scored alone, so the chunk does not change the
-    bits.  PHASECON_THREADS, read once per call, sets how many chunks are
-    scored at once.  Each chunk's exact-likelihood values become one table
-    of exp(value - peak), which scores AMI here and PAMI in
-    `pami_monte_carlo` the way the quadrature does, so PAMI costs little
-    more than AMI.
+    per-sample mean.  Samples are scored `chunk` (an integer >= 1) at a
+    time, which bounds the (chunk, M) temporaries; the default holds 2^14
+    table entries on one thread, 2048 samples at M = 8 and 256 at M = 64,
+    and twice that on more.  Each sample is scored alone, so the chunk
+    does not change the bits.  PHASECON_THREADS, read once per call, sets
+    how many chunks are scored at once.  Each chunk's exact-likelihood
+    values become one table of exp(value - peak), which scores AMI here
+    and PAMI in `pami_monte_carlo` the way the quadrature does, so PAMI
+    costs little more than AMI.
     """
     return _monte_carlo(c, params, n_samples, seed, AMI, chunk)
 

@@ -5,8 +5,11 @@ The quadrature kernel in `phasecon.capacity` evaluates the fast metric as
 compute the same metric one pair at a time through the maximising phase
 estimate, as the log-integrand's peak, and serve as the reference that
 kernel is checked against; the von Mises and Gaussian densities are kept
-for the likelihood tests.  `masked_scores` is the former Monte Carlo
-scoring: one masked log-sum-exp per label bit, each with its own peak.
+for the likelihood tests.  `log_phase_integral` is the one numerical phase
+integral of the tests, by the periodic trapezoid rule: the reference for
+the closed-form log I_0 of the exact likelihood.  `masked_scores` is the
+former Monte Carlo scoring: one masked log-sum-exp per label bit, each
+with its own peak.
 
 `clamped_table_pass` and `subset_product_pami_bits` are the former forms of
 the quadrature table pass and its PAMI reduction: the pass with both of its
@@ -149,6 +152,24 @@ def awgn_log_likelihood(y, u, params: ChannelParams):
     resid = np.abs(np.asarray(y) - np.asarray(u)) ** 2
     out = math.log(params.k_n / _TWO_PI) - 0.5 * params.k_n * resid
     return float(out) if np.ndim(out) == 0 else out
+
+
+def log_phase_integral(w):
+    """log of the integral of exp(Re(w e^{j phi})) over one period of phi,
+    2 pi I_0(|w|), for each entry of the complex array `w`, by the periodic
+    trapezoid rule on one grid for the whole array.
+
+    exp(Re(w e^{j phi}) - |w|) is periodic and its Fourier tail I_n(|w|) is
+    negligible once n exceeds ~1.2 |w|, so the grid holds a power of two
+    above 1.3 max|w| + 64, and 512 nodes at least.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    size = np.abs(w)
+    n = 1 << max(9, math.ceil(math.log2(1.3 * float(size.max()) + 64.0)))
+    step = _TWO_PI / n
+    phi = step * np.arange(n) - math.pi
+    expo = w.real[..., None] * np.cos(phi) - w.imag[..., None] * np.sin(phi) - size[..., None]
+    return size + np.log(np.exp(expo, out=expo).sum(axis=-1) * step)
 
 
 def _row_log_sum_exp(v):

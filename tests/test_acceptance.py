@@ -227,7 +227,7 @@ def test_criterion_6_pragmatic_gap_at_target_rate(gap_designs):
         best_bits = max(ev.pami_bits(c_pami.points, labels) for labels in classes)
         ami_geometry = [ev.pami_bits(c_ami.points, labels) for labels in classes]
         relabelled = make_constellation(c_ami.points, classes[int(np.argmax(ami_geometry))])
-        relabelled_gap = pragmatic_gap(c_ami, relabelled, design, GRID7, C6_TARGET_BITS)
+        relabelled_gap = pragmatic_gap(c_ami, relabelled, pnsd, GRID7, C6_TARGET_BITS)
 
         cross = channel(snr_cross, pnsd)
         pairs = (

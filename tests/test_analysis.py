@@ -221,24 +221,23 @@ def test_an_unresolvable_channel_fails_before_any_evaluator_is_built(psk8, grid7
 
 
 def test_gap_of_a_gray_map_is_small_and_nonnegative(psk8, grid7):
-    gap = pragmatic_gap(psk8, psk8, channel(12.0, 0.0), grid7, 2.5)
+    gap = pragmatic_gap(psk8, psk8, 0.0, grid7, 2.5)
     assert -0.011 <= gap <= 0.5
 
 
 def test_gap_validates_target(psk8, grid7):
-    p = channel(12.0, 0.0)
     for bad in (0.0, -1.0, 3.0, 3.5):
         with pytest.raises(ValueError):
-            pragmatic_gap(psk8, psk8, p, grid7, bad)
+            pragmatic_gap(psk8, psk8, 0.0, grid7, bad)
 
 
 def test_gap_rejects_unreachable_targets(psk8, grid7):
     # Heavy phase jitter caps the rate of a pure-phase design well below
     # 2.9 bits at any SNR in the bisection bracket.
     with pytest.raises(ValueError):
-        pragmatic_gap(psk8, psk8, channel(12.0, 25.0), grid7, 2.9)
+        pragmatic_gap(psk8, psk8, 25.0, grid7, 2.9)
 
 
 def test_gap_rejects_targets_below_the_bracket(psk8, grid7):
     with pytest.raises(ValueError):
-        pragmatic_gap(psk8, psk8, channel(10.0, 0.0), grid7, 0.01)
+        pragmatic_gap(psk8, psk8, 0.0, grid7, 0.01)

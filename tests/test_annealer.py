@@ -12,7 +12,6 @@ from phasecon import (
     ami_quadrature,
     capacity,
     make_constellation,
-    metropolis_accept,
     sa_optimize,
 )
 from phasecon.annealer import _pass_lengths
@@ -70,36 +69,6 @@ def test_single_step_cooling_is_flat(grid7):
     cfg = SAConfig(iterations=1, reanneal_count=0)
     _, trace = sa_optimize(4, channel(10.0, 0.0), "AMI", grid7, cfg)
     assert trace.temperature.tolist() == [cfg.t_initial]
-
-
-# --- acceptance rule -------------------------------------------------------
-
-
-def test_metropolis_always_accepts_uphill():
-    for draw in (0.0, 0.5, 0.999):
-        assert metropolis_accept(0.3, 0.01, draw)
-        assert metropolis_accept(0.0, 0.01, draw)
-
-
-def test_metropolis_downhill_uses_the_draw():
-    # exp(-0.1 / 0.05) ~ 0.135
-    assert metropolis_accept(-0.1, 0.05, 0.1)
-    assert not metropolis_accept(-0.1, 0.05, 0.2)
-    assert not metropolis_accept(-0.1, 0.05, 1.0)
-
-
-def test_metropolis_rejects_nonpositive_temperature():
-    with pytest.raises(ValueError):
-        metropolis_accept(-0.1, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        metropolis_accept(-0.1, -1.0, 0.5)
-
-
-def test_metropolis_empirical_rate_matches_boltzmann(rng):
-    # delta = -temperature makes the target probability exactly 1/e.
-    draws = rng.random(100000)
-    rate = np.mean([metropolis_accept(-0.02, 0.02, d) for d in draws])
-    assert rate == pytest.approx(math.exp(-1.0), abs=0.01)
 
 
 # --- moves -----------------------------------------------------------------

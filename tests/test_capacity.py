@@ -23,8 +23,8 @@ from phasecon import (
     pami_monte_carlo,
     pami_quadrature,
     reference_constellation,
-    sample_tikhonov,
 )
+from phasecon.capacity import _draw_channel_samples
 from conftest import (
     channel,
     random_unit_power_constellation,
@@ -294,6 +294,13 @@ def test_monte_carlo_rejects_tiny_sample_counts(psk8):
         ami_monte_carlo(psk8, channel(10.0, 5.0), MIN_MC_SAMPLES - 1, seed=0)
 
 
+@pytest.mark.parametrize("chunk", (-5, 0, 2.5))
+def test_monte_carlo_refuses_a_chunk_that_is_not_a_positive_integer(psk8, chunk):
+    for rate in (ami_monte_carlo, pami_monte_carlo):
+        with pytest.raises(ValueError, match="chunk"):
+            rate(psk8, channel(12.0, 20.0), 2000, 0, chunk=chunk)
+
+
 def test_monte_carlo_memory_does_not_grow_with_snr(psk8):
     # Scoring works on (chunk, M) arrays whatever |k_phi + k_n conj(y) u|
     # reaches; a phase grid sized to that peak once took hundreds of MB here.
@@ -341,12 +348,20 @@ def test_monte_carlo_bits_stay_in_range(psk8):
 # --- phase sampling --------------------------------------------------------
 
 
+def drawn_phases(k_phi, n, seed):
+    """The phases `_draw_channel_samples` draws at concentration k_phi,
+    recovered as angle(y / x) on 8-PSK at k_n = 1e12 k_phi, the edge of the
+    channel domain, where the noise moves an angle by k_n^-1/2 <= 2 urad."""
+    pts = reference_constellation("psk", 8).points
+    idx, y = _draw_channel_samples(pts, ChannelParams(k_n=1e12 * k_phi, k_phi=k_phi), n, seed)
+    return np.angle(y / pts[idx])
+
+
 def test_tikhonov_sampler_hits_bessel_moment():
     """E[cos phi] must equal I1(K)/I0(K) from weak to strong concentration."""
-    rng = np.random.default_rng(99)
     n = 400000
-    for k in (0.5, 5.0, 80.0, 400.0):
-        draws = sample_tikhonov(k, n, rng)
+    for seed, k in enumerate((0.5, 5.0, 80.0, 400.0)):
+        draws = drawn_phases(k, n, 99 + seed)
         want = i1e(k) / i0e(k)
         got = np.mean(np.cos(draws))
         spread = np.std(np.cos(draws)) / math.sqrt(n)
@@ -365,7 +380,7 @@ def test_tikhonov_sampler_hits_both_bessel_moments(k_phi):
     and more at k_phi <= 1) to the 10 and 20 deg of the benchmark: a sampler
     whose shape is off skews both."""
     n = 400000
-    draws = sample_tikhonov(k_phi, n, np.random.default_rng(41))
+    draws = drawn_phases(k_phi, n, 41)
     for order in (1, 2):
         harmonic = np.cos(order * draws)
         want = ive(order, k_phi) / i0e(k_phi)
@@ -374,35 +389,40 @@ def test_tikhonov_sampler_hits_both_bessel_moments(k_phi):
 
 
 def test_tikhonov_sampler_edge_concentrations():
-    rng = np.random.default_rng(7)
-    flat = sample_tikhonov(0.0, 100000, rng)
-    assert abs(np.mean(np.exp(1j * flat))) <= 0.02
-    assert np.all(flat > -math.pi) and np.all(flat <= math.pi)
-    pinned = sample_tikhonov(math.inf, 1000, rng)
-    assert np.all(pinned == 0.0)
+    """The draw replayed by hand on the same generator: a jitter-free
+    channel (k_phi = inf) draws no phase, so the Gaussian draws follow the
+    indices; a finite k_phi past the jitter-free cut (1e9 k_n) still draws
+    its phases, between the indices and the noise."""
+    pts = reference_constellation("psk", 8).points
+    for params in (ChannelParams(k_n=10.0, k_phi=math.inf), ChannelParams(k_n=10.0, k_phi=1e11)):
+        rng = np.random.Generator(np.random.PCG64(17))
+        idx = rng.integers(0, pts.size, 500)
+        x = pts[idx]
+        if math.isfinite(params.k_phi):
+            assert not params.has_phase_noise
+            x = x * np.exp(1j * rng.vonmises(0.0, params.k_phi, 500))
+        gauss = rng.standard_normal((500, 2))
+        want = x + (1.0 / math.sqrt(params.k_n)) * (gauss[:, 0] + 1j * gauss[:, 1])
+        got_idx, got = _draw_channel_samples(pts, params, 500, 17)
+        np.testing.assert_array_equal(got_idx, idx)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("k_phi", (1e6, np.nextafter(1e6, np.inf), 1e14, 1e16, 1e20))
 def test_tikhonov_sampler_keeps_its_spread_at_huge_concentrations(k_phi):
     # The spread must stay 1/sqrt(k_phi) on both sides of 1e6, where numpy
     # switches to a wrapped normal, and far above it, where cos p rounds to 1.
-    draws = sample_tikhonov(k_phi, 20000, np.random.default_rng(3))
+    draws = drawn_phases(k_phi, 20000, 3)
     assert abs(np.std(draws) * math.sqrt(k_phi) - 1.0) <= 0.03
 
 
 def test_tikhonov_sampler_is_reproducible():
-    a = sample_tikhonov(12.0, 1000, np.random.default_rng(5))
-    b = sample_tikhonov(12.0, 1000, np.random.default_rng(5))
-    np.testing.assert_array_equal(a, b)
-    assert np.all(np.abs(a) <= math.pi)
-
-
-def test_tikhonov_sampler_rejects_bad_concentration():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_tikhonov(-1.0, 10, rng)
-    with pytest.raises(ValueError):
-        sample_tikhonov(math.nan, 10, rng)
+    pts = reference_constellation("psk", 8).points
+    params = ChannelParams(k_n=1e13, k_phi=12.0)
+    a, b = (_draw_channel_samples(pts, params, 1000, 5) for _ in range(2))
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    assert np.all(np.abs(drawn_phases(12.0, 1000, 5)) <= math.pi)
 
 
 # --- threading -------------------------------------------------------------

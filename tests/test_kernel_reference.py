@@ -9,7 +9,8 @@ bit for bit; 1e-12 bits is the stated tolerance.
 
 `reference_mc_sample_bits` is the former Monte Carlo scoring, which took the
 exact likelihood's phase integral by the periodic trapezoid rule on a grid
-sized to the largest |w|, and scored PAMI by `metric_reference.masked_scores`.
+sized to the largest |w| (`metric_reference.log_phase_integral`, here one
+grid per chunk), and scored PAMI by `metric_reference.masked_scores`.
 The kernel now uses the closed form log I_0(|w|) and scores both objectives
 from one exp table.  Both round each per-hypothesis value, of size up to S,
 to about eps*S, and a sample's bits pass those values through 1 + m
@@ -49,6 +50,7 @@ from metric_reference import (
     awgn_metric,
     clamped_table_pass,
     decision_metric,
+    log_phase_integral,
     masked_scores,
     subset_product_pami_bits,
 )
@@ -174,11 +176,6 @@ def test_swap_path_reuses_the_table_and_equals_a_fresh_evaluation(monkeypatch):
 # --- Monte Carlo scoring ---------------------------------------------------
 
 
-def _suggest_phase_grid_mc(peak_max):
-    target = max(512.0, 1.3 * peak_max + 64.0)
-    return 1 << max(9, math.ceil(math.log2(target)))
-
-
 def reference_mc_sample_bits(c, params, n_samples, seed, chunk):
     """Per-sample AMI and PAMI bits of the former trapezoid scoring, and the
     largest magnitude of each sample's per-hypothesis values."""
@@ -191,20 +188,9 @@ def reference_mc_sample_bits(c, params, n_samples, seed, chunk):
 
     if params.has_phase_noise:
         w = params.k_phi + k_n * (np.conj(y)[:, None] * pts[None, :])
-        peak = np.abs(w)
-        n_grid = _suggest_phase_grid_mc(float(peak.max()))
-        step = 2.0 * math.pi / n_grid
-        grid = -math.pi + step * np.arange(n_grid)
-        cos_g, sin_g = np.cos(grid), np.sin(grid)
 
         def values(sl):
-            expo = (
-                w.real[sl, :, None] * cos_g
-                - w.imag[sl, :, None] * sin_g
-                - peak[sl, :, None]
-            )
-            np.exp(expo, out=expo)
-            return peak[sl] + np.log(expo.sum(axis=-1) * step) - half_u2[None, :]
+            return log_phase_integral(w[sl]) - half_u2[None, :]
 
     else:
 
@@ -283,7 +269,8 @@ def test_information_matches_the_masked_reference_on_hand_built_columns():
     peak = diff.max(axis=1)
     table = np.exp(np.maximum(diff - peak[:, None], _EXP_FLOOR))
     log_sum = np.log(table.sum(axis=1))
-    ami, pami = _information(table.T, log_sum, peak, sent, _label_bits(labels))
+    ami = _information(table.T, log_sum, peak, sent, None)
+    pami = _information(table.T, log_sum, peak, sent, _label_bits(labels))
     ln2 = math.log(2.0)
     np.testing.assert_array_equal(m - ami / ln2, masked_scores(vals, sent, m))
     ref = masked_scores(vals, sent, m, labels)

@@ -17,6 +17,7 @@ from metric_reference import (
     awgn_log_likelihood,
     awgn_metric,
     decision_metric,
+    log_phase_integral,
     log_ratio,
     phase_estimate,
     tikhonov_log_pdf,
@@ -257,21 +258,12 @@ def trapezoid_log_likelihood(y, u, params):
     """log p(y | u) with both phase integrals taken by the periodic trapezoid
     rule: the joint density's, folded into exp(Re(w e^{j phi})) with
     w = k_phi + k_n conj(y) u, and the von Mises normaliser's."""
-
-    def log_integral(w):
-        # exp(Re(w e^{j phi}) - |w|) is periodic and its Fourier tail
-        # I_n(|w|) is negligible once n exceeds ~1.2 |w|.
-        n = 1 << max(9, math.ceil(math.log2(1.3 * abs(w) + 64.0)))
-        phi = 2.0 * math.pi * np.arange(n) / n - math.pi
-        expo = w.real * np.cos(phi) - w.imag * np.sin(phi) - abs(w)
-        return abs(w) + math.log(np.exp(expo).sum() * (2.0 * math.pi / n))
-
     k_n, k_phi = params.k_n, params.k_phi
-    return (
+    return float(
         math.log(k_n / (2 * math.pi))
         - 0.5 * k_n * (abs(y) ** 2 + abs(u) ** 2)
-        + log_integral(k_phi + k_n * np.conj(y) * u)
-        - log_integral(complex(k_phi))
+        + log_phase_integral(k_phi + k_n * np.conj(y) * u)
+        - log_phase_integral(k_phi)
     )
 
 

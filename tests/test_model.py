@@ -291,8 +291,9 @@ def test_channel_params_rejects_bad_concentrations():
         ChannelParams(k_n=0.0, k_phi=10.0)
     with pytest.raises(ValueError):
         ChannelParams(k_n=math.inf, k_phi=10.0)
-    with pytest.raises(ValueError):
-        ChannelParams(k_n=1.0, k_phi=-1.0)
+    for k_phi in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            ChannelParams(k_n=1.0, k_phi=k_phi)
 
 
 def test_channel_params_refuses_jitter_it_cannot_resolve():

@@ -15,7 +15,9 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   and PAMI of 8-PSK, 16-QAM and 64-QAM at -5, 12, 30 and 40 dB and 0, 5,
   20 and 45 deg, on 1, 2 and 4 threads with blocks of any size; and
   mc_grid, Monte Carlo AMI and PAMI of 8-PSK and 64-QAM at 0, 2, 5 and 20
-  deg, so a change to the Monte Carlo stream alone leaves quad_grid equal;
+  deg, and at 0 and 20 deg 2000 samples in chunks of 333, whose last chunk
+  holds 2, so a change to the Monte Carlo stream alone leaves quad_grid
+  equal;
 - the golden anneals of tests/test_annealer.py, 32-point (400 steps) and
   64-point (20 steps) AMI and PAMI anneals at 14 dB, 10 deg on 1 and 2
   threads, whose tables span several tiles, and swap-heavy PAMI anneals
@@ -113,6 +115,9 @@ for kind, size, samples in (("psk", 8, 20000), ("qam", 64, 4000)):
         for rate in (pc.ami_monte_carlo, pc.pami_monte_carlo):
             r = rate(c, p, samples, 7)
             print(kind, size, pnsd, rate.__name__, repr(r.bits), repr(r.stderr))
+            if pnsd in (0.0, 20.0):
+                r = rate(c, p, 2000, 7, chunk=333)
+                print(kind, size, pnsd, rate.__name__, "chunk=333", repr(r.bits), repr(r.stderr))
 """
 
 GOLDEN = """
