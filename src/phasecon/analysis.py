@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .annealer import SAConfig, sa_optimize
-from .capacity import AMI, PAMI, QuadratureGrid, _quadrature
+from .annealer import SAConfig, _anneal_chains
+from .capacity import AMI, PAMI, QuadEvaluator, QuadratureGrid, _quadrature, _sets_per_tile
 from .model import ChannelParams, Constellation
 
 SNR_BRACKET_DB = (-10.0, 40.0)
@@ -124,8 +124,17 @@ def campaign_cells(
     channel (`ChannelParams`), before the first cell runs.  The iterator
     yields (snr_db, pnsd_deg, seed, best, trace) per cell, SNR-major, where
     ``seed`` is the cell's seed derived from ``config.seed`` and the cell
-    indices, so a campaign is reproducible cell by cell and a 1x1 campaign
-    equals a single direct optimization with the derived seed.
+    indices, so a campaign is reproducible cell by cell.
+
+    AMI cells are annealed group by group, as lockstep chains that share one
+    stacked evaluation per step (`annealer._anneal_chains`): a group holds
+    cells of one jitter class, in grid order, while its stacked table,
+    K x size^2 x G entries, fits in one tile (`capacity._sets_per_tile`), so
+    8-point cells batch and a 64-point cell runs alone.  PAMI cells run one
+    at a time.  A group's cells finish together; each cell is yielded once
+    it and every cell before it are done, in the same order as ever.  Each
+    cell's design and trace are those of `sa_optimize` with the cell's
+    seed, bit for bit.
     """
     snrs = _check_axis(snr_db_list, "snr_db_list")
     pnsds = _check_axis(pnsd_deg_list, "pnsd_deg_list")
@@ -135,10 +144,25 @@ def campaign_cells(
         for j, pnsd in enumerate(pnsds)
     ]
     params = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd, _ in cells]
+    classes = {}
+    for index, cell_params in enumerate(params):
+        classes.setdefault(cell_params.has_phase_noise, []).append(index)
+    group_of = {}
+    for members in classes.values():
+        height = _sets_per_tile(size, params[members[0]], grid) if objective == AMI else 1
+        for start in range(0, len(members), height):
+            group = members[start : start + height]
+            group_of.update(dict.fromkeys(group, group))
 
     def run():
-        for (snr, pnsd, seed), cell_params in zip(cells, params):
-            best, trace = sa_optimize(size, cell_params, objective, grid, replace(config, seed=seed))
+        done = {}
+        for index, (snr, pnsd, seed) in enumerate(cells):
+            if index not in done:
+                group = group_of[index]
+                runs = _anneal_chains(size, [params[g] for g in group], objective, grid,
+                                      config, [cells[g][2] for g in group])
+                done.update(zip(group, runs))
+            best, trace = done.pop(index)
             yield snr, pnsd, seed, best, trace
 
     return run()
@@ -187,7 +211,8 @@ def mismatch_matrix(
     """Cross-evaluate every design on every (snr, pnsd) evaluation cell.
 
     Every cell's channel is built, and so checked, before the first
-    evaluation."""
+    evaluation.  Each evaluation channel builds one evaluator, which scores
+    every design in turn on the work arrays it keeps."""
     if not designs:
         raise ValueError("designs must not be empty")
     snrs = np.asarray(eval_snr_db_list, dtype=np.float64)
@@ -199,8 +224,9 @@ def mismatch_matrix(
     channels = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd in eval_cells]
     bits = np.empty((len(design_cells), len(eval_cells)))
     for e, params in enumerate(channels):
+        ev = QuadEvaluator(params, grid)
         for d, cell in enumerate(design_cells):
-            bits[d, e] = _quadrature(designs[cell], params, grid, AMI).bits
+            bits[d, e] = _quadrature(designs[cell], params, grid, AMI, ev).bits
     loss = np.empty_like(bits)
     for e, cell in enumerate(eval_cells):
         if cell in designs:

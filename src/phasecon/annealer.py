@@ -6,6 +6,15 @@ the labels of two points.  Every candidate is renormalized to unit average
 power before scoring, so the power constraint holds along the whole
 trajectory.  The best constellation ever visited is returned, and the
 schedule can be restarted from it a configurable number of times.
+
+One loop anneals any number of AMI chains in lockstep, one per channel
+(`_anneal_chains`).  At each step every chain draws its move from its own
+generator, then one stacked quadrature evaluation (`QuadEvaluator`) scores
+all the chains' candidates, each on its own channel, and every chain
+accepts or rejects its own.  A chain's draws and rates are those of a lone
+run, so each chain ends bit for bit where `sa_optimize`, the case of one
+chain, ends with its seed.  `analysis.campaign_cells` runs the AMI cells of
+a campaign as such chains; PAMI anneals one chain at a time.
 """
 
 from __future__ import annotations
@@ -101,11 +110,12 @@ def _displacement(max_disp: float, draw_a: float, draw_b: float) -> complex:
     return complex(radius * math.cos(angle), radius * math.sin(angle))
 
 
-def _renormalize(pts: np.ndarray) -> np.ndarray:
+def _renormalize(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`pts` scaled to unit average power, into `out` where given."""
     power = float(np.add.reduce(pts.real**2 + pts.imag**2) / pts.size)
     if power <= 0.0:
         raise ValueError("degenerate all-zero candidate")
-    return pts / math.sqrt(power)
+    return np.divide(pts, math.sqrt(power), out=out)
 
 
 def _min_pairwise(pts: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
@@ -154,107 +164,145 @@ def sa_optimize(
     Returns:
         The best constellation visited and the per-step trace.
     """
+    return _anneal_chains(size, [params], objective, grid, config, [config.seed], initial)[0]
+
+
+def _anneal_chains(size, channels, objective, grid, config, seeds, initial=None) -> list:
+    """Anneal one chain per channel in lockstep: chain k runs `config` with
+    seed `seeds[k]` on `channels[k]`, and each step scores every chain's
+    candidate in one stacked evaluation.  Chain k draws its moves and its
+    acceptances from its own generator, exactly as `sa_optimize` draws
+    alone, and each candidate's rate is the one it gets alone, so chain k
+    ends where `sa_optimize` with seed `seeds[k]` ends, bit for bit;
+    `sa_optimize` is the case of one chain.  The channels must all have
+    jitter or none (`QuadEvaluator`).  PAMI anneals one chain: its label
+    swaps reuse the table an evaluator keeps for one set, and 8-point PAMI
+    chains run in lockstep gained nothing at 20 deg.  Returns (best, trace)
+    per chain."""
     if size < 2 or size & (size - 1):
         raise ValueError(f"size must be 2^m with m >= 1, got {size}")
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    chains = len(channels)
+    if objective == PAMI and chains > 1:
+        raise ValueError(f"PAMI anneals one chain, got {chains}")
     if objective == PAMI and config.label_swap_prob == 0.0:
         warnings.warn("PAMI optimization with label_swap_prob=0 cannot move labels")
-    _warn_wide_phase(params, 3)
+    for params in channels:
+        _warn_wide_phase(params, 4)
     m = size.bit_length() - 1
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     pairs = np.triu_indices(size, 1)
 
-    if initial is not None:
-        if initial.size != size:
-            raise ValueError(f"warm start has {initial.size} points, expected {size}")
-        pts = _renormalize(initial.points.copy())
-        labs = initial.labels.copy()
-    else:
-        pts = _renormalize(_random_disc_points(size, rng))
-        labs = rng.permutation(size).astype(np.int64)
+    # Per chain, one row of each stack: its current points and labels, its
+    # best ones, and its candidate points and labels, written in place.
+    if initial is not None and initial.size != size:
+        raise ValueError(f"warm start has {initial.size} points, expected {size}")
+    pts = np.empty((chains, size), dtype=np.complex128)
+    labs = np.empty((chains, size), dtype=np.int64)
+    for k, rng in enumerate(rngs):
+        if initial is not None:
+            pts[k], labs[k] = _renormalize(initial.points), initial.labels
+        else:
+            pts[k] = _renormalize(_random_disc_points(size, rng))
+            labs[k] = rng.permutation(size)
+    best_pts, best_labs, cand_pts, cand_labs = pts.copy(), labs.copy(), pts.copy(), labs.copy()
 
     # A label swap leaves the PAMI table unchanged, and an evaluator reuses
     # the table of the last points it scored.  So swaps score on `held`,
     # whose last points are the current state's, and point moves on
-    # `spare`; the two trade places when a point move is accepted.
-    held = QuadEvaluator(params, grid)
+    # `spare`; the two trade places when a point move is accepted.  AMI
+    # makes no swaps, and one evaluator scores every chain's candidate.
+    held = QuadEvaluator(channels, grid)
     if objective == PAMI:
-        spare = QuadEvaluator(params, grid)
+        spare = QuadEvaluator(channels, grid)
         score = lambda ev, p, l: ev.pami_bits(p, l)  # noqa: E731
         swap_prob = config.label_swap_prob
     else:
         spare = held
         score = lambda ev, p, l: ev.ami_bits(p)  # noqa: E731
         swap_prob = 0.0
-
     current = score(held, pts, labs)
-    best = current
-    best_pts, best_labs = pts.copy(), labs.copy()
+    best = list(current)
 
     n_steps = config.iterations
-    col_step = np.arange(n_steps, dtype=np.int64)
-    col_temp = np.empty(n_steps)
-    col_cur = np.empty(n_steps)
-    col_best = np.empty(n_steps)
-    col_acc = np.zeros(n_steps, dtype=bool)
-    col_move = np.empty(n_steps, dtype="<U5")
+    # Per step, its temperature; per chain, its current and best rate,
+    # acceptance and move.
+    col_temp = []
+    columns = [([], [], [], []) for _ in range(chains)]
+    moves, collided = [MOVE_POINT] * chains, [False] * chains
+    # Per chain, its generator, its rows of the stacks and its columns.
+    rows = list(zip(rngs, pts, labs, cand_pts, cand_labs, best_pts, best_labs, columns))
 
-    g = 0
     for p_i, p_len in enumerate(_pass_lengths(n_steps, config.reanneal_count + 1)):
         if p_i > 0:
             # Re-heat from the incumbent best.
-            pts, labs = best_pts.copy(), best_labs.copy()
-            current = best
+            pts[:], labs[:] = best_pts, best_labs
+            current = list(best)
         for local in range(p_len):
             temp = _geometric(local, p_len, config.t_initial, config.t_final)
             disp = _geometric(local, p_len, config.d_initial, config.d_final)
-            if swap_prob > 0.0 and rng.random() < swap_prob:
-                move = MOVE_SWAP
-                i = int(rng.integers(size))
-                j = int(rng.integers(size - 1))
-                j += j >= i
-                cand_pts = pts
-                cand_labs = labs.copy()
-                cand_labs[i], cand_labs[j] = cand_labs[j], cand_labs[i]
-                collided = False
-            else:
-                move = MOVE_POINT
-                i = int(rng.integers(size))
-                u_a, u_b = rng.random(2)
-                cand_pts = pts.copy()
-                cand_pts[i] += _displacement(disp, u_a, u_b)
-                cand_pts = _renormalize(cand_pts)
-                cand_labs = labs
-                collided = _min_pairwise(cand_pts, pairs) < COLLISION_MIN_DIST
-            accepted = False
-            if not collided:
-                cand = score(held if move == MOVE_SWAP else spare, cand_pts, cand_labs)
-                # Metropolis rule for a maximization: always uphill, downhill
-                # with probability exp(delta / temp); a NaN delta draws nothing.
-                delta = cand - current
-                accepted = delta >= 0 or (delta < 0 and rng.random() < math.exp(delta / temp))
-                if accepted:
-                    pts, labs, current = cand_pts, cand_labs, cand
-                    if move == MOVE_POINT:
-                        held, spare = spare, held
-                    if current > best:
-                        best = current
-                        best_pts, best_labs = pts.copy(), labs.copy()
-            col_temp[g] = temp
-            col_cur[g] = current
-            col_best[g] = best
-            col_acc[g] = accepted
-            col_move[g] = move
-            g += 1
+            swapped = False
+            for k, (rng, state, lab, cand, cand_lab, _, _, _) in enumerate(rows):
+                if swap_prob > 0.0 and rng.random() < swap_prob:
+                    i = int(rng.integers(size))
+                    j = int(rng.integers(size - 1))
+                    j += j >= i
+                    cand_lab[...] = lab
+                    cand_lab[i], cand_lab[j] = cand_lab[j], cand_lab[i]
+                    moves[k], collided[k], swapped = MOVE_SWAP, False, True
+                else:
+                    i = int(rng.integers(size))
+                    u_a, u_b = rng.random(2)
+                    cand[...] = state
+                    cand[i] += _displacement(disp, u_a, u_b)
+                    _renormalize(cand, out=cand)
+                    moves[k] = MOVE_POINT
+                    collided[k] = _min_pairwise(cand, pairs) < COLLISION_MIN_DIST
+            # Only PAMI, one chain, swaps: a step swaps labels or moves
+            # points.  A collided candidate of a multi-chain step is scored
+            # and ignored; a one-chain step that collides scores nothing.
+            if swapped:
+                bits = score(held, pts, cand_labs)
+            elif not all(collided):
+                bits = score(spare, cand_pts, labs)
+            col_temp.append(temp)
+            for k, row in enumerate(rows):
+                rng, state, lab, cand, cand_lab, best_state, best_lab, column = row
+                accepted = False
+                if not collided[k]:
+                    # Metropolis rule for a maximization: always uphill,
+                    # downhill with probability exp(delta / temp); a NaN
+                    # delta draws nothing.
+                    delta = bits[k] - current[k]
+                    accepted = delta >= 0 or (delta < 0 and rng.random() < math.exp(delta / temp))
+                    if accepted:
+                        current[k] = bits[k]
+                        if moves[k] == MOVE_SWAP:
+                            lab[...] = cand_lab
+                        else:
+                            state[...] = cand
+                            held, spare = spare, held
+                        if current[k] > best[k]:
+                            best[k] = current[k]
+                            best_state[...], best_lab[...] = state, lab
+                col_cur, col_best, col_acc, col_move = column
+                col_cur.append(current[k])
+                col_best.append(best[k])
+                col_acc.append(accepted)
+                col_move.append(moves[k])
 
-    result = Constellation(points=best_pts, labels=best_labs, m=m)
-    trace = AnnealTrace(
-        step=col_step,
-        temperature=col_temp,
-        current_bits=col_cur,
-        best_bits=col_best,
-        accepted=col_acc,
-        move_type=col_move,
-    )
-    return result, trace
+    return [
+        (
+            Constellation(points=best_pts[k], labels=best_labs[k], m=m),
+            AnnealTrace(
+                step=np.arange(n_steps, dtype=np.int64),
+                temperature=np.array(col_temp),
+                current_bits=np.array(col_cur),
+                best_bits=np.array(col_best),
+                accepted=np.array(col_acc, dtype=bool),
+                move_type=np.array(col_move, dtype="<U5"),
+            ),
+        )
+        for k, (col_cur, col_best, col_acc, col_move) in enumerate(columns)
+    ]

@@ -233,6 +233,18 @@ def _information(exp_table, log_sum, gap, sent, label_bits):
     return np.add.reduce(matched, axis=0)
 
 
+def _canonical_rotation(points: np.ndarray):
+    """The unit factor that rotates a signal set's first nonzero point onto
+    the positive real axis (`_canonical_points`)."""
+    anchor = points[0]
+    if anchor == 0:
+        nonzero = np.flatnonzero(np.abs(points) > 0.0)
+        if nonzero.size == 0:
+            raise ValueError("all-zero signal set")
+        anchor = points[nonzero[0]]
+    return anchor.conjugate() / abs(anchor)
+
+
 def _canonical_points(points: np.ndarray) -> np.ndarray:
     """Rotate a signal set so its first nonzero point is real positive.
 
@@ -240,13 +252,7 @@ def _canonical_points(points: np.ndarray) -> np.ndarray:
     grid is not perfectly isotropic; evaluating every set in a canonical
     orientation makes rotated copies score identically.
     """
-    anchor = points[0]
-    if anchor == 0:
-        nonzero = np.flatnonzero(np.abs(points) > 0.0)
-        if nonzero.size == 0:
-            raise ValueError("all-zero signal set")
-        anchor = points[nonzero[0]]
-    return points * (anchor.conjugate() / abs(anchor))
+    return points * _canonical_rotation(points)
 
 
 def _log_prior_ratio(phases: np.ndarray, k_phi: float) -> np.ndarray:
@@ -260,126 +266,192 @@ def _log_prior_ratio(phases: np.ndarray, k_phi: float) -> np.ndarray:
     return np.where(np.abs(phases) <= math.pi, core, -np.inf)
 
 
+def _channel_nodes(params: ChannelParams, grid: QuadratureGrid):
+    """One channel's received-sample offsets at the G grid nodes, the phase
+    rotation at each node (None without jitter), the normalized node
+    weights, and the factors `_bind` scales a set's hypothesis columns by,
+    and its half-energies."""
+    sigma = 1.0 / math.sqrt(params.k_n)
+    if not params.has_phase_noise:
+        factors = (params.k_n, params.k_n, -0.5 * params.k_n, 0.0, 0.0)
+        return _SQRT2 * sigma * grid._noise2, None, grid._weights2 / math.pi, factors
+    # The phase nodes are placed like a Gaussian of matching spread, but
+    # each node is reweighted by the von Mises / Gaussian density ratio
+    # (normalized over the one-dimensional phase rule), so the circular
+    # prior is integrated without a surrogate bias.  Nodes landing outside
+    # one period get zero weight.  Both factors are computed on the 1-D
+    # rule and expanded to the product nodes.
+    phases = _SQRT2 * params.pnsd_rad * grid.nodes
+    log_1d = _log_prior_ratio(phases, params.k_phi)
+    ratio = np.exp(log_1d - float(log_1d.max()))
+    total = float(np.dot(grid.weights, ratio))
+    if total <= 0.0:
+        raise ValueError(
+            "phase spread too wide for the quadrature rule: every "
+            "node falls outside one period"
+        )
+    index = grid._phase_index
+    weights = grid._weights3 * ratio[index] / (math.pi * total)
+    cross = 2.0 * params.k_phi * params.k_n
+    factors = (cross, cross, params.k_n**2, params.k_phi**2, 0.5 * params.k_n)
+    return _SQRT2 * sigma * grid._noise3, np.exp(1j * phases)[index], weights, factors
+
+
+def _slot_rows(arrays) -> np.ndarray:
+    """Equal-shaped arrays, one per channel slot, as rows of an (S, 1, ...)
+    array: a view of the array itself where there is one."""
+    return arrays[0][None, None] if len(arrays) == 1 else np.stack(arrays)[:, None]
+
+
 def _split(start: int, stop: int, parts: int) -> list[slice]:
     """Rows start..stop cut into `parts` contiguous slices of near-equal size."""
     n = stop - start
     return [slice(start + n * b // parts, start + n * (b + 1) // parts) for b in range(parts)]
 
 
+def _sets_per_tile(size: int, params: ChannelParams, grid: QuadratureGrid) -> int:
+    """How many sets of `size` points, on channels of the jitter class of
+    `params`, one stack holds while its whole table, sets x size^2 x G
+    entries on that class's G grid nodes, fits in one tile; at least one."""
+    nodes = (grid._weights3 if params.has_phase_noise else grid._weights2).size
+    return max(1, _TILE_ENTRIES // (size * size * nodes))
+
+
 class _Block:
     """One thread block of a table pass: its sent rows cut into tiles, and
-    the work arrays each tile in turn reuses, sized for the longest tile.
+    the work arrays each tile in turn reuses, sized for the longest tile of
+    a stack of `sets` sets.
 
     A tile holds at most `tile_rows` rows, but two rows or more where the
     block has two: numpy would sum a lone row on a one-node grid pairwise
     rather than in hypothesis order.
     """
 
-    def __init__(self, rows: slice, tile_rows: int, width: int, size: int):
+    def __init__(self, rows: slice, tile_rows: int, width: int, size: int, sets: int):
         count = rows.stop - rows.start
         parts = max(1, min(count // 2, -(-count // tile_rows)))
         self.tiles, longest = _split(rows.start, rows.stop, parts), -(-count // parts)
-        self.y = np.empty((longest, size), dtype=np.complex128)
-        self.nodes = np.empty((longest, width, size))
-        self.nodes[:, -1] = 1.0
-        self.peak, self.sent, self.log_sum = np.empty((3, longest, size))
+        self.y = np.empty((sets, longest, size), dtype=np.complex128)
+        self.nodes = np.empty((sets, longest, width, size))
+        self.nodes[:, :, -1] = 1.0
+        self.peak, self.sent, self.log_sum = np.empty((3, sets, longest, size))
         self._table = np.empty(0)
 
+    def views(self, count: int) -> tuple:
+        """y, nodes, peak, sent and log_sum for `count` rows: the arrays
+        themselves where they have that many."""
+        arrays = (self.y, self.nodes, self.peak, self.sent, self.log_sum)
+        if count == self.y.shape[1]:
+            return arrays
+        return tuple(a[:, :count] for a in arrays)
+
     def table_of(self, rows: slice, depth: int) -> np.ndarray:
-        """A (rows, depth, G) view of the block's one tile buffer: AMI's
-        table tile at depth M, PAMI's matched subset sums at depth m.  The
-        buffer is allocated at the first use that needs it deeper.  An
+        """A (sets, rows, depth, G) view of the block's one tile buffer:
+        AMI's table tile at depth M, PAMI's matched subset sums at depth m.
+        The buffer is allocated at the first use that needs it deeper.  An
         M-deep tile held for PAMI alone made glibc trim and re-fault the heap
         on every fresh evaluator: 16-QAM PAMI at 14 dB, 10 deg took 0.70
         against 0.40 ms on a 2-core machine."""
-        longest, size = self.y.shape
-        if self._table.size < longest * depth * size:
-            self._table = np.empty(longest * depth * size)
+        sets, longest, size = self.y.shape
+        if self._table.size < sets * longest * depth * size:
+            self._table = np.empty(sets * longest * depth * size)
         count = rows.stop - rows.start
-        return self._table[: count * depth * size].reshape(count, depth, size)
+        return self._table[: sets * count * depth * size].reshape(sets, count, depth, size)
 
 
 class QuadEvaluator:
-    """Reusable quadrature machinery bound to one (params, grid) pair.
+    """Reusable quadrature machinery bound to channels on one grid.
+
+    `channels` is a sequence of ChannelParams, one slot each, all with
+    jitter or all without, so that they share the grid's G nodes; one
+    ChannelParams is one slot.  `noise`, `rotation` (None without jitter)
+    and `norm_weights` hold a (1, G) row per slot, shaped to broadcast over
+    a stack's sent rows.  `ami_bits` scores an (S, M) stack of sets, set j
+    on slot j, in one table pass per tile; every entry, hypothesis-ordered
+    sum and per-row weighted sum of a set is computed as when it is scored
+    alone, so each set's rate is the same to the bit.  `pami_bits` scores
+    one set, on a one-slot evaluator.  Both return a list of rates for a
+    stack, and one rate for one set of M points given as a 1-D array.
 
     The per-candidate entry points take raw point/label arrays so an
     optimizer can call them in a hot loop.  The evaluator owns its work
     arrays: `_bind` allocates them on the first call for a given number of
-    points, and every later call reuses them, so one evaluator must not
-    score two sets at once.  Per set: the hypothesis matrix and the (M, G)
-    half-energy grid.  Per thread block, each sized for one tile of at most
-    _TILE_ENTRIES table entries: the node columns, received samples, peaks,
-    sent metrics, log-sums, and one buffer, allocated at its first use, that
-    holds AMI's table tile or PAMI's matched subset sums.  PAMI keeps one
-    full table of its own, the last set's, so that a label swap reuses it
-    (`pami_bits`).  The thread count is read from PHASECON_THREADS once,
-    when the evaluator is built.
+    points (`_reserve`), and every later call reuses them, so one evaluator
+    must not score two stacks at once.  Per set: the hypothesis matrix and
+    the (M, G) half-energy grid.  Per thread block, each sized for one tile
+    of at most _TILE_ENTRIES table entries over the whole stack: the node
+    columns, received samples, peaks, sent metrics, log-sums, and one
+    buffer, allocated at its first use, that holds AMI's table tile or
+    PAMI's matched subset sums.  PAMI keeps one full table of its own, the
+    last set's, so that a label swap reuses it (`pami_bits`).  The thread
+    count is read from PHASECON_THREADS once, when the evaluator is built.
     """
 
-    def __init__(self, params: ChannelParams, grid: QuadratureGrid):
+    def __init__(self, channels, grid: QuadratureGrid):
         self._threads = _resolve_threads()
-        self.params = params
-        sigma = 1.0 / math.sqrt(params.k_n)
-        if params.has_phase_noise:
-            self.noise = _SQRT2 * sigma * grid._noise3
-            # The phase nodes are placed like a Gaussian of matching spread,
-            # but each node is reweighted by the von Mises / Gaussian density
-            # ratio (normalized over the one-dimensional phase rule), so the
-            # circular prior is integrated without a surrogate bias.  Nodes
-            # landing outside one period get zero weight.  Both factors are
-            # computed on the 1-D rule and expanded to the product nodes.
-            phases = _SQRT2 * params.pnsd_rad * grid.nodes
-            log_1d = _log_prior_ratio(phases, params.k_phi)
-            ratio = np.exp(log_1d - float(log_1d.max()))
-            total = float(np.dot(grid.weights, ratio))
-            if total <= 0.0:
-                raise ValueError(
-                    "phase spread too wide for the quadrature rule: every "
-                    "node falls outside one period"
-                )
-            index = grid._phase_index
-            self.rotation = np.exp(1j * phases)[index]
-            self.norm_weights = grid._weights3 * ratio[index] / (math.pi * total)
-        else:
-            self.noise = _SQRT2 * sigma * grid._noise2
-            self.rotation = None
-            self.norm_weights = grid._weights2 / math.pi
+        self.params = channels
+        if isinstance(channels, ChannelParams):
+            channels = (channels,)
+        if len({params.has_phase_noise for params in channels}) > 1:
+            raise ValueError("an evaluator's channels must all have jitter or none")
+        noise, rotation, weights, factors = zip(*(_channel_nodes(p, grid) for p in channels))
+        self._slots = len(noise)
+        self.noise, self.norm_weights = _slot_rows(noise), _slot_rows(weights)
+        self.rotation = None if rotation[0] is None else _slot_rows(rotation)
+        # Per slot, shaped to scale a set's (n, 2) points and (n,) energies:
+        # the factors of the hypothesis columns Re u and Im u, of |u|^2, the
+        # fourth column k_phi^2, and the factor of the half-energies, the
+        # last two with jitter only (`_bind`).
+        factors = np.array(factors)[:, None]
+        self._re_im_factor, self._u2_factor = factors[..., :1], factors[..., 2]
+        self._constant, self._half_factor = factors[..., 3], factors[..., 4]
+        # The rows of norm_weights, one (G,) array per slot (`_rates`).
+        self._weights = weights
         self._pami = None
         self._size = 0
         self._labels = None
 
-    def _bind(self, points: np.ndarray) -> np.ndarray:
-        """The canonical copy of `points`, with the hypothesis matrix and the
-        half-energy grid filled, and the work arrays sized for it: allocated
-        on the first call at its size, then reused.  That first call also
-        splits the sent rows into thread blocks, at most one per thread, each
-        of _MIN_BLOCK_ENTRIES table entries or more and two rows or more, and
-        each block into tiles (`_Block`), and drops the PAMI table of
-        another size."""
-        n, size, params = points.size, self.norm_weights.size, self.params
-        if n != self._size:
-            width = 3 if self.rotation is None else 4
-            self._size, self._pami = n, None
-            self._hyp = np.empty((n, width))
-            if self.rotation is not None:
-                self._hyp[:, -1], self._half_u2 = params.k_phi**2, np.empty((n, size))
-            k = max(1, min(self._threads, n // 2, n * n * size // _MIN_BLOCK_ENTRIES))
-            tile_rows = max(2, _TILE_ENTRIES // (n * size))
-            self._blocks = [_Block(b, tile_rows, width, size) for b in _split(0, n, k)]
-        points = _canonical_points(points)
-        u2 = np.abs(points) ** 2
-        # Columns Re u and Im u at once, from the (n, 2) float view of u.
-        re_im, hyp = points.view(np.float64).reshape(-1, 2), self._hyp
+    def _reserve(self, n: int) -> None:
+        """Work arrays for stacks of sets of `n` points, which also drops the
+        PAMI table of another size.  The sent rows are split into thread
+        blocks, at most one per thread, each of _MIN_BLOCK_ENTRIES table
+        entries or more and two rows or more, and each block into tiles
+        (`_Block`)."""
+        sets, size = self._slots, self.noise.shape[-1]
+        width = 3 if self.rotation is None else 4
+        self._size, self._pami, self._labels = n, None, None
+        # The hypothesis matrices and half-energy grids carry a unit axis for
+        # the sent rows, which the table pass broadcasts them over; `_bind`
+        # fills them through the views kept here.
+        self._canonical, self._u2 = np.empty((sets, n), dtype=np.complex128), np.empty((sets, n))
+        self._re_im = self._canonical.view(np.float64).reshape(sets, n, 2)
+        self._hyp = np.empty((sets, 1, n, width))
+        self._hyp_re_im, self._hyp_u2 = self._hyp[:, 0, :, :2], self._hyp[:, 0, :, 2]
         if self.rotation is not None:
-            np.multiply(re_im, 2.0 * params.k_phi * params.k_n, out=hyp[:, :2])
-            np.multiply(u2, params.k_n**2, out=hyp[:, 2])
-            half_u2 = np.multiply(u2, 0.5 * params.k_n)
-            np.copyto(self._half_u2, half_u2[:, None])
-            self._half_u2_max = float(half_u2.max())
-        else:
-            np.multiply(re_im, params.k_n, out=hyp[:, :2])
-            np.multiply(u2, -0.5 * params.k_n, out=hyp[:, 2])
-        return points
+            self._hyp[:, 0, :, 3] = self._constant
+            self._half_u2, self._half = np.empty((sets, 1, n, size)), np.empty((sets, n))
+        k = max(1, min(self._threads, n // 2, sets * n * n * size // _MIN_BLOCK_ENTRIES))
+        tile_rows = max(2, _TILE_ENTRIES // (sets * n * size))
+        self._blocks = [_Block(b, tile_rows, width, size, sets) for b in _split(0, n, k)]
+
+    def _bind(self, points: np.ndarray) -> np.ndarray:
+        """The canonical copies of the (S, n) stack `points`, with the
+        hypothesis matrices and half-energy grids filled, set j for slot j's
+        channel; the work arrays are reserved on the first call at n."""
+        if points.shape[1] != self._size:
+            self._reserve(points.shape[1])
+        canonical, u2 = self._canonical, self._u2
+        for set_points, row in zip(points, canonical):
+            np.multiply(set_points, _canonical_rotation(set_points), out=row)
+        np.square(np.abs(canonical, out=u2), out=u2)
+        # Columns Re u and Im u at once, from the (S, n, 2) float view of u.
+        np.multiply(self._re_im, self._re_im_factor, out=self._hyp_re_im)
+        np.multiply(u2, self._u2_factor, out=self._hyp_u2)
+        if self.rotation is not None:
+            half = np.multiply(u2, self._half_factor, out=self._half)
+            np.copyto(self._half_u2[:, 0], half[:, :, None])
+            self._half_u2_max = float(np.maximum.reduce(half, axis=None))
+        return canonical
 
     def _table_pass(
         self,
@@ -389,25 +461,26 @@ class QuadEvaluator:
         log_sum: np.ndarray,
         work: _Block,
     ):
-        """Metric table (sent point rows[r], hypothesis h, grid node g) of the
-        `points` bound by `_bind`, made exp(metric - peak) in place in
-        `table`, one (M, G) slab per sent row of `rows`; the log of its sum
-        over h goes to `log_sum`, one row per sent row.  Returns that
-        log-sum, the peak and the sent point's own metric, in the arrays of
-        `work`, a `_Block` of `rows.stop - rows.start` rows or more.
+        """Metric table (set j, sent point rows[r], hypothesis h, grid node g)
+        of the (S, M) stack `points` bound by `_bind`, made exp(metric -
+        peak) in place in `table`, one (M, G) slab per set and sent row of
+        `rows`; the log of its sum over h goes to `log_sum`, one (G,) row per
+        set and sent row.  Returns that log-sum, the peak and the sent point's
+        own metric, in the arrays of `work`, a `_Block` of
+        `rows.stop - rows.start` rows or more.
 
         With jitter the metric is |w| - k_n|u|^2/2, w = k_phi + k_n*conj(y)*u,
         and |w|^2 = k_phi^2 + 2 k_phi k_n Re(conj(y) u) + k_n^2 |y|^2 |u|^2 is
-        bilinear: per sent row, one (M x 4) @ (4 x G) product of the
+        bilinear: per set and sent row, one (M x 4) @ (4 x G) product of the
         hypothesis rows [2 k_phi k_n Re u, 2 k_phi k_n Im u, k_n^2 |u|^2,
         k_phi^2] with the node columns [Re y, Im y, |y|^2, 1].  Without
         jitter the metric k_n Re(conj(y) u) - k_n|u|^2/2 is itself one
         (M x 3) product, of [k_n Re u, k_n Im u, -k_n|u|^2/2] with
         [Re y, Im y, 1].  metric - peak is clamped at _EXP_FLOOR before the
         exp wherever that can change an entry.  The half-energy k_n|u_h|^2/2
-        is subtracted from an (M, G) grid that `_bind` fills, so each sent
-        row's slab and the grid run as one contiguous loop, not as G-long
-        loops that broadcast one value each.
+        is subtracted from an (M, G) grid per set that `_bind` fills, so each
+        sent row's slab and the grid run as one contiguous loop, not as
+        G-long loops that broadcast one value each.
 
         A pass covers one tile, which its caller keeps in cache.  With jitter
         it goes over the tile seven times where the floor bound below holds
@@ -418,114 +491,148 @@ class QuadEvaluator:
         entries set to 0 - k_n|u|^2/2, the value sqrt(max(|w|^2, 0)) gives,
         and the peaks taken again (three passes more).  Since |w| >= 0 and
         rounding is monotone, every metric is at least -max_h k_n|u_h|^2/2,
-        so when the largest peak plus that half-energy is at most -_EXP_FLOOR
-        no metric - peak falls below the floor and the clamp is skipped.  At
-        5-20 deg on the degree-7 rule that holds below 22 dB for 16- and
-        64-QAM and below 24-26 dB for 8-PSK.  Without jitter the clamp
-        always runs: six passes.  Every entry is computed alike whatever the
-        tile, so the bits do not depend on the split."""
+        so when the largest peak plus that half-energy, both over the whole
+        stack, is at most -_EXP_FLOOR no metric - peak falls below the floor
+        and the clamp is skipped; a clamp that runs where a set alone would
+        skip it changes no entry.  At 5-20 deg on the degree-7 rule that
+        holds below 22 dB for 16- and 64-QAM and below 24-26 dB for 8-PSK.
+        Without jitter the clamp always runs: six passes.  Every entry is
+        computed alike whatever the tile or the stack, so the bits depend on
+        neither."""
         start, stop, _ = rows.indices(self._size)
-        count, size = stop - start, self.norm_weights.size
-        x = points[start:stop, None]
-        y, nodes, peak = work.y[:count], work.nodes[:count], work.peak[:count]
+        size = self.noise.shape[-1]
+        x = points[:, start:stop, None]
+        y, nodes, peak, sent, _ = work.views(stop - start)
         if self.rotation is not None:
             np.multiply(x, self.rotation, out=y)
             y += self.noise
-            # |y|^2, with the peak's rows as scratch.
-            np.multiply(y.real, y.real, out=nodes[:, 2])
-            np.add(nodes[:, 2], np.multiply(y.imag, y.imag, out=peak), out=nodes[:, 2])
+            # |y|^2, with the peaks as scratch.
+            squared = nodes[:, :, 2]
+            np.multiply(y.real, y.real, out=squared)
+            np.add(squared, np.multiply(y.imag, y.imag, out=peak), out=squared)
         else:
             np.add(x, self.noise, out=y)
-        nodes[:, 0], nodes[:, 1] = y.real, y.imag
+        nodes[:, :, 0], nodes[:, :, 1] = y.real, y.imag
         metric = np.matmul(self._hyp, nodes, out=table)
         if self.rotation is None:
-            np.maximum.reduce(metric, axis=1, out=peak)
+            np.maximum.reduce(metric, axis=2, out=peak)
             clamp = True
         else:
+            half_u2 = self._half_u2
             with np.errstate(invalid="ignore"):
                 np.sqrt(metric, out=metric)
-            metric -= self._half_u2
-            np.maximum.reduce(metric, axis=1, out=peak)
-            top = peak.max()
+            metric -= half_u2
+            np.maximum.reduce(metric, axis=2, out=peak)
+            top = np.maximum.reduce(peak, axis=None)
             if math.isnan(top):
-                np.copyto(metric, np.subtract(0.0, self._half_u2), where=np.isnan(metric))
-                np.maximum.reduce(metric, axis=1, out=peak)
-                top = peak.max()
+                np.copyto(metric, np.subtract(0.0, half_u2), where=np.isnan(metric))
+                np.maximum.reduce(metric, axis=2, out=peak)
+                top = np.maximum.reduce(peak, axis=None)
             clamp = top + self._half_u2_max > -_EXP_FLOOR
-        # Entry (r, start + r): every (M + 1)-th row of the (r*M, G) view.
-        sent = work.sent[:count]
-        np.copyto(sent, metric.reshape(-1, size)[start :: self._size + 1])
-        metric -= peak[:, None]
+        # Entry (r, start + r) of each set: every (M + 1)-th row of its
+        # (r*M, G) view.
+        np.copyto(sent, metric.reshape(self._slots, -1, size)[:, start :: self._size + 1])
+        metric -= peak[:, :, None]
         if clamp:
             np.maximum(metric, _EXP_FLOOR, out=metric)
         np.exp(metric, out=metric)
-        np.add.reduce(metric, axis=1, out=log_sum)
+        np.add.reduce(metric, axis=2, out=log_sum)
         return np.log(log_sum, out=log_sum), peak, sent
 
-    def _mean_over_tiles(self, tile_losses) -> float:
-        """Weighted mean over nodes and sent rows of the per-row losses
-        `tile_losses(rows, block)` returns for each tile: each thread block
+    def _stack(self, points: np.ndarray) -> np.ndarray:
+        """`points` as an (S, M) stack, one set per channel slot."""
+        stack = points if points.ndim == 2 else points[None]
+        if len(stack) != self._slots:
+            raise ValueError(f"a stack of {len(stack)} sets on {self._slots} channel slots")
+        return stack
+
+    def _rates(self, tile_losses) -> list[float]:
+        """Per slot, m bits less the weighted mean, in bits, over nodes and
+        sent rows of the per-row losses in nats `tile_losses(rows, block)`
+        returns for each tile, one (rows, G) slab per set: each thread block
         runs its tiles in turn on its own work arrays, and each row's
-        weighted sum is taken before the next tile overwrites them."""
+        weighted sum over its channel's nodes, one dot product per row, is
+        taken before the next tile overwrites them."""
+        size, weights = self.noise.shape[-1], self._weights
 
         def run(block: _Block) -> list:
-            weights = self.norm_weights
-            return [row.dot(weights) for rows in block.tiles for row in tile_losses(rows, block)]
+            sums = []
+            for rows in block.tiles:
+                # Sent row by sent row, the sets in slot order, so that set
+                # j's sums are every S-th from the j-th: a (rows x S, G) view
+                # where there is one set, a copy where there are more.
+                losses = tile_losses(rows, block).swapaxes(0, 1).reshape(-1, size)
+                sums += map(np.ndarray.dot, losses, itertools.cycle(weights))
+            return sums
 
-        rows = _map_blocks(run, self._blocks, len(self._blocks))
-        return math.fsum(itertools.chain.from_iterable(rows)) / self._size
+        blocks = _map_blocks(run, self._blocks, len(self._blocks))
+        sums, n, slots = list(itertools.chain.from_iterable(blocks)), self._size, self._slots
+        return [(n.bit_length() - 1) - math.fsum(sums[j::slots]) / n / _LN2 for j in range(slots)]
 
-    def ami_bits(self, points: np.ndarray) -> float:
-        points = self._bind(points)
-        n = points.size
+    def ami_bits(self, points: np.ndarray):
+        """Symbol-wise rate of each set of an (S, M) stack, as a list, or of
+        one set on a one-slot evaluator."""
+        stack = self._stack(points)
+        canonical, n = self._bind(stack), stack.shape[1]
 
         def tile_losses(rows: slice, block: _Block) -> np.ndarray:
-            table, log_sum = block.table_of(rows, n), block.log_sum[: rows.stop - rows.start]
-            log_sum, peak, sent = self._table_pass(points, rows, table, log_sum, block)
+            table, log_sum = block.table_of(rows, n), block.views(rows.stop - rows.start)[-1]
+            log_sum, peak, sent = self._table_pass(canonical, rows, table, log_sum, block)
             np.add(peak, log_sum, out=peak)
             return np.subtract(peak, sent, out=peak)
 
-        return (n.bit_length() - 1) - self._mean_over_tiles(tile_losses) / _LN2
+        bits = self._rates(tile_losses)
+        return bits if points.ndim == 2 else bits[0]
 
     def _bit_losses(self, rows: slice, exp_table, log_sum, sums) -> np.ndarray:
         """Per sent row of `rows` and label bit, the information PAMI loses:
         log_sum minus the log of the table summed over the hypotheses whose
         bit matches the sent label's, made in `sums`."""
-        np.matmul(self._matched[rows], exp_table[rows], out=sums)
+        np.matmul(self._matched[:, rows], exp_table[:, rows], out=sums)
         np.log(sums, out=sums)
-        return np.subtract(log_sum[rows, None], sums, out=sums)
+        return np.subtract(log_sum[:, rows, None], sums, out=sums)
 
-    def pami_bits(self, points: np.ndarray, labels: np.ndarray) -> float:
-        """Bitwise rate.  The table does not depend on the labels, and the
-        evaluator keeps one: the points, exp(metric - peak) and its log-sum
-        over the hypotheses of the last set scored.  A call whose `points`
-        equal the kept ones reuses it; any other call refills it, one tile
-        at a time.  When the labels change, an (M, m, M) indicator is built
-        whose entry [j, i, h] marks the hypotheses h whose bit i matches
-        that of the label of point j; one (m x M) @ (M x G) product per
-        sent row then gives its m matched subset sums."""
-        canonical, n = self._bind(points), points.size
-        kept = self._pami is not None and np.array_equal(self._pami[0], points)
+    def pami_bits(self, points: np.ndarray, labels: np.ndarray):
+        """Bitwise rate of one set on a one-slot evaluator: of 1-D points and
+        labels, or, as a list of one, of a (1, M) stack and (1, M) labels.
+
+        The table does not depend on the labels, and the evaluator keeps
+        one: the points, exp(metric - peak) and its log-sum over the
+        hypotheses of the last set scored.  A call whose points equal the
+        kept ones reuses it; any other call refills it, one tile at a time.
+        When the labels change, an (M, m, M) indicator is built whose entry
+        [j, i, h] marks the hypotheses h whose bit i matches that of the
+        label of point j; one (m x M) @ (M x G) product per sent row then
+        gives its m matched subset sums."""
+        if self._slots != 1:
+            raise ValueError(f"PAMI scores one set, not a stack on {self._slots} channel slots")
+        stack, labels = self._stack(points), labels.reshape(-1)
+        n = stack.shape[1]
+        if n != self._size:
+            self._reserve(n)
+        fresh = self._pami is None or not (self._pami[0] == stack[0]).all()
         if self._pami is None:
-            size = self.norm_weights.size
-            self._pami = (np.empty(n, complex), np.empty((n, n, size)), np.empty((n, size)))
+            size = self.noise.shape[-1]
+            self._pami = (np.empty(n, complex), np.empty((1, n, n, size)), np.empty((1, n, size)))
         kept_points, exp_table, log_sum = self._pami
-        if not kept:
+        if fresh:
             kept_points[:] = np.nan  # matches no set until the pass below completes
-        if self._labels is None or not np.array_equal(self._labels, labels):
+            canonical = self._bind(stack)
+        if self._labels is None or not (self._labels == labels).all():
             bits = _label_bits(labels)[0]
-            self._labels, self._matched = labels.copy(), (bits.T == bits[:, :, None]) * 1.0
-        m = self._matched.shape[1]
+            self._labels, self._matched = labels.copy(), (bits.T == bits[:, :, None])[None] * 1.0
+        m = self._matched.shape[2]
 
         def tile_losses(rows: slice, block: _Block) -> np.ndarray:
-            if not kept:
-                self._table_pass(canonical, rows, exp_table[rows], log_sum[rows], block)
+            if fresh:
+                self._table_pass(canonical, rows, exp_table[:, rows], log_sum[:, rows], block)
             losses = self._bit_losses(rows, exp_table, log_sum, block.table_of(rows, m))
-            return np.add.reduce(losses, axis=1, out=block.log_sum[: rows.stop - rows.start])
+            return np.add.reduce(losses, axis=2, out=block.views(rows.stop - rows.start)[-1])
 
-        mean = self._mean_over_tiles(tile_losses)
-        kept_points[:] = points
-        return (n.bit_length() - 1) - mean / _LN2
+        bits = self._rates(tile_losses)
+        if fresh:
+            kept_points[:] = stack[0]
+        return bits if points.ndim == 2 else bits[0]
 
 
 def _wrap_result(
@@ -553,13 +660,16 @@ def _quadrature(
     params: ChannelParams,
     grid: QuadratureGrid,
     objective: str,
+    evaluator: QuadEvaluator | None = None,
 ) -> CapacityResult:
-    """The chosen objective by quadrature: the one place that dispatches it."""
+    """The chosen objective by quadrature: the one place that dispatches
+    it.  `evaluator`, bound to `params` on `grid`, is used where given, so a
+    caller scoring many sets on one channel builds it once."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     _require_normalized(c)
     _warn_wide_phase(params, 4)
-    ev = QuadEvaluator(params, grid)
+    ev = QuadEvaluator(params, grid) if evaluator is None else evaluator
     if objective == AMI:
         bits = ev.ami_bits(c.points)
     else:

@@ -2,7 +2,9 @@
 
 Angles are degrees and signal-to-noise ratios are dB at this boundary;
 conversion to concentrations happens in one place.  Exit codes: 0 success,
-1 validation failure, 2 unreadable or malformed file, 3 invalid parameters.
+1 validation failure, 2 unreadable or malformed file, 3 invalid parameters,
+those the argument parser rejects included; each error prints one
+`error:` line on stderr.
 All randomness is seeded, so identical invocations write identical bytes.
 The PHASECON_THREADS environment variable sets the thread count of every
 evaluation, the annealing of `optimize` and `campaign` included (default
@@ -38,6 +40,15 @@ CAMPAIGN_MANIFEST = "manifest.json"
 CAMPAIGN_SCHEMA = "phasecon-campaign-v1"
 
 _SA_DEFAULTS = SAConfig()
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports an argument it rejects by raising
+    ValueError, which `main` turns into one `error:` line and exit code 3,
+    as it does every invalid parameter, instead of a usage dump and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _positive_int(text: str) -> int:
@@ -86,7 +97,7 @@ def _add_sa_args(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasecon",
         description="Design and evaluate constellations for AWGN channels with phase jitter.",
     )
@@ -342,9 +353,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return _DISPATCH[ns.command](ns)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,8 +52,9 @@ def spy_pools(monkeypatch):
 
 
 def spy_bit_losses(monkeypatch):
-    """The (M, m, G) per-bit losses of the last PAMI evaluation, assembled
-    from every tile, from now on: call the returned function after it."""
+    """The (M, m, G) per-bit losses of the last PAMI evaluation of one set,
+    assembled from every tile, from now on: call the returned function
+    after it."""
     from phasecon.capacity import QuadEvaluator
 
     tiles, real = {}, QuadEvaluator._bit_losses
@@ -67,7 +68,7 @@ def spy_bit_losses(monkeypatch):
 
     def last():
         rows = [tiles.pop(start) for start in sorted(tiles)]
-        return np.concatenate(rows)
+        return np.concatenate(rows, axis=1)[0]
 
     return last
 

@@ -205,44 +205,47 @@ def masked_scores(vals, sent, m: int, labels=None):
 def clamped_table_pass(ev, points, rows, table, log_sum):
     """`QuadEvaluator._table_pass` with both clamps always on: the expanded
     |w|^2 floored at 0 before its sqrt, and metric - peak floored at
-    _EXP_FLOOR before its exp.  `points` are bound by `ev._bind`, whose
-    hypothesis matrix and half-energy grid it reads; like the kernel, it
-    writes the exp table of `rows` to `table` and its log-sum to `log_sum`,
-    one row each per sent row, and returns (log_sum, peak, sent)."""
-    x = points[rows, None]
-    shape = (x.shape[0], ev._hyp.shape[1], ev.noise.size)
+    _EXP_FLOOR before its exp.  `points` is a (J, M) stack of one-channel
+    sets bound by `ev._bind`, whose hypothesis matrices and half-energy grids
+    it reads; like the kernel, it writes the exp table of `rows` to `table`
+    and its log-sum to `log_sum`, one (M, G) slab and one (G,) row each per
+    set and sent row, and returns (log_sum, peak, sent)."""
+    sets = points.shape[0]
+    x = points[:, rows, None]
+    shape = (sets, x.shape[1], ev._hyp.shape[-1], ev.noise.size)
     nodes = np.ones(shape)
     if ev.rotation is not None:
         y = x * ev.rotation
         y += ev.noise
-        nodes[:, 2] = np.add(y.real * y.real, y.imag * y.imag)
+        nodes[:, :, 2] = np.add(y.real * y.real, y.imag * y.imag)
     else:
         y = x + ev.noise
-    nodes[:, 0], nodes[:, 1] = y.real, y.imag
-    metric = np.matmul(ev._hyp, nodes, out=table)
+    nodes[:, :, 0], nodes[:, :, 1] = y.real, y.imag
+    metric = np.matmul(ev._hyp[:sets], nodes, out=table)
     if ev.rotation is not None:
         np.maximum(metric, 0.0, out=metric)
         np.sqrt(metric, out=metric)
-        metric -= ev._half_u2
-    index = np.arange(points.size)[rows]
-    sent = metric[np.arange(index.size), index].copy()
-    peak = np.maximum.reduce(metric, axis=1)
-    metric -= peak[:, None]
+        metric -= ev._half_u2[:sets]
+    index = np.arange(points.shape[1])[rows]
+    sent = metric[:, np.arange(index.size), index].copy()
+    peak = np.maximum.reduce(metric, axis=2)
+    metric -= peak[:, :, None]
     np.maximum(metric, _EXP_FLOOR, out=metric)
     np.exp(metric, out=metric)
-    out = np.add.reduce(metric, axis=1, out=log_sum)
+    out = np.add.reduce(metric, axis=2, out=log_sum)
     return np.log(out, out=out), peak, sent
 
 
 def subset_product_pami_bits(ev, points, labels):
-    """PAMI of `points` and `labels` on the evaluator's channel and grid
-    from the clamp-always table and all 2m bit-subset sums of one (2m x M)
-    indicator product.  Returns the rate and the (M, m, G) per-bit losses,
-    log_sum - log(matched subset sum), of each sent row and node."""
-    points = ev._bind(points)
+    """PAMI of `points` and `labels` on the one-channel evaluator's channel
+    and grid from the clamp-always table and all 2m bit-subset sums of one
+    (2m x M) indicator product.  Returns the rate and the (M, m, G) per-bit
+    losses, log_sum - log(matched subset sum), of each sent row and node."""
+    points = ev._bind(points[None])[0]
     n, size = points.size, ev.norm_weights.size
-    table, log_sum = np.empty((n, n, size)), np.empty((n, size))
-    clamped_table_pass(ev, points, slice(None), table, log_sum)
+    table, log_sum = np.empty((1, n, n, size)), np.empty((1, n, size))
+    clamped_table_pass(ev, points[None], slice(None), table, log_sum)
+    table, log_sum = table[0], log_sum[0]
     m = n.bit_length() - 1
     bits = (labels[:, None] >> np.arange(m)) & 1 == 1
     indicator = np.concatenate([~bits.T, bits.T]) * 1.0
@@ -251,5 +254,5 @@ def subset_product_pami_bits(ev, points, labels):
     np.log(matched, out=matched)
     np.subtract(log_sum[:, None, :], matched, out=matched)
     rows = np.add.reduce(matched, axis=1)
-    mean = math.fsum(map(np.ndarray.dot, rows, itertools.repeat(ev.norm_weights))) / n
+    mean = math.fsum(map(np.ndarray.dot, rows, itertools.repeat(ev.norm_weights[0, 0]))) / n
     return m - mean / math.log(2.0), matched

@@ -1,5 +1,6 @@
 """Tests for sweeps, campaigns, mismatch tables, and the SNR gap."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from phasecon import (
     SAConfig,
+    capacity,
     ami_quadrature,
     campaign_cell_seed,
     campaign_cells,
@@ -21,7 +23,7 @@ from phasecon import (
 )
 from phasecon.capacity import QuadEvaluator
 from phasecon.model import ChannelParams
-from conftest import channel
+from conftest import channel, set_threads
 
 
 def tiny_config(**over):
@@ -128,6 +130,88 @@ def test_campaign_covers_the_grid(grid7):
         assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def _evaluator_slots(monkeypatch):
+    """The channel slot count of every evaluator built from now on."""
+    slots, real = [], QuadEvaluator.__init__
+
+    def spy(ev, params, grid):
+        slots.append(1 if isinstance(params, ChannelParams) else len(params))
+        real(ev, params, grid)
+
+    monkeypatch.setattr(QuadEvaluator, "__init__", spy)
+    return slots
+
+
+def assert_cells_equal_direct_runs(size, snrs, pnsds, objective, grid, cfg):
+    """Every campaign cell, in grid order, equals `sa_optimize` with its
+    seed: points, labels and every trace column."""
+    cells = list(campaign_cells(size, snrs, pnsds, objective, grid, cfg))
+    assert [(snr, pnsd) for snr, pnsd, *_ in cells] == [(s, p) for s in snrs for p in pnsds]
+    columns = ("step", "temperature", "current_bits", "best_bits", "accepted", "move_type")
+    for snr, pnsd, seed, best, trace in cells:
+        cell_cfg = replace(cfg, seed=seed)
+        direct, want = sa_optimize(size, channel(snr, pnsd), objective, grid, cell_cfg)
+        assert np.array_equal(best.points, direct.points), (snr, pnsd)
+        assert np.array_equal(best.labels, direct.labels), (snr, pnsd)
+        for column in columns:
+            assert np.array_equal(getattr(trace, column), getattr(want, column)), (snr, column)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "objective, extra, slots_built",
+    [
+        # Two 3-slot evaluators for the campaign, then one per direct run.
+        ("AMI", {}, [3, 3] + [1] * 6),
+        # Two one-slot evaluators (held and spare) per cell and direct run.
+        ("PAMI", {"label_swap_prob": 0.3, "t_final": 0.01}, [1] * 24),
+    ],
+    ids=["AMI", "PAMI-swap-heavy"],
+)
+def test_lockstep_campaign_equals_direct_runs(
+    objective, extra, slots_built, threads, grid7, monkeypatch
+):
+    """8-point AMI cells at 0 and 20 deg anneal as two groups of three
+    lockstep chains, one per jitter class, and PAMI cells one at a time; each
+    cell equals its direct run, also when the rows of each stacked table are
+    split over two threads."""
+    set_threads(monkeypatch, threads)
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    cfg = SAConfig(iterations=300, seed=4, reanneal_count=2, **extra)
+    slots = _evaluator_slots(monkeypatch)
+    assert_cells_equal_direct_runs(8, [6.0, 9.0, 12.0], [0.0, 20.0], objective, grid7, cfg)
+    assert slots == slots_built
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("objective, per_run", [("AMI", 1), ("PAMI", 2)])
+def test_large_sets_anneal_one_chain_per_group(objective, per_run, threads, grid7, monkeypatch):
+    """32-point tables on 343 nodes exceed a tile, so each cell is a group of
+    its own, with one-slot evaluators as a direct run builds; the cells
+    still equal their direct runs."""
+    set_threads(monkeypatch, threads)
+    cfg = SAConfig(iterations=40, seed=2, reanneal_count=1)
+    slots = _evaluator_slots(monkeypatch)
+    assert_cells_equal_direct_runs(32, [14.0], [5.0, 10.0], objective, grid7, cfg)
+    assert slots == [1] * 4 * per_run
+
+
+def test_a_64_point_campaign_holds_one_chains_tables_at_a_time(grid7):
+    """A PAMI chain keeps two full 64 x 64 x 343 tables (its current state's
+    and its candidate's); a 2-cell campaign anneals its cells one after the
+    other, so it never holds the two chains' four tables at once."""
+    table_bytes = 64 * 64 * grid7.degree**3 * 8
+    cfg = SAConfig(iterations=3, seed=1, reanneal_count=0)
+    tracemalloc.start()
+    try:
+        for *_, best, _ in campaign_cells(64, [14.0], [5.0, 10.0], "PAMI", grid7, cfg):
+            assert best.size == 64
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * table_bytes < peak < 3 * table_bytes, peak / table_bytes
+
+
 def test_campaign_validates_axes(grid7):
     with pytest.raises(ValueError):
         campaign_designs(4, [], [0.0], "AMI", grid7, tiny_config())
@@ -154,8 +238,11 @@ def test_mismatch_diagonal_loss_is_zero(two_designs, grid7):
         assert report.loss[d, e] == 0.0
 
 
-def test_mismatch_bits_match_direct_evaluation(two_designs, grid7):
+def test_mismatch_bits_match_direct_evaluation(two_designs, grid7, monkeypatch):
+    # One evaluator per evaluation channel scores every design.
+    slots = _evaluator_slots(monkeypatch)
     report = mismatch_matrix(two_designs, [10.0], [0.0, 20.0], grid7)
+    assert slots == [1, 1]
     for d, dcell in enumerate(report.design_cells):
         for e, (snr, pnsd) in enumerate(report.eval_cells):
             want = ami_quadrature(two_designs[dcell], channel(snr, pnsd), grid7).bits

@@ -85,8 +85,10 @@ def _point_moves(grid, monkeypatch):
     step's (state before the step, candidate scored at the step)."""
     scored = []
     original = QuadEvaluator.ami_bits
+    # sa_optimize scores each candidate as a stack of one set.
     monkeypatch.setattr(
-        QuadEvaluator, "ami_bits", lambda ev, pts: scored.append(pts.copy()) or original(ev, pts)
+        QuadEvaluator, "ami_bits",
+        lambda ev, pts: scored.append(pts[0].copy()) or original(ev, pts),
     )
     cfg = small_config(iterations=200, reanneal_count=0)
     _, trace = sa_optimize(8, channel(10.0, 10.0), "AMI", grid, cfg)

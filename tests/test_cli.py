@@ -38,6 +38,7 @@ def no_evaluation(monkeypatch):
         raise AssertionError("a rate was evaluated before the bad value was seen")
 
     monkeypatch.setattr(analysis, "_quadrature", refuse)
+    monkeypatch.setattr(analysis, "QuadEvaluator", refuse)
 
 
 # --- parser ----------------------------------------------------------------
@@ -57,6 +58,31 @@ def test_subcommand_help_lists_defaults(capsys):
     assert "default: 7" in text
     assert "default: 40000" in text
     assert "default: 0.05" in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "{psk8}", "--snr-db", "12", "--quad-degree", "0"],
+         "argument --quad-degree: expected a positive integer, got 0"),
+        (["optimize", "--m-points", "4", "--snr-db", "12", "--iterations", "0",
+          "--output", "{out}"], "argument --iterations: expected a positive integer, got 0"),
+        (["campaign", "--m-points", "0", "--snr-list", "6", "--pnsd-list", "0",
+          "--out-dir", "{out}"], "argument --m-points: expected a positive integer, got 0"),
+        (["campaign", "--m-points", "4", "--snr-list", "1,x", "--pnsd-list", "0",
+          "--out-dir", "{out}"],
+         "argument --snr-list: expected comma-separated floats, got '1,x'"),
+    ],
+    ids=["quad-degree", "iterations", "m-points", "snr-list"],
+)
+def test_a_rejected_argument_is_a_parameter_error(argv, message, psk8_file, tmp_path, capsys):
+    """Arguments the parser rejects exit 3 with one `error:` line, like every
+    other invalid parameter, not with a usage dump."""
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *(a.format(psk8=psk8_file, out=out) for a in argv))
+    assert code == 3
+    assert stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
 
 
 # --- evaluate --------------------------------------------------------------

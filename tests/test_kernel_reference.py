@@ -66,9 +66,9 @@ def _metric_rows(ev, points, rows):
     params = ev.params
     sent = points[rows][:, None]
     if ev.rotation is not None:
-        y = sent * ev.rotation[None, :] + ev.noise[None, :]
+        y = sent * ev.rotation[0] + ev.noise[0]
     else:
-        y = sent + ev.noise[None, :]
+        y = sent + ev.noise[0]
     z = np.conj(y)[:, :, None] * points[None, None, :]
     if params.has_phase_noise:
         w_re = params.k_phi + params.k_n * z.real
@@ -87,7 +87,7 @@ def _ami_row_means(ev, points, rows):
     lse = peak + np.log(exp_shift.sum(axis=-1))
     sent = metric[np.arange(rows.size), :, rows]
     integrand = lse - sent
-    return [float(np.dot(integrand[r], ev.norm_weights)) for r in range(rows.size)]
+    return [float(np.dot(integrand[r], ev.norm_weights[0, 0])) for r in range(rows.size)]
 
 
 def _pami_row_means(ev, points, labels, rows):
@@ -104,7 +104,7 @@ def _pami_row_means(ev, points, labels, rows):
         sub_peak = sub.max(axis=-1)
         sub_sum = np.exp(sub - sub_peak[:, :, None]).sum(axis=-1)
         total += lse - (sub_peak + np.log(sub_sum))
-    return [float(np.dot(total[r], ev.norm_weights)) for r in range(rows.size)]
+    return [float(np.dot(total[r], ev.norm_weights[0, 0])) for r in range(rows.size)]
 
 
 def _bits(points, partials):
@@ -284,8 +284,9 @@ def test_information_matches_the_masked_reference_on_hand_built_columns():
 
 
 def _block(ev, rows):
-    """Work arrays for a table pass of `ev` over up to `rows` sent rows."""
-    return capacity._Block(slice(0, rows), rows, ev._hyp.shape[1], ev.noise.size)
+    """Work arrays for a table pass of `ev` over one set and up to `rows`
+    sent rows."""
+    return capacity._Block(slice(0, rows), rows, ev._hyp.shape[-1], ev.noise.size, 1)
 
 
 @pytest.mark.parametrize("pnsd", (0.0, 20.0))
@@ -294,15 +295,15 @@ def test_table_pass_sent_metric_is_the_scalar_decision_metric(kind, size, pnsd):
     c = reference_constellation(kind, size)
     params = channel(12.0, pnsd)
     ev = QuadEvaluator(params, GRID7)
-    points = ev._bind(c.points)
-    table, log_sum = np.empty((size, size, ev.noise.size)), np.empty((size, ev.noise.size))
-    sent = ev._table_pass(points, slice(None), table, log_sum, _block(ev, size))[2]
-    ctx = MetricContext.for_points(points, params)
+    points = ev._bind(c.points[None])
+    table, log_sum = np.empty((1, size, size, ev.noise.size)), np.empty((1, size, ev.noise.size))
+    sent = ev._table_pass(points, slice(None), table, log_sum, _block(ev, size))[2][0]
+    ctx = MetricContext.for_points(points[0], params)
     scalar = decision_metric if params.has_phase_noise else awgn_metric
-    rotation = ev.rotation if ev.rotation is not None else np.ones(ev.noise.size)
+    rotation = ev.rotation[0, 0] if ev.rotation is not None else np.ones(ev.noise.size)
     want = np.array([
-        [scalar(complex(x * r + n), complex(x), ctx) for r, n in zip(rotation, ev.noise)]
-        for x in points
+        [scalar(complex(x * r + n), complex(x), ctx) for r, n in zip(rotation, ev.noise[0, 0])]
+        for x in points[0]
     ])
     np.testing.assert_allclose(sent, want, rtol=1e-9, atol=0.0)
 
@@ -312,19 +313,19 @@ def test_table_pass_is_finite_where_w_vanishes():
     the pass must clip it rather than take the sqrt of a negative number."""
     params = channel(6.0, 5.0)
     ev = QuadEvaluator(params, QuadratureGrid.of_degree(1))
-    points = ev._bind(reference_constellation("psk", 8).points)
+    points = ev._bind(reference_constellation("psk", 8).points[None])
     # One node where every sent row receives y = -(k_phi/k_n) / conj(u_0).
     ev.rotation = np.zeros(1, dtype=complex)
-    ev.noise = np.array([-(params.k_phi / params.k_n) * points[0] / abs(points[0]) ** 2])
+    ev.noise = np.array([-(params.k_phi / params.k_n) * points[0, 0] / abs(points[0, 0]) ** 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         log_sum, peak, sent = ev._table_pass(
-            points, slice(None), np.empty((8, 8, 1)), np.empty((8, 1)), _block(ev, 8)
+            points, slice(None), np.empty((1, 8, 8, 1)), np.empty((1, 8, 1)), _block(ev, 8)
         )
     assert np.all(np.isfinite(log_sum)) and np.all(np.isfinite(peak))
     assert np.all(np.isfinite(sent))
     # |w| is 0 up to the rounding of the expanded sum, of size eps*k_phi^2.
-    assert abs(sent[0, 0] + 0.5 * params.k_n * abs(points[0]) ** 2) < 1e-4
+    assert abs(sent[0, 0, 0] + 0.5 * params.k_n * abs(points[0, 0]) ** 2) < 1e-4
 
 
 def test_pami_table_holds_no_subnormals_at_high_snr():
@@ -343,19 +344,19 @@ def _plant_vanishing_w(ev, params, points, node):
     """Make grid node `node` receive y = -(k_phi/k_n) / conj(u_0) for every
     sent row, where w = k_phi + k_n*conj(y)*u_0 is 0."""
     ev.rotation, ev.noise = ev.rotation.copy(), ev.noise.copy()
-    ev.rotation[node] = 0.0
-    ev.noise[node] = -(params.k_phi / params.k_n) * points[0] / abs(points[0]) ** 2
+    ev.rotation[..., node] = 0.0
+    ev.noise[..., node] = -(params.k_phi / params.k_n) * points[0, 0] / abs(points[0, 0]) ** 2
 
 
 def _pass_pair(ev, points, rows=slice(None)):
     """(exp table, log-sum, peak, sent metric) of `rows` from the kernel's
     pass and from the clamp-always reference, each on its own buffers."""
-    n, size = points.size, ev.noise.size
+    n, size = points.shape[1], ev.noise.size
     kernel = functools.partial(ev._table_pass, work=_block(ev, n))
     out = []
     for table_pass in (kernel, functools.partial(clamped_table_pass, ev)):
-        table = np.empty((n, n, size))[rows]
-        out.append((table, *table_pass(points, rows, table, np.empty((n, size))[rows])))
+        table = np.empty((1, n, n, size))[:, rows]
+        out.append((table, *table_pass(points, rows, table, np.empty((1, n, size))[:, rows])))
     return out
 
 
@@ -364,11 +365,11 @@ def test_table_pass_nan_fallback_equals_the_clamped_pass():
     pass sets those entries to what the clamped sqrt gives, and only those."""
     params = channel(6.0, 5.0)
     ev = QuadEvaluator(params, GRID7)
-    points = ev._bind(reference_constellation("psk", 8).points)
+    points = ev._bind(reference_constellation("psk", 8).points[None])
     _plant_vanishing_w(ev, params, points, node=100)
-    y = points[:, None] * ev.rotation + ev.noise
+    y = points[0, :, None] * ev.rotation[0, 0] + ev.noise[0, 0]
     columns = np.stack([y.real, y.imag, np.abs(y) ** 2, np.ones_like(y.real)], axis=1)
-    squared = ev._hyp @ columns
+    squared = ev._hyp[0, 0] @ columns
     # The fallback is reached: hypothesis 0 rounds below 0 on the planted node.
     assert squared[:, 0, 100].min() < 0.0
     with warnings.catch_warnings():
@@ -421,7 +422,7 @@ def test_floor_clamp_runs_only_where_it_can_act(kind, size, snr, pnsd, clamps, m
     spy = _FloorSpy()
     monkeypatch.setattr(capacity, "np", spy)
     ev = QuadEvaluator(channel(snr, pnsd), GRID7)
-    points = ev._bind(reference_constellation(kind, size).points)
+    points = ev._bind(reference_constellation(kind, size).points[None])
     got, want = _pass_pair(ev, points)
     assert spy.clamps == int(clamps)
     for a, b in zip(got, want):

@@ -26,6 +26,11 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   best when a re-heat starts from the best): their label swaps reuse the
   current state's table, and a re-heat can leave none to reuse; design
   fingerprint, best rate and the sha256 of the trace CSV;
+- library campaigns (`campaign_cells`) on 1 and 2 threads, each cell's
+  design fingerprint, best rate and trace sha256: 8-point AMI and
+  swap-heavy PAMI on 6, 9 and 12 dB x 0 and 20 deg, whose AMI cells anneal
+  as lockstep groups of three, one per jitter class, and PAMI cells one at
+  a time, and 32-point PAMI at 14 dB, 5 and 10 deg;
 - with --acceptance, the verdict lines of the tests/test_acceptance.py
   beside each `src` tree, so each tree runs its own criteria against its
   own API (about two minutes a side).
@@ -145,6 +150,27 @@ for size, objective, snr, pnsd, seed, iterations, threads, extra in runs:
           repr(float(trace.best_bits[-1])), digest)
 """
 
+CAMPAIGNS = """
+import hashlib
+import os
+import phasecon as pc
+
+grid = pc.QuadratureGrid.of_degree(7)
+swap_heavy = {"label_swap_prob": 0.3, "t_final": 0.01}
+grids = [(8, "AMI", (6.0, 9.0, 12.0), (0.0, 20.0), 300, {}),
+         (8, "PAMI", (6.0, 9.0, 12.0), (0.0, 20.0), 300, swap_heavy),
+         (32, "PAMI", (14.0,), (5.0, 10.0), 40, {})]
+for threads in (1, 2):
+    os.environ["PHASECON_THREADS"] = str(threads)
+    for size, objective, snrs, pnsds, iterations, extra in grids:
+        cfg = pc.SAConfig(iterations=iterations, seed=4, **extra)
+        for snr, pnsd, seed, best, trace in pc.campaign_cells(size, snrs, pnsds, objective,
+                                                              grid, cfg):
+            digest = hashlib.sha256(trace.to_csv().encode("ascii")).hexdigest()
+            print(threads, size, objective, snr, pnsd, seed, best.fingerprint(),
+                  repr(float(trace.best_bits[-1])), digest)
+"""
+
 
 def run(cmd, cwd: Path, src: Path, name: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -162,6 +188,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", QUAD_GRID], out, src, "quad_grid")
     run([py, "-c", MC_GRID], out, src, "mc_grid")
     run([py, "-c", GOLDEN], out, src, "golden")
+    run([py, "-c", CAMPAIGNS], out, src, "campaigns")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(src.parent / "tests" / "test_acceptance.py")], out, src, "acceptance_log")
