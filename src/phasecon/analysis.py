@@ -211,8 +211,9 @@ def mismatch_matrix(
     """Cross-evaluate every design on every (snr, pnsd) evaluation cell.
 
     Every cell's channel is built, and so checked, before the first
-    evaluation.  Each evaluation channel builds one evaluator, which scores
-    every design in turn on the work arrays it keeps."""
+    evaluation.  Each evaluation channel builds one evaluator per design
+    size, which scores every design of that size in turn on the work arrays
+    it keeps; a campaign's designs share one size."""
     if not designs:
         raise ValueError("designs must not be empty")
     snrs = np.asarray(eval_snr_db_list, dtype=np.float64)
@@ -223,10 +224,12 @@ def mismatch_matrix(
     eval_cells = [(float(s), float(p)) for s in snrs for p in pnsds]
     channels = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd in eval_cells]
     bits = np.empty((len(design_cells), len(eval_cells)))
+    sizes = sorted({c.size for c in designs.values()})
     for e, params in enumerate(channels):
-        ev = QuadEvaluator(params, grid)
+        evaluators = {n: QuadEvaluator((params,), grid, n) for n in sizes}
         for d, cell in enumerate(design_cells):
-            bits[d, e] = _quadrature(designs[cell], params, grid, AMI, ev).bits
+            c = designs[cell]
+            bits[d, e] = _quadrature(c, params, grid, AMI, evaluators[c.size]).bits
     loss = np.empty_like(bits)
     for e, cell in enumerate(eval_cells):
         if cell in designs:

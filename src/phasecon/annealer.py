@@ -8,10 +8,12 @@ trajectory.  The best constellation ever visited is returned, and the
 schedule can be restarted from it a configurable number of times.
 
 One loop anneals any number of AMI chains in lockstep, one per channel
-(`_anneal_chains`).  At each step every chain draws its move from its own
-generator, then one stacked quadrature evaluation (`QuadEvaluator`) scores
-all the chains' candidates, each on its own channel, and every chain
-accepts or rejects its own.  A chain's draws and rates are those of a lone
+(`_anneal_chains`).  It builds its quadrature evaluator (`QuadEvaluator`)
+once, for the design size and the chains' channels, and the candidates
+are (chains, size) stacks of its shape.  At each step every chain draws
+its move from its own generator, then one stacked evaluation scores all
+the chains' candidates, each on its own channel, and every chain accepts
+or rejects its own.  A chain's draws and rates are those of a lone
 run, so each chain ends bit for bit where `sa_optimize`, the case of one
 chain, ends with its seed.  `analysis.campaign_cells` runs the AMI cells of
 a campaign as such chains; PAMI anneals one chain at a time.
@@ -213,9 +215,9 @@ def _anneal_chains(size, channels, objective, grid, config, seeds, initial=None)
     # whose last points are the current state's, and point moves on
     # `spare`; the two trade places when a point move is accepted.  AMI
     # makes no swaps, and one evaluator scores every chain's candidate.
-    held = QuadEvaluator(channels, grid)
+    held = QuadEvaluator(channels, grid, size)
     if objective == PAMI:
-        spare = QuadEvaluator(channels, grid)
+        spare = QuadEvaluator(channels, grid, size)
         score = lambda ev, p, l: ev.pami_bits(p, l)  # noqa: E731
         swap_prob = config.label_swap_prob
     else:

@@ -25,7 +25,6 @@ with one (2m x M) indicator product and keeps m of them (`_information`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import warnings
@@ -360,43 +359,42 @@ class _Block:
 
 
 class QuadEvaluator:
-    """Reusable quadrature machinery bound to channels on one grid.
+    """Reusable quadrature machinery for sets of `size` points on a sequence
+    of channels, one slot each, all with jitter or all without, so that
+    they share the grid's G nodes.
 
-    `channels` is a sequence of ChannelParams, one slot each, all with
-    jitter or all without, so that they share the grid's G nodes; one
-    ChannelParams is one slot.  `noise`, `rotation` (None without jitter)
-    and `norm_weights` hold a (1, G) row per slot, shaped to broadcast over
-    a stack's sent rows.  `ami_bits` scores an (S, M) stack of sets, set j
-    on slot j, in one table pass per tile; every entry, hypothesis-ordered
-    sum and per-row weighted sum of a set is computed as when it is scored
-    alone, so each set's rate is the same to the bit.  `pami_bits` scores
-    one set, on a one-slot evaluator.  Both return a list of rates for a
-    stack, and one rate for one set of M points given as a 1-D array.
+    `noise` and `rotation` (None without jitter) hold a (1, G) row per slot,
+    shaped to broadcast over a stack's sent rows.  `ami_bits` scores an
+    (S, size) stack, set j on slot j, in one table pass per tile, and
+    returns S rates; every entry, hypothesis-ordered sum and per-row
+    weighted sum of a set is computed as when it is scored alone, so each
+    set's rate is the same to the bit.  `pami_bits` scores a (1, size)
+    stack on a one-slot evaluator and returns one rate in a list.  A stack
+    of any other shape raises ValueError.
 
-    The per-candidate entry points take raw point/label arrays so an
-    optimizer can call them in a hot loop.  The evaluator owns its work
-    arrays: `_bind` allocates them on the first call for a given number of
-    points (`_reserve`), and every later call reuses them, so one evaluator
-    must not score two stacks at once.  Per set: the hypothesis matrix and
-    the (M, G) half-energy grid.  Per thread block, each sized for one tile
-    of at most _TILE_ENTRIES table entries over the whole stack: the node
-    columns, received samples, peaks, sent metrics, log-sums, and one
-    buffer, allocated at its first use, that holds AMI's table tile or
-    PAMI's matched subset sums.  PAMI keeps one full table of its own, the
-    last set's, so that a label swap reuses it (`pami_bits`).  The thread
-    count is read from PHASECON_THREADS once, when the evaluator is built.
+    The entry points take raw point/label arrays so an optimizer can call
+    them in a hot loop.  The evaluator allocates its work arrays when it is
+    built and every call reuses them, so one evaluator must not score two
+    stacks at once.  Per set: the hypothesis matrix and the (size, G)
+    half-energy grid.  Per thread block, at most one per thread, each of
+    _MIN_BLOCK_ENTRIES table entries or more and two sent rows or more, and
+    each sized for one tile of at most _TILE_ENTRIES table entries over the
+    whole stack (`_Block`): the node columns, received samples, peaks, sent
+    metrics, log-sums, and one buffer, allocated at its first use, that
+    holds AMI's table tile or PAMI's matched subset sums.  PAMI keeps one
+    full table of its own, allocated at its first call, so that a label
+    swap reuses it (`pami_bits`).  The thread count is read from
+    PHASECON_THREADS once, when the evaluator is built.
     """
 
-    def __init__(self, channels, grid: QuadratureGrid):
-        self._threads = _resolve_threads()
-        self.params = channels
-        if isinstance(channels, ChannelParams):
-            channels = (channels,)
+    def __init__(self, channels, grid: QuadratureGrid, size: int):
+        threads = _resolve_threads()
         if len({params.has_phase_noise for params in channels}) > 1:
             raise ValueError("an evaluator's channels must all have jitter or none")
         noise, rotation, weights, factors = zip(*(_channel_nodes(p, grid) for p in channels))
-        self._slots = len(noise)
-        self.noise, self.norm_weights = _slot_rows(noise), _slot_rows(weights)
+        sets, n, nodes = len(noise), size, noise[0].size
+        self._slots, self._size, self._weights = sets, n, weights
+        self.noise = _slot_rows(noise)
         self.rotation = None if rotation[0] is None else _slot_rows(rotation)
         # Per slot, shaped to scale a set's (n, 2) points and (n,) energies:
         # the factors of the hypothesis columns Re u and Im u, of |u|^2, the
@@ -404,47 +402,38 @@ class QuadEvaluator:
         # last two with jitter only (`_bind`).
         factors = np.array(factors)[:, None]
         self._re_im_factor, self._u2_factor = factors[..., :1], factors[..., 2]
-        self._constant, self._half_factor = factors[..., 3], factors[..., 4]
-        # The rows of norm_weights, one (G,) array per slot (`_rates`).
-        self._weights = weights
-        self._pami = None
-        self._size = 0
-        self._labels = None
-
-    def _reserve(self, n: int) -> None:
-        """Work arrays for stacks of sets of `n` points, which also drops the
-        PAMI table of another size.  The sent rows are split into thread
-        blocks, at most one per thread, each of _MIN_BLOCK_ENTRIES table
-        entries or more and two rows or more, and each block into tiles
-        (`_Block`)."""
-        sets, size = self._slots, self.noise.shape[-1]
-        width = 3 if self.rotation is None else 4
-        self._size, self._pami, self._labels = n, None, None
+        self._half_factor = factors[..., 4]
         # The hypothesis matrices and half-energy grids carry a unit axis for
         # the sent rows, which the table pass broadcasts them over; `_bind`
         # fills them through the views kept here.
+        width = 3 if self.rotation is None else 4
         self._canonical, self._u2 = np.empty((sets, n), dtype=np.complex128), np.empty((sets, n))
         self._re_im = self._canonical.view(np.float64).reshape(sets, n, 2)
         self._hyp = np.empty((sets, 1, n, width))
         self._hyp_re_im, self._hyp_u2 = self._hyp[:, 0, :, :2], self._hyp[:, 0, :, 2]
         if self.rotation is not None:
-            self._hyp[:, 0, :, 3] = self._constant
-            self._half_u2, self._half = np.empty((sets, 1, n, size)), np.empty((sets, n))
-        k = max(1, min(self._threads, n // 2, sets * n * n * size // _MIN_BLOCK_ENTRIES))
-        tile_rows = max(2, _TILE_ENTRIES // (sets * n * size))
-        self._blocks = [_Block(b, tile_rows, width, size, sets) for b in _split(0, n, k)]
+            self._hyp[:, 0, :, 3] = factors[..., 3]
+            self._half_u2, self._half = np.empty((sets, 1, n, nodes)), np.empty((sets, n))
+        k = max(1, min(threads, n // 2, sets * n * n * nodes // _MIN_BLOCK_ENTRIES))
+        tile_rows = max(2, _TILE_ENTRIES // (sets * n * nodes))
+        self._blocks = [_Block(b, tile_rows, width, nodes, sets) for b in _split(0, n, k)]
+        self._pami = self._labels = None
+
+    def _check(self, *stacks: np.ndarray) -> None:
+        """Refuse stacks that are not (S, size), one set per channel slot."""
+        shape = (self._slots, self._size)
+        if any(stack.shape != shape for stack in stacks):
+            raise ValueError(f"stacks of shape {[s.shape for s in stacks]}, expected {shape}")
 
     def _bind(self, points: np.ndarray) -> np.ndarray:
-        """The canonical copies of the (S, n) stack `points`, with the
+        """The canonical copies of the (S, size) stack `points`, with the
         hypothesis matrices and half-energy grids filled, set j for slot j's
-        channel; the work arrays are reserved on the first call at n."""
-        if points.shape[1] != self._size:
-            self._reserve(points.shape[1])
+        channel."""
         canonical, u2 = self._canonical, self._u2
         for set_points, row in zip(points, canonical):
             np.multiply(set_points, _canonical_rotation(set_points), out=row)
         np.square(np.abs(canonical, out=u2), out=u2)
-        # Columns Re u and Im u at once, from the (S, n, 2) float view of u.
+        # Columns Re u and Im u at once, from the (S, size, 2) float view of u.
         np.multiply(self._re_im, self._re_im_factor, out=self._hyp_re_im)
         np.multiply(u2, self._u2_factor, out=self._hyp_u2)
         if self.rotation is not None:
@@ -539,13 +528,6 @@ class QuadEvaluator:
         np.add.reduce(metric, axis=2, out=log_sum)
         return np.log(log_sum, out=log_sum), peak, sent
 
-    def _stack(self, points: np.ndarray) -> np.ndarray:
-        """`points` as an (S, M) stack, one set per channel slot."""
-        stack = points if points.ndim == 2 else points[None]
-        if len(stack) != self._slots:
-            raise ValueError(f"a stack of {len(stack)} sets on {self._slots} channel slots")
-        return stack
-
     def _rates(self, tile_losses) -> list[float]:
         """Per slot, m bits less the weighted mean, in bits, over nodes and
         sent rows of the per-row losses in nats `tile_losses(rows, block)`
@@ -553,27 +535,26 @@ class QuadEvaluator:
         runs its tiles in turn on its own work arrays, and each row's
         weighted sum over its channel's nodes, one dot product per row, is
         taken before the next tile overwrites them."""
-        size, weights = self.noise.shape[-1], self._weights
 
         def run(block: _Block) -> list:
-            sums = []
+            sums = [[] for _ in self._weights]
             for rows in block.tiles:
-                # Sent row by sent row, the sets in slot order, so that set
-                # j's sums are every S-th from the j-th: a (rows x S, G) view
-                # where there is one set, a copy where there are more.
-                losses = tile_losses(rows, block).swapaxes(0, 1).reshape(-1, size)
-                sums += map(np.ndarray.dot, losses, itertools.cycle(weights))
+                for slot, losses, weights in zip(sums, tile_losses(rows, block), self._weights):
+                    slot += [row.dot(weights) for row in losses]
             return sums
 
-        blocks = _map_blocks(run, self._blocks, len(self._blocks))
-        sums, n, slots = list(itertools.chain.from_iterable(blocks)), self._size, self._slots
-        return [(n.bit_length() - 1) - math.fsum(sums[j::slots]) / n / _LN2 for j in range(slots)]
+        # Per slot, its row sums from every block: math.fsum is exact, so
+        # the order in which they come does not matter.
+        n, blocks = self._size, _map_blocks(run, self._blocks, len(self._blocks))
+        return [
+            (n.bit_length() - 1) - math.fsum(s for sums in slot for s in sums) / n / _LN2
+            for slot in zip(*blocks)
+        ]
 
-    def ami_bits(self, points: np.ndarray):
-        """Symbol-wise rate of each set of an (S, M) stack, as a list, or of
-        one set on a one-slot evaluator."""
-        stack = self._stack(points)
-        canonical, n = self._bind(stack), stack.shape[1]
+    def ami_bits(self, points: np.ndarray) -> list[float]:
+        """Symbol-wise rate of each set of an (S, size) stack."""
+        self._check(points)
+        canonical, n = self._bind(points), self._size
 
         def tile_losses(rows: slice, block: _Block) -> np.ndarray:
             table, log_sum = block.table_of(rows, n), block.views(rows.stop - rows.start)[-1]
@@ -581,8 +562,7 @@ class QuadEvaluator:
             np.add(peak, log_sum, out=peak)
             return np.subtract(peak, sent, out=peak)
 
-        bits = self._rates(tile_losses)
-        return bits if points.ndim == 2 else bits[0]
+        return self._rates(tile_losses)
 
     def _bit_losses(self, rows: slice, exp_table, log_sum, sums) -> np.ndarray:
         """Per sent row of `rows` and label bit, the information PAMI loses:
@@ -592,9 +572,9 @@ class QuadEvaluator:
         np.log(sums, out=sums)
         return np.subtract(log_sum[:, rows, None], sums, out=sums)
 
-    def pami_bits(self, points: np.ndarray, labels: np.ndarray):
-        """Bitwise rate of one set on a one-slot evaluator: of 1-D points and
-        labels, or, as a list of one, of a (1, M) stack and (1, M) labels.
+    def pami_bits(self, points: np.ndarray, labels: np.ndarray) -> list[float]:
+        """Bitwise rate of a (1, size) stack of points with its (1, size)
+        labels, on a one-slot evaluator, as a list of one.
 
         The table does not depend on the labels, and the evaluator keeps
         one: the points, exp(metric - peak) and its log-sum over the
@@ -606,18 +586,16 @@ class QuadEvaluator:
         gives its m matched subset sums."""
         if self._slots != 1:
             raise ValueError(f"PAMI scores one set, not a stack on {self._slots} channel slots")
-        stack, labels = self._stack(points), labels.reshape(-1)
-        n = stack.shape[1]
-        if n != self._size:
-            self._reserve(n)
-        fresh = self._pami is None or not (self._pami[0] == stack[0]).all()
+        self._check(points, labels)
+        labels, n = labels[0], self._size
+        fresh = self._pami is None or not (self._pami[0] == points[0]).all()
         if self._pami is None:
             size = self.noise.shape[-1]
             self._pami = (np.empty(n, complex), np.empty((1, n, n, size)), np.empty((1, n, size)))
         kept_points, exp_table, log_sum = self._pami
         if fresh:
             kept_points[:] = np.nan  # matches no set until the pass below completes
-            canonical = self._bind(stack)
+            canonical = self._bind(points)
         if self._labels is None or not (self._labels == labels).all():
             bits = _label_bits(labels)[0]
             self._labels, self._matched = labels.copy(), (bits.T == bits[:, :, None])[None] * 1.0
@@ -631,8 +609,8 @@ class QuadEvaluator:
 
         bits = self._rates(tile_losses)
         if fresh:
-            kept_points[:] = stack[0]
-        return bits if points.ndim == 2 else bits[0]
+            kept_points[:] = points[0]
+        return bits
 
 
 def _wrap_result(
@@ -663,18 +641,20 @@ def _quadrature(
     evaluator: QuadEvaluator | None = None,
 ) -> CapacityResult:
     """The chosen objective by quadrature: the one place that dispatches
-    it.  `evaluator`, bound to `params` on `grid`, is used where given, so a
-    caller scoring many sets on one channel builds it once."""
+    it, and the one adapter from a Constellation to the evaluator's stacks.
+    `evaluator`, built for `(params,)` on `grid` and sets of `c.size`
+    points, is used where given, so a caller scoring many sets of one size
+    on one channel builds it once."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     _require_normalized(c)
     _warn_wide_phase(params, 4)
-    ev = QuadEvaluator(params, grid) if evaluator is None else evaluator
+    ev = QuadEvaluator((params,), grid, c.size) if evaluator is None else evaluator
     if objective == AMI:
-        bits = ev.ami_bits(c.points)
+        bits = ev.ami_bits(c.points[None])
     else:
-        bits = ev.pami_bits(c.points, c.labels)
-    return _wrap_result(bits, "quadrature", 0.0, params, c, objective)
+        bits = ev.pami_bits(c.points[None], c.labels[None])
+    return _wrap_result(bits[0], "quadrature", 0.0, params, c, objective)
 
 
 def ami_quadrature(

@@ -27,6 +27,7 @@ from .model import (
     ChannelParams,
     ConstellationError,
     FormatError,
+    _is_json_number,
     load_constellation,
     save_constellation,
 )
@@ -316,12 +317,33 @@ def _load_campaign(designs_dir: str):
         raise FormatError(f"cannot read campaign manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed campaign manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"campaign manifest {path} is not a JSON object")
     if manifest.get("version") != CAMPAIGN_SCHEMA:
         raise FormatError(f"unsupported campaign manifest version in {path}")
+    cells = manifest.get("cells", [])
+    if not isinstance(cells, list):
+        raise FormatError(f"campaign manifest {path}: cells must be a list")
     designs = {}
-    for cell in manifest.get("cells", []):
-        c, _ = load_constellation(os.path.join(designs_dir, cell["file"]))
-        designs[(float(cell["snr_db"]), float(cell["pnsd_deg"]))] = c
+    for cell in cells:
+        if not (
+            isinstance(cell, dict)
+            and isinstance(cell.get("file"), str)
+            # Finite floats and ints, no bools: abs() of NaN, of an infinity
+            # or of an int too large for a float is not <= the largest float.
+            and all(
+                _is_json_number(cell.get(key)) and abs(cell[key]) <= sys.float_info.max
+                for key in ("snr_db", "pnsd_deg")
+            )
+        ):
+            raise FormatError(
+                f"campaign manifest {path}: a cell needs a file name and finite numbers "
+                f"snr_db and pnsd_deg, got {cell!r}"
+            )
+        key = (float(cell["snr_db"]), float(cell["pnsd_deg"]))
+        if key in designs:
+            raise FormatError(f"campaign manifest {path} lists the cell {key} twice")
+        designs[key], _ = load_constellation(os.path.join(designs_dir, cell["file"]))
     if not designs:
         raise FormatError(f"campaign manifest {path} lists no designs")
     return designs

@@ -44,6 +44,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _is_integer(value) -> bool:
+    """An integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_json_number(value) -> bool:
+    """A number as json.loads returns one: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def gray_code(index: int) -> int:
     """Binary-reflected Gray code of a non-negative integer."""
     if index < 0:
@@ -113,9 +123,12 @@ def make_constellation(points, labels) -> Constellation:
 
     Raises:
         ConstellationError: size not a power of two, repeated point,
-            or labels not a permutation.
+            labels that are not integers (floats, strings or bools), or
+            labels not a permutation.
     """
     pts = np.asarray(points, dtype=np.complex128)
+    if not all(map(_is_integer, np.asarray(labels, dtype=object).ravel())):
+        raise ConstellationError("labels must be integers")
     labs = np.asarray(labels, dtype=np.int64)
     if pts.ndim != 1 or labs.ndim != 1:
         raise ConstellationError("points and labels must be one-dimensional")
@@ -327,15 +340,15 @@ def constellation_from_json(text: str) -> tuple[Constellation, dict]:
             raise FormatError(f"missing required field {key!r}")
     points_raw = doc["points"]
     if not isinstance(points_raw, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in points_raw
+        isinstance(p, list) and len(p) == 2 and all(map(_is_json_number, p)) for p in points_raw
     ):
-        raise FormatError("points must be a list of [re, im] pairs")
+        raise FormatError("points must be a list of [re, im] pairs of numbers")
     try:
         points = np.array([complex(p[0], p[1]) for p in points_raw])
         c = make_constellation(points, doc["labels"])
-    except (TypeError, ConstellationError) as exc:
+    except (OverflowError, ConstellationError) as exc:
         raise FormatError(f"invalid constellation content: {exc}") from exc
-    if c.m != doc["m"]:
+    if not _is_integer(doc["m"]) or c.m != doc["m"]:
         raise FormatError(f"field m={doc['m']} disagrees with {c.size} points")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):

@@ -242,7 +242,7 @@ def subset_product_pami_bits(ev, points, labels):
     (2m x M) indicator product.  Returns the rate and the (M, m, G) per-bit
     losses, log_sum - log(matched subset sum), of each sent row and node."""
     points = ev._bind(points[None])[0]
-    n, size = points.size, ev.norm_weights.size
+    n, size = points.size, ev.noise.shape[-1]
     table, log_sum = np.empty((1, n, n, size)), np.empty((1, n, size))
     clamped_table_pass(ev, points[None], slice(None), table, log_sum)
     table, log_sum = table[0], log_sum[0]
@@ -254,5 +254,5 @@ def subset_product_pami_bits(ev, points, labels):
     np.log(matched, out=matched)
     np.subtract(log_sum[:, None, :], matched, out=matched)
     rows = np.add.reduce(matched, axis=1)
-    mean = math.fsum(map(np.ndarray.dot, rows, itertools.repeat(ev.norm_weights[0, 0]))) / n
+    mean = math.fsum(map(np.ndarray.dot, rows, itertools.repeat(ev._weights[0]))) / n
     return m - mean / math.log(2.0), matched

@@ -222,10 +222,10 @@ def test_criterion_6_pragmatic_gap_at_target_rate(gap_designs):
         snr_cross = snr_at_rate(c_pami, pnsd, "PAMI", C6_TARGET_BITS, GRID7)
         gap = snr_cross - snr_ami
 
-        ev = QuadEvaluator(design, GRID7)
-        own_bits = ev.pami_bits(c_pami.points, c_pami.labels)
-        best_bits = max(ev.pami_bits(c_pami.points, labels) for labels in classes)
-        ami_geometry = [ev.pami_bits(c_ami.points, labels) for labels in classes]
+        ev = QuadEvaluator((design,), GRID7, 8)
+        [own_bits] = ev.pami_bits(c_pami.points[None], c_pami.labels[None])
+        best_bits = max(ev.pami_bits(c_pami.points[None], labels[None])[0] for labels in classes)
+        ami_geometry = [ev.pami_bits(c_ami.points[None], labels[None])[0] for labels in classes]
         relabelled = make_constellation(c_ami.points, classes[int(np.argmax(ami_geometry))])
         relabelled_gap = pragmatic_gap(c_ami, relabelled, pnsd, GRID7, C6_TARGET_BITS)
 
@@ -261,13 +261,13 @@ def _two_point_oracle(params) -> float:
     Up to rotation and reflection every such geometry is [r0, r1 e^{j psi}]
     with r0 = sqrt(2 - r1^2) real and psi in [0, pi].
     """
-    ev = QuadEvaluator(params, GRID7)
+    ev = QuadEvaluator((params,), GRID7, 2)
     best = -np.inf
     for r1 in np.linspace(0.05, 1.40, 80):
         r0 = np.sqrt(2.0 - r1 * r1)
         for psi in np.linspace(0.0, np.pi, 90):
             pts = np.array([r0, r1 * np.exp(1j * psi)], dtype=np.complex128)
-            best = max(best, ev.ami_bits(pts))
+            best = max(best, ev.ami_bits(pts[None])[0])
     return best
 
 

@@ -22,7 +22,6 @@ from phasecon import (
     snr_sweep,
 )
 from phasecon.capacity import QuadEvaluator
-from phasecon.model import ChannelParams
 from conftest import channel, set_threads
 
 
@@ -134,9 +133,9 @@ def _evaluator_slots(monkeypatch):
     """The channel slot count of every evaluator built from now on."""
     slots, real = [], QuadEvaluator.__init__
 
-    def spy(ev, params, grid):
-        slots.append(1 if isinstance(params, ChannelParams) else len(params))
-        real(ev, params, grid)
+    def spy(ev, channels, grid, size):
+        slots.append(len(channels))
+        real(ev, channels, grid, size)
 
     monkeypatch.setattr(QuadEvaluator, "__init__", spy)
     return slots
@@ -246,6 +245,27 @@ def test_mismatch_bits_match_direct_evaluation(two_designs, grid7, monkeypatch):
     for d, dcell in enumerate(report.design_cells):
         for e, (snr, pnsd) in enumerate(report.eval_cells):
             want = ami_quadrature(two_designs[dcell], channel(snr, pnsd), grid7).bits
+            assert report.bits[d, e] == want
+
+
+def test_mixed_size_mismatch_builds_one_evaluator_per_channel_and_size(grid7, monkeypatch):
+    """A 4-point and an 8-point design on a 0 and a 20 deg channel: each
+    channel builds one one-slot evaluator per design size, and every cell
+    equals a direct evaluation."""
+    designs = {(10.0, 0.0): reference_constellation("qam", 4),
+               (10.0, 20.0): reference_constellation("psk", 8)}
+    builds, real = [], QuadEvaluator.__init__
+
+    def spy(ev, channels, grid, size):
+        builds.append((len(channels), size))
+        real(ev, channels, grid, size)
+
+    monkeypatch.setattr(QuadEvaluator, "__init__", spy)
+    report = mismatch_matrix(designs, [10.0], [0.0, 20.0], grid7)
+    assert builds == [(1, 4), (1, 8)] * 2
+    for d, dcell in enumerate(report.design_cells):
+        for e, (snr, pnsd) in enumerate(report.eval_cells):
+            want = ami_quadrature(designs[dcell], channel(snr, pnsd), grid7).bits
             assert report.bits[d, e] == want
 
 

@@ -450,14 +450,15 @@ def test_parallel_evaluation_matches_serial(psk8, grid7, monkeypatch):
     evaluators = []
     for threads in (4, 2, 1):
         set_threads(monkeypatch, threads)
-        evaluators.append(capacity.QuadEvaluator(p, grid7))
+        evaluators.append(capacity.QuadEvaluator((p,), grid7, 8))
     *pooled, serial = evaluators
     rng = np.random.default_rng(4)
     for _ in range(20):
         c = random_unit_power_constellation(rng)
-        want = serial.ami_bits(c.points), serial.pami_bits(c.points, c.labels)
+        points, labels = c.points[None], c.labels[None]
+        want = serial.ami_bits(points), serial.pami_bits(points, labels)
         for ev in pooled:
-            assert (ev.ami_bits(c.points), ev.pami_bits(c.points, c.labels)) == want
+            assert (ev.ami_bits(points), ev.pami_bits(points, labels)) == want
 
 
 @pytest.mark.parametrize(
@@ -554,7 +555,7 @@ def test_thread_count_env_override(psk8, grid7, monkeypatch):
     monkeypatch.setenv("PHASECON_THREADS", "soup")
     for route in (
         lambda: ami_quadrature(psk8, p, grid7),
-        lambda: capacity.QuadEvaluator(p, grid7),
+        lambda: capacity.QuadEvaluator((p,), grid7, 8),
         lambda: pami_monte_carlo(psk8, p, 2000, seed=0),
     ):
         with pytest.raises(ValueError, match="PHASECON_THREADS must be an integer, got 'soup'"):
@@ -582,9 +583,9 @@ def test_tiled_pass_is_bit_identical_for_any_tile_size(degree, pnsd, monkeypatch
             runs = []
             for tile_entries in (default, 1):
                 monkeypatch.setattr(capacity, "_TILE_ENTRIES", tile_entries)
-                ev = capacity.QuadEvaluator(p, grid)
-                ami = ev.ami_bits(c.points)
-                pami = ev.pami_bits(c.points, labels)
+                ev = capacity.QuadEvaluator((p,), grid, size)
+                ami = ev.ami_bits(c.points[None])
+                pami = ev.pami_bits(c.points[None], labels[None])
                 runs.append((ami, pami, bit_losses()))
             tiles = [t.stop - t.start for b in ev._blocks for t in b.tiles]
             # The split is real: two rows a tile, never a lone last row.
@@ -612,29 +613,30 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
     """An 8 x 8 x 343 table is one tile: a reused evaluator runs it on the
     arrays it already holds, AMI and PAMI alike, and allocates no table."""
     set_threads(monkeypatch, 1)
-    ev = capacity.QuadEvaluator(channel(12.0, 20.0), grid7)
+    ev = capacity.QuadEvaluator((channel(12.0, 20.0),), grid7, 8)
 
     def work_arrays():
         blocks = [a for b in ev._blocks for a in (b.y, b.nodes, b.peak, b._table)]
         return [ev._hyp, ev._half_u2, *ev._pami, *blocks]
 
     # Alternating between two point sets, every PAMI call runs the table pass.
-    sets = (psk8.points, psk8.points * 1j)
+    points, labels = psk8.points[None], psk8.labels[None]
+    sets = (points, points * 1j)
     passes = []
     original = capacity.QuadEvaluator._table_pass
     monkeypatch.setattr(
         capacity.QuadEvaluator, "_table_pass", lambda *a: passes.append(1) or original(*a)
     )
-    ev.ami_bits(psk8.points)
-    ev.pami_bits(sets[1], psk8.labels)
+    ev.ami_bits(points)
+    ev.pami_bits(sets[1], labels)
     arrays = work_arrays()
     table_bytes = 8 * 8 * grid7.degree**3 * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         for k in range(100):
-            ev.ami_bits(psk8.points)
-            ev.pami_bits(sets[k % 2], psk8.labels)
+            ev.ami_bits(points)
+            ev.pami_bits(sets[k % 2], labels)
         end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -648,34 +650,42 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
 def test_pami_table_is_reused_for_equal_points_only(grid7, monkeypatch):
     """An evaluator keeps the PAMI table of the last points it scored: a
     fresh evaluator runs a table pass, equal points reuse the table at any
-    labels, and other points, another size or a failed pass rebuild it."""
+    labels, and other points or a failed pass rebuild it.  A set of another
+    size is refused and leaves the table."""
     set_threads(monkeypatch, 1)
     p = channel(12.0, 20.0)
     qam16, psk8 = reference_constellation("qam", 16), reference_constellation("psk", 8)
-    turned = qam16.points * 1j
+    turned, labels = qam16.points[None] * 1j, qam16.labels[None]
     calls = [  # points, labels, table passes expected
-        (qam16.points, qam16.labels, 1),  # fresh
-        (qam16.points.copy(), np.roll(qam16.labels, 3), 0),  # equal points
-        (turned, qam16.labels, 1),  # other points
-        (turned.copy(), qam16.labels, 0),
-        (psk8.points, psk8.labels, 1),  # another size
-        (turned, qam16.labels, 1),  # and back
+        (qam16.points[None], labels, 1),  # fresh
+        (qam16.points[None].copy(), np.roll(labels, 3), 0),  # equal points
+        (turned, labels, 1),  # other points
+        (turned.copy(), labels, 0),
+        (qam16.points[None], labels, 1),  # and back
+        (turned, labels, 1),
     ]
-    fresh = [capacity.QuadEvaluator(p, grid7).pami_bits(x, labels) for x, labels, _ in calls]
+    fresh = [capacity.QuadEvaluator((p,), grid7, 16).pami_bits(x, y) for x, y, _ in calls]
     passes = []
     original = capacity.QuadEvaluator._table_pass
     monkeypatch.setattr(
         capacity.QuadEvaluator, "_table_pass", lambda *a: passes.append(1) or original(*a)
     )
-    ev = capacity.QuadEvaluator(p, grid7)
-    for (x, labels, expected), want in zip(calls, fresh):
+    ev = capacity.QuadEvaluator((p,), grid7, 16)
+    for (x, y, expected), want in zip(calls, fresh):
         passes.clear()
-        assert ev.pami_bits(x, labels) == want
+        assert ev.pami_bits(x, y) == want
         assert len(passes) == expected
-    # An AMI evaluation of a set of the same size keeps the table.
-    ev.ami_bits(qam16.points)
+    # Another size is refused before the table is touched.
     passes.clear()
-    assert ev.pami_bits(turned, qam16.labels) == fresh[-1]
+    for x, y in ((psk8.points[None], psk8.labels[None]), (turned[0], labels[0])):
+        with pytest.raises(ValueError, match="expected \\(1, 16\\)"):
+            ev.pami_bits(x, y)
+    assert ev.pami_bits(turned, labels) == fresh[-1]
+    assert passes == []
+    # An AMI evaluation keeps the table.
+    ev.ami_bits(qam16.points[None])
+    passes.clear()
+    assert ev.pami_bits(turned, labels) == fresh[-1]
     assert passes == []
     # A call whose pass fails after filling the table leaves none to reuse.
     def failing_pass(*a):
@@ -685,8 +695,31 @@ def test_pami_table_is_reused_for_equal_points_only(grid7, monkeypatch):
     counted = capacity.QuadEvaluator._table_pass
     monkeypatch.setattr(capacity.QuadEvaluator, "_table_pass", failing_pass)
     with pytest.raises(RuntimeError):
-        ev.pami_bits(qam16.points, qam16.labels)
+        ev.pami_bits(qam16.points[None], labels)
     monkeypatch.setattr(capacity.QuadEvaluator, "_table_pass", counted)
     passes.clear()
-    assert ev.pami_bits(turned, qam16.labels) == fresh[-1]
+    assert ev.pami_bits(turned, labels) == fresh[-1]
     assert passes == [1]
+
+
+def test_evaluator_scores_stacks_of_its_own_shape_only(psk8, grid7):
+    """An evaluator built for S channels and sets of `size` points scores
+    (S, size) stacks and refuses any other shape, a lone 1-D set included,
+    without touching its state; PAMI scores one set on one channel."""
+    p, q = channel(12.0, 20.0), channel(6.0, 10.0)
+    ev = capacity.QuadEvaluator((p, q), grid7, 8)
+    stack = np.stack([psk8.points, psk8.points * 1j])
+    want = [ami_quadrature(psk8, p, grid7).bits, ami_quadrature(psk8, q, grid7).bits]
+    assert ev.ami_bits(stack) == want
+    for bad in (stack[:1], np.concatenate([stack, stack]), stack[:, :4], psk8.points, stack[None]):
+        with pytest.raises(ValueError, match=r"expected \(2, 8\)"):
+            ev.ami_bits(bad)
+    with pytest.raises(ValueError, match="PAMI scores one set"):
+        ev.pami_bits(stack[:1], psk8.labels[None])
+    assert ev.ami_bits(stack) == want
+    one = capacity.QuadEvaluator((p,), grid7, 8)
+    points, labels = psk8.points[None], psk8.labels[None]
+    for bad in ((points, psk8.labels), (points[:, :4], labels[:, :4]), (stack, labels)):
+        with pytest.raises(ValueError, match=r"expected \(1, 8\)"):
+            one.pami_bits(*bad)
+    assert one.pami_bits(points, labels) == [pami_quadrature(psk8, p, grid7).bits]

@@ -139,6 +139,36 @@ def test_evaluate_malformed_file_is_a_file_error(capsys, tmp_path):
     assert code == 2
 
 
+SQUARE = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
+@pytest.mark.parametrize(
+    "points, labels",
+    [
+        (SQUARE, [0, 1.5, 2, 3.9]),
+        (SQUARE, ["0", "1", "2", "3"]),
+        (SQUARE, [True, False, 2, 3]),
+        (SQUARE, [0.0, 1.0, 2.0, 3.0]),
+        ([[True, 1], [0, 1], [-1, 0], [0, -1]], [0, 1, 2, 3]),
+        ([["1", 0], [0, 1], [-1, 0], [0, -1]], [0, 1, 2, 3]),
+    ],
+    ids=["float-labels", "string-labels", "bool-labels", "integral-floats", "bool-point",
+         "string-point"],
+)
+def test_evaluate_refuses_labels_that_are_not_integers(points, labels, tmp_path, capsys):
+    """Labels must be JSON integers and coordinates JSON numbers, never
+    bools: a file that breaks either is a file error, not truncated."""
+    doc = {"version": "phasecon-v1", "m": 2, "points": points, "labels": labels}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "evaluate", str(bad), "--snr-db", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    doc["points"], doc["labels"] = SQUARE, [0, 1, 2, 3]
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, "evaluate", str(bad), "--snr-db", "10")[0] == 0
+
+
 def test_evaluate_negative_pnsd_is_a_parameter_error(psk8_file, capsys):
     code, _, err = run(capsys, "evaluate", psk8_file, "--snr-db", "10", "--pnsd-deg", "-1")
     assert code == 3
@@ -475,3 +505,52 @@ def test_mismatch_rejects_a_foreign_manifest_version(tmp_path, capsys):
         capsys, "mismatch", "--designs-dir", str(out_dir), "--output", str(tmp_path / "m.csv")
     )
     assert code == 2
+
+
+def _drop_file(manifest):
+    cell = dict(manifest["cells"][0])
+    del cell["file"]
+    return {**manifest, "cells": [cell]}
+
+
+def _with_cell(**fields):
+    return lambda manifest: {**manifest, "cells": [{**manifest["cells"][0], **fields}]}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda manifest: [1, 2],
+        _drop_file,
+        lambda manifest: {**manifest, "cells": {"a": 1}},
+        lambda manifest: {**manifest, "cells": [7]},
+        _with_cell(pnsd_deg=None),
+        _with_cell(snr_db="six"),
+        _with_cell(snr_db=True),
+        _with_cell(snr_db=float("nan")),
+        _with_cell(file=3),
+        lambda manifest: {**manifest, "cells": manifest["cells"] * 2},
+    ],
+    ids=["root-list", "cell-without-file", "cells-object", "cell-number", "null-pnsd",
+         "string-snr", "bool-snr", "nan-snr", "number-file", "repeated-cell"],
+)
+def test_mismatch_refuses_a_malformed_manifest(edit, psk8, tmp_path, capsys):
+    """A manifest that is not an object with a list of distinct cells, each
+    with a file name and numbers snr_db and pnsd_deg, is a file error that
+    names the manifest: exit 2 and one error line."""
+    out_dir = tmp_path / "camp"
+    out_dir.mkdir()
+    save_constellation(out_dir / "d.json", psk8)
+    manifest = {
+        "version": "phasecon-campaign-v1",
+        "cells": [{"snr_db": 10.0, "pnsd_deg": 0.0, "file": "d.json"}],
+    }
+    path = out_dir / "manifest.json"
+    args = ("mismatch", "--designs-dir", str(out_dir), "--output", str(tmp_path / "m.csv"))
+    path.write_text(json.dumps(manifest))
+    assert run(capsys, *args)[0] == 0
+    path.write_text(json.dumps(edit(manifest)))
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err

@@ -62,8 +62,7 @@ SPREADS_DEG = (0.0, 5.0, 20.0, 45.0)
 SNRS_DB = (SNR_BRACKET_DB[0], 12.0, SNR_BRACKET_DB[1])
 
 
-def _metric_rows(ev, points, rows):
-    params = ev.params
+def _metric_rows(ev, params, points, rows):
     sent = points[rows][:, None]
     if ev.rotation is not None:
         y = sent * ev.rotation[0] + ev.noise[0]
@@ -80,21 +79,21 @@ def _metric_rows(ev, points, rows):
     return metric
 
 
-def _ami_row_means(ev, points, rows):
-    metric = _metric_rows(ev, points, rows)
+def _ami_row_means(ev, params, points, rows):
+    metric = _metric_rows(ev, params, points, rows)
     peak = metric.max(axis=-1)
     exp_shift = np.exp(metric - peak[:, :, None])
     lse = peak + np.log(exp_shift.sum(axis=-1))
     sent = metric[np.arange(rows.size), :, rows]
     integrand = lse - sent
-    return [float(np.dot(integrand[r], ev.norm_weights[0, 0])) for r in range(rows.size)]
+    return [float(np.dot(integrand[r], ev._weights[0])) for r in range(rows.size)]
 
 
-def _pami_row_means(ev, points, labels, rows):
+def _pami_row_means(ev, params, points, labels, rows):
     m = points.size.bit_length() - 1
     bits = (labels[:, None] >> np.arange(m)[None, :]) & 1
     masks = bits.T[:, :, None] == bits.T[:, None, :]
-    metric = _metric_rows(ev, points, rows)
+    metric = _metric_rows(ev, params, points, rows)
     peak = metric.max(axis=-1)
     lse = peak + np.log(np.exp(metric - peak[:, :, None]).sum(axis=-1))
     total = np.zeros_like(lse)
@@ -104,7 +103,7 @@ def _pami_row_means(ev, points, labels, rows):
         sub_peak = sub.max(axis=-1)
         sub_sum = np.exp(sub - sub_peak[:, :, None]).sum(axis=-1)
         total += lse - (sub_peak + np.log(sub_sum))
-    return [float(np.dot(total[r], ev.norm_weights[0, 0])) for r in range(rows.size)]
+    return [float(np.dot(total[r], ev._weights[0])) for r in range(rows.size)]
 
 
 def _bits(points, partials):
@@ -112,14 +111,14 @@ def _bits(points, partials):
     return m - math.fsum(partials) / points.size / math.log(2)
 
 
-def reference_ami_bits(ev, points):
+def reference_ami_bits(ev, params, points):
     points = _canonical_points(points)
-    return _bits(points, _ami_row_means(ev, points, np.arange(points.size)))
+    return _bits(points, _ami_row_means(ev, params, points, np.arange(points.size)))
 
 
-def reference_pami_bits(ev, points, labels):
+def reference_pami_bits(ev, params, points, labels):
     points = _canonical_points(points)
-    return _bits(points, _pami_row_means(ev, points, labels, np.arange(points.size)))
+    return _bits(points, _pami_row_means(ev, params, points, labels, np.arange(points.size)))
 
 
 def signal_sets(size):
@@ -142,11 +141,13 @@ def test_kernel_matches_reference(size, pnsd):
         warnings.simplefilter("ignore")  # 45 deg is past the wide-spread warning
         for name, c in signal_sets(size).items():
             for snr in SNRS_DB:
-                ev = QuadEvaluator(channel(snr, pnsd), GRID7)
-                ami, pami = ev.ami_bits(c.points), ev.pami_bits(c.points, c.labels)
+                params = channel(snr, pnsd)
+                ev = QuadEvaluator((params,), GRID7, size)
+                points, labels = c.points[None], c.labels[None]
+                [ami], [pami] = ev.ami_bits(points), ev.pami_bits(points, labels)
                 assert math.isfinite(ami) and math.isfinite(pami), (name, snr)
-                ref_ami = reference_ami_bits(ev, c.points)
-                ref_pami = reference_pami_bits(ev, c.points, c.labels)
+                ref_ami = reference_ami_bits(ev, params, c.points)
+                ref_pami = reference_pami_bits(ev, params, c.points, c.labels)
                 worst.append((abs(ami - ref_ami), abs(pami - ref_pami), name, snr))
     worst = max(worst, key=lambda w: max(w[:2]))
     assert max(worst[:2]) <= TOL_BITS, worst
@@ -157,19 +158,19 @@ def test_swap_path_reuses_the_table_and_equals_a_fresh_evaluation(monkeypatch):
     labels, `spare` another point set in between."""
     c = reference_constellation("qam", 16)
     params = channel(12.0, 20.0)
-    other = np.roll(c.labels, 3)
-    held, spare = QuadEvaluator(params, GRID7), QuadEvaluator(params, GRID7)
+    points, labels, other = c.points[None], c.labels[None], np.roll(c.labels, 3)[None]
+    held, spare = QuadEvaluator((params,), GRID7, 16), QuadEvaluator((params,), GRID7, 16)
     passes = []
     original = QuadEvaluator._table_pass
     monkeypatch.setattr(
         QuadEvaluator, "_table_pass", lambda *a, **k: passes.append(1) or original(*a, **k)
     )
-    held.pami_bits(c.points, c.labels)
-    spare.pami_bits(c.points * 0.5 + 0.5, c.labels)  # some other point set
+    held.pami_bits(points, labels)
+    spare.pami_bits(points * 0.5 + 0.5, labels)  # some other point set
     assert len(passes) == 2
-    swapped = held.pami_bits(c.points.copy(), other)  # same points: held's table
+    swapped = held.pami_bits(points.copy(), other)  # same points: held's table
     assert len(passes) == 2
-    assert swapped == QuadEvaluator(params, GRID7).pami_bits(c.points, other)
+    assert swapped == QuadEvaluator((params,), GRID7, 16).pami_bits(points, other)
     assert len(passes) == 3
 
 
@@ -294,7 +295,7 @@ def _block(ev, rows):
 def test_table_pass_sent_metric_is_the_scalar_decision_metric(kind, size, pnsd):
     c = reference_constellation(kind, size)
     params = channel(12.0, pnsd)
-    ev = QuadEvaluator(params, GRID7)
+    ev = QuadEvaluator((params,), GRID7, size)
     points = ev._bind(c.points[None])
     table, log_sum = np.empty((1, size, size, ev.noise.size)), np.empty((1, size, ev.noise.size))
     sent = ev._table_pass(points, slice(None), table, log_sum, _block(ev, size))[2][0]
@@ -312,7 +313,7 @@ def test_table_pass_is_finite_where_w_vanishes():
     """The expanded |w|^2 can round below 0 where k_phi + k_n*conj(y)*u = 0;
     the pass must clip it rather than take the sqrt of a negative number."""
     params = channel(6.0, 5.0)
-    ev = QuadEvaluator(params, QuadratureGrid.of_degree(1))
+    ev = QuadEvaluator((params,), QuadratureGrid.of_degree(1), 8)
     points = ev._bind(reference_constellation("psk", 8).points[None])
     # One node where every sent row receives y = -(k_phi/k_n) / conj(u_0).
     ev.rotation = np.zeros(1, dtype=complex)
@@ -332,8 +333,8 @@ def test_pami_table_holds_no_subnormals_at_high_snr():
     """exp(metric - peak) is clamped at exp(_EXP_FLOOR), above the subnormal
     range where exp and the subset sums run many times slower."""
     c = reference_constellation("qam", 64)
-    ev = QuadEvaluator(channel(40.0, 10.0), GRID7)
-    ev.pami_bits(c.points, c.labels)
+    ev = QuadEvaluator((channel(40.0, 10.0),), GRID7, 64)
+    ev.pami_bits(c.points[None], c.labels[None])
     exp_table = ev._pami[1]
     assert exp_table.min() >= np.finfo(float).tiny
     # The clamp is reached, so the bound above is not met by chance.
@@ -364,7 +365,7 @@ def test_table_pass_nan_fallback_equals_the_clamped_pass():
     """Where the expanded |w|^2 rounds below 0 the sqrt gives a NaN; the
     pass sets those entries to what the clamped sqrt gives, and only those."""
     params = channel(6.0, 5.0)
-    ev = QuadEvaluator(params, GRID7)
+    ev = QuadEvaluator((params,), GRID7, 8)
     points = ev._bind(reference_constellation("psk", 8).points[None])
     _plant_vanishing_w(ev, params, points, node=100)
     y = points[0, :, None] * ev.rotation[0, 0] + ev.noise[0, 0]
@@ -421,7 +422,7 @@ def test_floor_clamp_runs_only_where_it_can_act(kind, size, snr, pnsd, clamps, m
     clamp-always one either way.  Without jitter it always runs."""
     spy = _FloorSpy()
     monkeypatch.setattr(capacity, "np", spy)
-    ev = QuadEvaluator(channel(snr, pnsd), GRID7)
+    ev = QuadEvaluator((channel(snr, pnsd),), GRID7, size)
     points = ev._bind(reference_constellation(kind, size).points[None])
     got, want = _pass_pair(ev, points)
     assert spy.clamps == int(clamps)
@@ -443,9 +444,11 @@ def test_matched_subset_pami_equals_the_subset_product(size, pnsd, monkeypatch):
     params = channel(12.0, pnsd)
     for _ in range(2):
         labels = rng.permutation(size)
-        want, losses = subset_product_pami_bits(QuadEvaluator(params, GRID7), c.points, labels)
+        want, losses = subset_product_pami_bits(
+            QuadEvaluator((params,), GRID7, size), c.points, labels
+        )
         for threads in (1, 4):
             set_threads(monkeypatch, threads)
-            ev = QuadEvaluator(params, GRID7)
-            assert np.array_equal(ev.pami_bits(c.points, labels), want)
+            ev = QuadEvaluator((params,), GRID7, size)
+            assert ev.pami_bits(c.points[None], labels[None]) == [want]
             assert np.array_equal(bit_losses(), losses), threads

@@ -78,6 +78,31 @@ def test_make_constellation_rejects_out_of_range_labels():
         make_constellation([1, 1j, -1, -1j], [1, 2, 3, 4])
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [0, 1.5, 2, 3.9],
+        np.array([0.0, 1.0, 2.0, 3.0]),
+        ["0", "1", "2", "3"],
+        np.array(["0", "1", "2", "3"]),
+        [True, False, 2, 3],
+        [np.True_, 0, 2, 3],
+        np.array([True, False, True, False]),
+    ],
+    ids=["floats", "float-array", "strings", "string-array", "bools", "numpy-bool",
+         "bool-array"],
+)
+def test_make_constellation_refuses_labels_that_are_not_integers(labels):
+    with pytest.raises(ConstellationError, match="labels must be integers"):
+        make_constellation([1, 1j, -1, -1j], labels)
+
+
+def test_make_constellation_takes_any_integer_labels():
+    want = make_constellation([1, 1j, -1, -1j], [2, 0, 3, 1])
+    for labels in ([np.int8(2), 0, 3, np.uint64(1)], np.array([2, 0, 3, 1], dtype=np.uint16)):
+        assert make_constellation([1, 1j, -1, -1j], labels) == want
+
+
 def test_make_constellation_does_not_normalize():
     c = make_constellation([2.0, -2.0], [0, 1])
     assert c.average_power() == pytest.approx(4.0)
@@ -375,6 +400,34 @@ def test_json_rejects_inconsistent_m(psk8):
 def test_json_rejects_invalid_content(psk8):
     doc = json.loads(constellation_to_json(psk8))
     doc["labels"] = [0] * 8
+    with pytest.raises(FormatError):
+        constellation_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("labels", [0, 1.5, 2, 3.9]),
+        ("labels", [0.0, 1.0, 2.0, 3.0]),
+        ("labels", ["0", "1", "2", "3"]),
+        ("labels", [True, False, 2, 3]),
+        ("labels", "0123"),
+        ("labels", [0, 1, 2, 10**30]),
+        ("points", [[True, 1], [0, 1], [-1, 0], [0, -1]]),
+        ("points", [[1, 0], [0, None], [-1, 0], [0, -1]]),
+        ("points", [[1, 0], [0, 10**400], [-1, 0], [0, -1]]),
+        ("m", 2.0),
+    ],
+    ids=["float-labels", "integral-floats", "string-labels", "bool-labels", "label-string",
+         "huge-label", "bool-point", "null-point", "huge-point", "float-m"],
+)
+def test_json_refuses_values_of_the_wrong_json_type(field, value):
+    """Labels and m are JSON integers and coordinates JSON numbers, never
+    bools; anything else is a FormatError, not a silent conversion."""
+    doc = {"version": "phasecon-v1", "m": 2, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+           "labels": [0, 1, 2, 3]}
+    constellation_from_json(json.dumps(doc))
+    doc[field] = value
     with pytest.raises(FormatError):
         constellation_from_json(json.dumps(doc))
 

@@ -31,6 +31,10 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   swap-heavy PAMI on 6, 9 and 12 dB x 0 and 20 deg, whose AMI cells anneal
   as lockstep groups of three, one per jitter class, and PAMI cells one at
   a time, and 32-point PAMI at 14 dB, 5 and 10 deg;
+- a library `mismatch_matrix` of a 4-point and an 8-point design on a 0 and
+  a 20 deg channel, which builds one evaluator per channel and design size,
+  on 1 and 2 threads with blocks of any size: the repr of every entry of
+  its bits and loss;
 - with --acceptance, the verdict lines of the tests/test_acceptance.py
   beside each `src` tree, so each tree runs its own criteria against its
   own API (about two minutes a side).
@@ -171,6 +175,23 @@ for threads in (1, 2):
                   repr(float(trace.best_bits[-1])), digest)
 """
 
+MISMATCH = """
+import os
+import phasecon as pc
+from phasecon import capacity
+
+capacity._MIN_BLOCK_ENTRIES = 1
+grid = pc.QuadratureGrid.of_degree(7)
+designs = {(10.0, 0.0): pc.reference_constellation("qam", 4),
+           (10.0, 20.0): pc.reference_constellation("psk", 8)}
+for threads in (1, 2):
+    os.environ["PHASECON_THREADS"] = str(threads)
+    report = pc.mismatch_matrix(designs, [10.0], [0.0, 20.0], grid)
+    for d, cell in enumerate(report.design_cells):
+        print(threads, cell, *map(repr, report.bits[d].tolist()),
+              *map(repr, report.loss[d].tolist()))
+"""
+
 
 def run(cmd, cwd: Path, src: Path, name: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -189,6 +210,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", MC_GRID], out, src, "mc_grid")
     run([py, "-c", GOLDEN], out, src, "golden")
     run([py, "-c", CAMPAIGNS], out, src, "campaigns")
+    run([py, "-c", MISMATCH], out, src, "mismatch")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(src.parent / "tests" / "test_acceptance.py")], out, src, "acceptance_log")
