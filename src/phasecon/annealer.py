@@ -11,9 +11,10 @@ One loop anneals any number of AMI chains in lockstep, one per channel
 (`_anneal_chains`).  It builds its quadrature evaluator (`QuadEvaluator`)
 once, for the design size and the chains' channels, and the candidates
 are (chains, size) stacks of its shape.  At each step every chain draws
-its move from its own generator, then one stacked evaluation scores all
-the chains' candidates, each on its own channel, and every chain accepts
-or rejects its own.  A chain's draws and rates are those of a lone
+its move from its own generator; the candidate stack is then rescaled and
+checked for collisions in whole-stack calls, one stacked evaluation scores
+all the chains' candidates, each on its own channel, and every chain
+accepts or rejects its own.  A chain's draws and rates are those of a lone
 run, so each chain ends bit for bit where `sa_optimize`, the case of one
 chain, ends with its seed.  `analysis.campaign_cells` runs the AMI cells of
 a campaign as such chains; PAMI anneals one chain at a time.
@@ -112,17 +113,15 @@ def _displacement(max_disp: float, draw_a: float, draw_b: float) -> complex:
     return complex(radius * math.cos(angle), radius * math.sin(angle))
 
 
-def _renormalize(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`pts` scaled to unit average power, into `out` where given."""
-    power = float(np.add.reduce(pts.real**2 + pts.imag**2) / pts.size)
-    if power <= 0.0:
+def _renormalize(stack: np.ndarray) -> None:
+    """Scale each row of the (K, size) `stack`, in place, to unit average
+    power.  The K row powers come out of one reduction and are rooted as
+    Python floats, which costs less than more numpy calls."""
+    powers = np.add.reduce(stack.real**2 + stack.imag**2, axis=1).tolist()
+    if 0.0 in powers:
         raise ValueError("degenerate all-zero candidate")
-    return np.divide(pts, math.sqrt(power), out=out)
-
-
-def _min_pairwise(pts: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Smallest distance over the index pairs (i < j) of np.triu_indices."""
-    return float(np.minimum.reduce(np.abs(pts[pairs[0]] - pts[pairs[1]])))
+    size = stack.shape[1]
+    np.divide(stack, np.array([math.sqrt(p / size) for p in powers])[:, None], out=stack)
 
 
 def _random_disc_points(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,10 +170,13 @@ def sa_optimize(
 
 def _anneal_chains(size, channels, objective, grid, config, seeds, initial=None) -> list:
     """Anneal one chain per channel in lockstep: chain k runs `config` with
-    seed `seeds[k]` on `channels[k]`, and each step scores every chain's
-    candidate in one stacked evaluation.  Chain k draws its moves and its
-    acceptances from its own generator, exactly as `sa_optimize` draws
-    alone, and each candidate's rate is the one it gets alone, so chain k
+    seed `seeds[k]` on `channels[k]`.  A step draws each chain's move in
+    turn, rescales the candidate stack to unit power per row and finds the
+    rows with two points closer than COLLISION_MIN_DIST in whole-stack
+    calls, and scores every chain's candidate in one stacked evaluation.
+    Chain k draws its moves and its acceptances from its own generator,
+    exactly as `sa_optimize` draws alone, and each candidate's scale,
+    collision test and rate are the ones it gets alone, so chain k
     ends where `sa_optimize` with seed `seeds[k]` ends, bit for bit;
     `sa_optimize` is the case of one chain.  The channels must all have
     jitter or none (`QuadEvaluator`).  PAMI anneals one chain: its label
@@ -194,7 +196,9 @@ def _anneal_chains(size, channels, objective, grid, config, seeds, initial=None)
         _warn_wide_phase(params, 4)
     m = size.bit_length() - 1
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    pairs = np.triu_indices(size, 1)
+    # Each chain's point pairs (i < j), as indices into the flat stack.
+    offsets = np.arange(0, chains * size, size)[:, None]
+    first, second = (offsets + i for i in np.triu_indices(size, 1))
 
     # Per chain, one row of each stack: its current points and labels, its
     # best ones, and its candidate points and labels, written in place.
@@ -204,11 +208,13 @@ def _anneal_chains(size, channels, objective, grid, config, seeds, initial=None)
     labs = np.empty((chains, size), dtype=np.int64)
     for k, rng in enumerate(rngs):
         if initial is not None:
-            pts[k], labs[k] = _renormalize(initial.points), initial.labels
+            pts[k], labs[k] = initial.points, initial.labels
         else:
-            pts[k] = _renormalize(_random_disc_points(size, rng))
+            pts[k] = _random_disc_points(size, rng)
             labs[k] = rng.permutation(size)
+    _renormalize(pts)
     best_pts, best_labs, cand_pts, cand_labs = pts.copy(), labs.copy(), pts.copy(), labs.copy()
+    cand_flat = cand_pts.reshape(-1)
 
     # A label swap leaves the PAMI table unchanged, and an evaluator reuses
     # the table of the last points it scored.  So swaps score on `held`,
@@ -232,7 +238,7 @@ def _anneal_chains(size, channels, objective, grid, config, seeds, initial=None)
     # acceptance and move.
     col_temp = []
     columns = [([], [], [], []) for _ in range(chains)]
-    moves, collided = [MOVE_POINT] * chains, [False] * chains
+    moves, no_collision = [MOVE_POINT] * chains, [False] * chains
     # Per chain, its generator, its rows of the stacks and its columns.
     rows = list(zip(rngs, pts, labs, cand_pts, cand_labs, best_pts, best_labs, columns))
 
@@ -245,29 +251,32 @@ def _anneal_chains(size, channels, objective, grid, config, seeds, initial=None)
             temp = _geometric(local, p_len, config.t_initial, config.t_final)
             disp = _geometric(local, p_len, config.d_initial, config.d_final)
             swapped = False
-            for k, (rng, state, lab, cand, cand_lab, _, _, _) in enumerate(rows):
+            cand_pts[...] = pts
+            for k, (rng, _, lab, cand, cand_lab, _, _, _) in enumerate(rows):
                 if swap_prob > 0.0 and rng.random() < swap_prob:
                     i = int(rng.integers(size))
                     j = int(rng.integers(size - 1))
                     j += j >= i
                     cand_lab[...] = lab
                     cand_lab[i], cand_lab[j] = cand_lab[j], cand_lab[i]
-                    moves[k], collided[k], swapped = MOVE_SWAP, False, True
+                    moves[k], swapped = MOVE_SWAP, True
                 else:
                     i = int(rng.integers(size))
                     u_a, u_b = rng.random(2)
-                    cand[...] = state
                     cand[i] += _displacement(disp, u_a, u_b)
-                    _renormalize(cand, out=cand)
                     moves[k] = MOVE_POINT
-                    collided[k] = _min_pairwise(cand, pairs) < COLLISION_MIN_DIST
             # Only PAMI, one chain, swaps: a step swaps labels or moves
             # points.  A collided candidate of a multi-chain step is scored
             # and ignored; a one-chain step that collides scores nothing.
             if swapped:
+                collided = no_collision
                 bits = score(held, pts, cand_labs)
-            elif not all(collided):
-                bits = score(spare, cand_pts, labs)
+            else:
+                _renormalize(cand_pts)
+                gaps = np.abs(cand_flat[first] - cand_flat[second])
+                collided = (np.minimum.reduce(gaps, axis=1) < COLLISION_MIN_DIST).tolist()
+                if not all(collided):
+                    bits = score(spare, cand_pts, labs)
             col_temp.append(temp)
             for k, row in enumerate(rows):
                 rng, state, lab, cand, cand_lab, best_state, best_lab, column = row

@@ -363,14 +363,16 @@ class QuadEvaluator:
     of channels, one slot each, all with jitter or all without, so that
     they share the grid's G nodes.
 
-    `noise` and `rotation` (None without jitter) hold a (1, G) row per slot,
-    shaped to broadcast over a stack's sent rows.  `ami_bits` scores an
-    (S, size) stack, set j on slot j, in one table pass per tile, and
-    returns S rates; every entry, hypothesis-ordered sum and per-row
-    weighted sum of a set is computed as when it is scored alone, so each
-    set's rate is the same to the bit.  `pami_bits` scores a (1, size)
-    stack on a one-slot evaluator and returns one rate in a list.  A stack
-    of any other shape raises ValueError.
+    `noise`, `rotation` (None without jitter) and the node weights hold a
+    (1, G) row per slot, shaped to broadcast over a stack's sent rows.
+    `ami_bits` scores an (S, size) stack, set j on slot j, and returns S
+    rates: one call turns the whole stack to its canonical orientation, one
+    table pass per tile scores it, and one np.vecdot per tile takes the
+    weighted sums of its rows.  Every rotation, entry, hypothesis-ordered
+    sum and per-row weighted sum of a set is computed as when it is scored
+    alone, so each set's rate is the same to the bit.  `pami_bits` scores
+    a (1, size) stack on a one-slot evaluator and returns one rate in a
+    list.  A stack of any other shape raises ValueError.
 
     The entry points take raw point/label arrays so an optimizer can call
     them in a hot loop.  The evaluator allocates its work arrays when it is
@@ -393,7 +395,7 @@ class QuadEvaluator:
             raise ValueError("an evaluator's channels must all have jitter or none")
         noise, rotation, weights, factors = zip(*(_channel_nodes(p, grid) for p in channels))
         sets, n, nodes = len(noise), size, noise[0].size
-        self._slots, self._size, self._weights = sets, n, weights
+        self._slots, self._size, self._weights = sets, n, _slot_rows(weights)
         self.noise = _slot_rows(noise)
         self.rotation = None if rotation[0] is None else _slot_rows(rotation)
         # Per slot, shaped to scale a set's (n, 2) points and (n,) energies:
@@ -430,8 +432,15 @@ class QuadEvaluator:
         hypothesis matrices and half-energy grids filled, set j for slot j's
         channel."""
         canonical, u2 = self._canonical, self._u2
-        for set_points, row in zip(points, canonical):
-            np.multiply(set_points, _canonical_rotation(set_points), out=row)
+        # Every set's rotation in one call where no set starts at 0; np.hypot
+        # is the scalar abs of `_canonical_rotation` to the bit, np.abs is not.
+        anchors = points[:, 0]
+        scale = np.hypot(anchors.real, anchors.imag)
+        if np.count_nonzero(scale) == scale.size:
+            rotation = anchors.conj() / scale
+        else:
+            rotation = np.array([_canonical_rotation(set_points) for set_points in points])
+        np.multiply(points, rotation[:, None], out=canonical)
         np.square(np.abs(canonical, out=u2), out=u2)
         # Columns Re u and Im u at once, from the (S, size, 2) float view of u.
         np.multiply(self._re_im, self._re_im_factor, out=self._hyp_re_im)
@@ -532,24 +541,19 @@ class QuadEvaluator:
         """Per slot, m bits less the weighted mean, in bits, over nodes and
         sent rows of the per-row losses in nats `tile_losses(rows, block)`
         returns for each tile, one (rows, G) slab per set: each thread block
-        runs its tiles in turn on its own work arrays, and each row's
-        weighted sum over its channel's nodes, one dot product per row, is
-        taken before the next tile overwrites them."""
+        runs its tiles in turn on its own work arrays, and the weighted sums
+        of a tile's rows over their channels' nodes are taken in one
+        np.vecdot, which calls per row the dot product `ndarray.dot` does,
+        before the next tile overwrites them."""
 
         def run(block: _Block) -> list:
-            sums = [[] for _ in self._weights]
-            for rows in block.tiles:
-                for slot, losses, weights in zip(sums, tile_losses(rows, block), self._weights):
-                    slot += [row.dot(weights) for row in losses]
-            return sums
+            return [np.vecdot(tile_losses(rows, block), self._weights) for rows in block.tiles]
 
         # Per slot, its row sums from every block: math.fsum is exact, so
         # the order in which they come does not matter.
         n, blocks = self._size, _map_blocks(run, self._blocks, len(self._blocks))
-        return [
-            (n.bit_length() - 1) - math.fsum(s for sums in slot for s in sums) / n / _LN2
-            for slot in zip(*blocks)
-        ]
+        sums = np.concatenate([s for tiles in blocks for s in tiles], axis=1).tolist()
+        return [(n.bit_length() - 1) - math.fsum(slot) / n / _LN2 for slot in sums]
 
     def ami_bits(self, points: np.ndarray) -> list[float]:
         """Symbol-wise rate of each set of an (S, size) stack."""

@@ -341,6 +341,10 @@ def _load_campaign(designs_dir: str):
                 f"snr_db and pnsd_deg, got {cell!r}"
             )
         key = (float(cell["snr_db"]), float(cell["pnsd_deg"]))
+        try:
+            ChannelParams.from_snr_pnsd(*key)
+        except ValueError as exc:
+            raise FormatError(f"campaign manifest {path}: cell {cell!r}: {exc}") from exc
         if key in designs:
             raise FormatError(f"campaign manifest {path} lists the cell {key} twice")
         designs[key], _ = load_constellation(os.path.join(designs_dir, cell["file"]))

@@ -254,5 +254,5 @@ def subset_product_pami_bits(ev, points, labels):
     np.log(matched, out=matched)
     np.subtract(log_sum[:, None, :], matched, out=matched)
     rows = np.add.reduce(matched, axis=1)
-    mean = math.fsum(map(np.ndarray.dot, rows, itertools.repeat(ev._weights[0]))) / n
+    mean = math.fsum(map(np.ndarray.dot, rows, itertools.repeat(ev._weights[0, 0]))) / n
     return m - mean / math.log(2.0), matched

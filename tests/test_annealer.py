@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from phasecon import (
     SAConfig,
     ami_quadrature,
+    annealer,
     capacity,
     make_constellation,
     sa_optimize,
@@ -146,6 +148,64 @@ def test_swap_labels_leaves_ami_alone(psk8, grid7):
 def test_swap_labels_can_break_a_gray_map(psk8):
     assert is_gray(psk8)
     assert not is_gray(_swapped(psk8, 0, 4))
+
+
+def _spy_scored_stacks(monkeypatch, log):
+    """From now on, append to `log` None for each schedule value and a copy
+    of each stack `ami_bits` scores; a step starts with two schedule values,
+    its temperature and its displacement budget."""
+    geometric, ami_bits = annealer._geometric, QuadEvaluator.ami_bits
+    monkeypatch.setattr(annealer, "_geometric", lambda *a: log.append(None) or geometric(*a))
+    monkeypatch.setattr(
+        QuadEvaluator, "ami_bits", lambda ev, pts: log.append(pts.copy()) or ami_bits(ev, pts)
+    )
+
+
+def _scored_steps(log):
+    """(step, stack) of each stack in a `_spy_scored_stacks` log; the score
+    of the start is at step -1."""
+    scored, values = [], 0
+    for entry in log:
+        if entry is None:
+            values += 1
+        else:
+            scored.append((values // 2 - 1, entry))
+    return scored
+
+
+def test_collided_candidates_are_never_accepted(grid7, monkeypatch):
+    """With the collision distance raised to 0.3, collisions are frequent.
+    A lockstep group of three chains scores its collided candidates with the
+    others and ignores them; a lone run scores no collided candidate; either
+    way a collided candidate is never accepted, and each chain of the group
+    equals its lone run in points, labels and every trace column."""
+    min_dist = 0.3
+    monkeypatch.setattr(annealer, "COLLISION_MIN_DIST", min_dist)
+    log = []
+    _spy_scored_stacks(monkeypatch, log)
+    cfg = small_config(iterations=300, reanneal_count=1)
+    channels, seeds = [channel(snr, 0.0) for snr in (6.0, 9.0, 12.0)], [3, 4, 5]
+    group = annealer._anneal_chains(8, channels, "AMI", grid7, cfg, seeds)
+    # A step the group does not score is one where every chain collided.
+    collided = np.ones((3, cfg.iterations), dtype=bool)
+    first, second = np.triu_indices(8, 1)
+    for step, stack in _scored_steps(log)[1:]:
+        gaps = np.abs(stack[:, first] - stack[:, second])
+        collided[:, step] = np.minimum.reduce(gaps, axis=1) < min_dist
+    assert 0.1 < collided.mean() < 0.9, collided.mean()
+    assert (collided.any(axis=0) & ~collided.all(axis=0)).sum() > 10
+    columns = ("step", "temperature", "current_bits", "best_bits", "accepted", "move_type")
+    for k, (params, seed) in enumerate(zip(channels, seeds)):
+        best, trace = group[k]
+        assert not trace.accepted[collided[k]].any(), seed
+        log.clear()
+        lone, want = sa_optimize(8, params, "AMI", grid7, replace(cfg, seed=seed))
+        scored = [step for step, _ in _scored_steps(log)[1:]]
+        assert scored == np.flatnonzero(~collided[k]).tolist(), seed
+        assert np.array_equal(best.points, lone.points), seed
+        assert np.array_equal(best.labels, lone.labels), seed
+        for column in columns:
+            assert np.array_equal(getattr(trace, column), getattr(want, column)), (seed, column)
 
 
 # --- full runs -------------------------------------------------------------

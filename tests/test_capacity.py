@@ -723,3 +723,33 @@ def test_evaluator_scores_stacks_of_its_own_shape_only(psk8, grid7):
         with pytest.raises(ValueError, match=r"expected \(1, 8\)"):
             one.pami_bits(*bad)
     assert one.pami_bits(points, labels) == [pami_quadrature(psk8, p, grid7).bits]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pnsd", [0.0, 20.0])
+def test_stacked_ami_equals_each_set_scored_alone(pnsd, threads, grid7, monkeypatch):
+    """A stacked `ami_bits` gives each set, to the bit, the rate a one-slot
+    evaluator gives it alone, on blocks of any size.  The random sets' first
+    points are ones whose rotation np.abs would round otherwise than the
+    scalar abs of a lone set; a stack that holds a set whose first point is
+    0, which turns on its first nonzero point, is scored too."""
+    set_threads(monkeypatch, threads)
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    rng = np.random.default_rng(21)
+    drawn = [random_unit_power_constellation(rng).points for _ in range(16)]
+
+    def abs_agree(points):
+        anchor = points[0].conjugate()
+        return anchor / np.abs(points[:1])[0] == anchor / abs(points[0])
+
+    # Sets whose first point np.abs and abs turn apart come first.
+    sets = sorted(drawn, key=abs_agree)[:4]
+    zero_first = np.concatenate([[0.0], sets[0][1:]])
+    zero_first /= np.sqrt(np.mean(np.abs(zero_first) ** 2))
+    for stack in (np.stack(sets), np.stack([*sets, zero_first])):
+        channels = [channel(snr, pnsd) for snr in np.linspace(4.0, 16.0, len(stack))]
+        want = [
+            capacity.QuadEvaluator((p,), grid7, 8).ami_bits(points[None])[0]
+            for p, points in zip(channels, stack)
+        ]
+        assert capacity.QuadEvaluator(channels, grid7, 8).ami_bits(stack) == want

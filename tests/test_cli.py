@@ -530,14 +530,17 @@ def _with_cell(**fields):
         _with_cell(snr_db=float("nan")),
         _with_cell(file=3),
         lambda manifest: {**manifest, "cells": manifest["cells"] * 2},
+        _with_cell(pnsd_deg=-5.0),
+        _with_cell(snr_db=1e6),
     ],
     ids=["root-list", "cell-without-file", "cells-object", "cell-number", "null-pnsd",
-         "string-snr", "bool-snr", "nan-snr", "number-file", "repeated-cell"],
+         "string-snr", "bool-snr", "nan-snr", "number-file", "repeated-cell",
+         "negative-pnsd", "overflowing-snr"],
 )
 def test_mismatch_refuses_a_malformed_manifest(edit, psk8, tmp_path, capsys):
     """A manifest that is not an object with a list of distinct cells, each
-    with a file name and numbers snr_db and pnsd_deg, is a file error that
-    names the manifest: exit 2 and one error line."""
+    with a file name and numbers snr_db and pnsd_deg that make a channel, is
+    a file error that names the manifest: exit 2 and one error line."""
     out_dir = tmp_path / "camp"
     out_dir.mkdir()
     save_constellation(out_dir / "d.json", psk8)

@@ -86,7 +86,7 @@ def _ami_row_means(ev, params, points, rows):
     lse = peak + np.log(exp_shift.sum(axis=-1))
     sent = metric[np.arange(rows.size), :, rows]
     integrand = lse - sent
-    return [float(np.dot(integrand[r], ev._weights[0])) for r in range(rows.size)]
+    return [float(np.dot(integrand[r], ev._weights[0, 0])) for r in range(rows.size)]
 
 
 def _pami_row_means(ev, params, points, labels, rows):
@@ -103,7 +103,7 @@ def _pami_row_means(ev, params, points, labels, rows):
         sub_peak = sub.max(axis=-1)
         sub_sum = np.exp(sub - sub_peak[:, :, None]).sum(axis=-1)
         total += lse - (sub_peak + np.log(sub_sum))
-    return [float(np.dot(total[r], ev._weights[0])) for r in range(rows.size)]
+    return [float(np.dot(total[r], ev._weights[0, 0])) for r in range(rows.size)]
 
 
 def _bits(points, partials):

@@ -31,6 +31,12 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   swap-heavy PAMI on 6, 9 and 12 dB x 0 and 20 deg, whose AMI cells anneal
   as lockstep groups of three, one per jitter class, and PAMI cells one at
   a time, and 32-point PAMI at 14 dB, 5 and 10 deg;
+- lockstep AMI groups (`annealer._anneal_chains`) of three 8-point chains
+  at 6, 9 and 12 dB, one group at 0 and one at 20 deg, on 1 and 2 threads
+  with blocks of any size, warm-started from a set whose first point is 0
+  (seven more on a ring of uneven radii), so their stacks hold sets that
+  fall back to the scalar rotation beside sets that do not: each chain's
+  design fingerprint, best rate and trace sha256;
 - a library `mismatch_matrix` of a 4-point and an 8-point design on a 0 and
   a 20 deg channel, which builds one evaluator per channel and design size,
   on 1 and 2 threads with blocks of any size: the repr of every entry of
@@ -175,6 +181,30 @@ for threads in (1, 2):
                   repr(float(trace.best_bits[-1])), digest)
 """
 
+LOCKSTEP = """
+import hashlib
+import os
+import numpy as np
+import phasecon as pc
+from phasecon import annealer, capacity
+
+capacity._MIN_BLOCK_ENTRIES = 1
+grid = pc.QuadratureGrid.of_degree(7)
+ring = np.exp(2j * np.pi * np.arange(7) / 7) * np.linspace(0.5, 1.5, 7)
+warm = pc.normalize_average_power(pc.make_constellation(np.r_[0.0, ring], np.arange(8)))
+cfg = pc.SAConfig(iterations=300, seed=0)
+seeds = [3, 4, 5]
+for threads in (1, 2):
+    os.environ["PHASECON_THREADS"] = str(threads)
+    for pnsd in (0.0, 20.0):
+        channels = [pc.ChannelParams.from_snr_pnsd(snr, pnsd) for snr in (6.0, 9.0, 12.0)]
+        runs = annealer._anneal_chains(8, channels, "AMI", grid, cfg, seeds, initial=warm)
+        for seed, (best, trace) in zip(seeds, runs):
+            digest = hashlib.sha256(trace.to_csv().encode("ascii")).hexdigest()
+            print(threads, pnsd, seed, best.fingerprint(), repr(float(trace.best_bits[-1])),
+                  digest)
+"""
+
 MISMATCH = """
 import os
 import phasecon as pc
@@ -210,6 +240,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", MC_GRID], out, src, "mc_grid")
     run([py, "-c", GOLDEN], out, src, "golden")
     run([py, "-c", CAMPAIGNS], out, src, "campaigns")
+    run([py, "-c", LOCKSTEP], out, src, "lockstep")
     run([py, "-c", MISMATCH], out, src, "mismatch")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
