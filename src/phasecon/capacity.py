@@ -16,8 +16,9 @@ a table of exp(value - column peak) over the hypotheses, whose columns are
 (sent point, node) pairs in the quadrature and samples in Monte Carlo: AMI
 from its log-sum, PAMI from the sums over the hypotheses whose bit matches
 the sent label's, one per label bit.  The quadrature, whose rows share a
-sent point, sums only those m matched subsets per row, through one
-(M, m, M) matched-bit indicator (`QuadEvaluator.pami_bits`); Monte Carlo,
+sent point, sums only those m matched subsets per row, through a
+matched-bit indicator built for each row tile (`QuadEvaluator.pami_bits`);
+Monte Carlo,
 whose columns each have their own sent point, forms all 2m bit-subset sums
 with one (2m x M) indicator product and keeps m of them (`_information`).
 """
@@ -319,7 +320,10 @@ def _sets_per_tile(size: int, params: ChannelParams, grid: QuadratureGrid) -> in
 class _Block:
     """One thread block of a table pass: its sent rows cut into tiles, and
     the work arrays each tile in turn reuses, sized for the longest tile of
-    a stack of `sets` sets.
+    a stack of `sets` sets, among them the two buffers (`table_of`) that
+    hold the table tile and PAMI's matched subset sums.  Where the block is
+    one tile, the table buffer and `log_sum` are the block's share of the
+    table PAMI keeps.
 
     A tile holds at most `tile_rows` rows, but two rows or more where the
     block has two: numpy would sum a lone row on a one-node grid pairwise
@@ -334,7 +338,7 @@ class _Block:
         self.nodes = np.empty((sets, longest, width, size))
         self.nodes[:, :, -1] = 1.0
         self.peak, self.sent, self.log_sum = np.empty((3, sets, longest, size))
-        self._table = np.empty(0)
+        self._buffers = [np.empty(0), np.empty(0)]
 
     def views(self, count: int) -> tuple:
         """y, nodes, peak, sent and log_sum for `count` rows: the arrays
@@ -344,18 +348,23 @@ class _Block:
             return arrays
         return tuple(a[:, :count] for a in arrays)
 
-    def table_of(self, rows: slice, depth: int) -> np.ndarray:
-        """A (sets, rows, depth, G) view of the block's one tile buffer:
-        AMI's table tile at depth M, PAMI's matched subset sums at depth m.
-        The buffer is allocated at the first use that needs it deeper.  An
-        M-deep tile held for PAMI alone made glibc trim and re-fault the heap
-        on every fresh evaluator: 16-QAM PAMI at 14 dB, 10 deg took 0.70
-        against 0.40 ms on a 2-core machine."""
+    def table_of(self, rows: slice, depth: int, sums: bool = False) -> np.ndarray:
+        """A (sets, rows, depth, G) view of one of the block's two buffers:
+        the table tile, M deep, that AMI's and PAMI's table passes write, or
+        with `sums` PAMI's matched subset sums, m deep.  Each is allocated
+        at the first use that needs it deeper.  Where the block's rows are
+        one tile, the table buffer and `log_sum` hold the table of all its
+        rows after a pass, which PAMI keeps (`QuadEvaluator.pami_bits`).
+        On a fresh evaluator the tile buffer is its only M-deep array: an
+        M-deep tile allocated beside a kept 16-QAM table made glibc trim and
+        re-fault the heap on every fresh evaluator, and PAMI at 14 dB, 10 deg
+        took 0.70 against 0.40 ms on a 2-core machine.  Only a multi-tile
+        evaluator scoring PAMI again holds a full table beside its tiles."""
         sets, longest, size = self.y.shape
-        if self._table.size < sets * longest * depth * size:
-            self._table = np.empty(sets * longest * depth * size)
+        if self._buffers[sums].size < sets * longest * depth * size:
+            self._buffers[sums] = np.empty(sets * longest * depth * size)
         count = rows.stop - rows.start
-        return self._table[: sets * count * depth * size].reshape(sets, count, depth, size)
+        return self._buffers[sums][: sets * count * depth * size].reshape(sets, count, depth, size)
 
 
 class QuadEvaluator:
@@ -382,10 +391,12 @@ class QuadEvaluator:
     _MIN_BLOCK_ENTRIES table entries or more and two sent rows or more, and
     each sized for one tile of at most _TILE_ENTRIES table entries over the
     whole stack (`_Block`): the node columns, received samples, peaks, sent
-    metrics, log-sums, and one buffer, allocated at its first use, that
-    holds AMI's table tile or PAMI's matched subset sums.  PAMI keeps one
-    full table of its own, allocated at its first call, so that a label
-    swap reuses it (`pami_bits`).  The thread count is read from
+    metrics, log-sums, and two buffers, each allocated at its first use,
+    that hold the table tile and PAMI's matched subset sums.  So a one-shot
+    AMI or PAMI evaluation holds its tiles, never the M x M x G table.  PAMI
+    keeps the table of its last set for a label swap to reuse (`pami_bits`):
+    in the tile buffers where every block is one tile, else in one full
+    table allocated at its second call.  The thread count is read from
     PHASECON_THREADS once, when the evaluator is built.
     """
 
@@ -419,7 +430,11 @@ class QuadEvaluator:
         k = max(1, min(threads, n // 2, sets * n * n * nodes // _MIN_BLOCK_ENTRIES))
         tile_rows = max(2, _TILE_ENTRIES // (sets * n * nodes))
         self._blocks = [_Block(b, tile_rows, width, nodes, sets) for b in _split(0, n, k)]
-        self._pami = self._labels = None
+        self._one_tile = all(len(block.tiles) == 1 for block in self._blocks)
+        # PAMI's state: the points whose table is kept, the full table of a
+        # multi-tile evaluator, and the labels, whose bits are kept with them
+        # (`pami_bits`, `_bit_losses`).
+        self._kept = self._full = self._labels = None
 
     def _check(self, *stacks: np.ndarray) -> None:
         """Refuse stacks that are not (S, size), one set per channel slot."""
@@ -558,6 +573,8 @@ class QuadEvaluator:
     def ami_bits(self, points: np.ndarray) -> list[float]:
         """Symbol-wise rate of each set of an (S, size) stack."""
         self._check(points)
+        # The passes below may overwrite the tiles that hold PAMI's table.
+        self._kept = None
         canonical, n = self._bind(points), self._size
 
         def tile_losses(rows: slice, block: _Block) -> np.ndarray:
@@ -570,50 +587,68 @@ class QuadEvaluator:
 
     def _bit_losses(self, rows: slice, exp_table, log_sum, sums) -> np.ndarray:
         """Per sent row of `rows` and label bit, the information PAMI loses:
-        log_sum minus the log of the table summed over the hypotheses whose
-        bit matches the sent label's, made in `sums`."""
-        np.matmul(self._matched[:, rows], exp_table[:, rows], out=sums)
+        the tile's `log_sum` minus the log of its `exp_table` summed over
+        the hypotheses whose bit matches the sent label's, made in `sums`.
+
+        The tile's (rows, m, M) indicator, whose entry [j, i, h] marks the
+        hypotheses h whose bit i matches that of the label of sent point j,
+        gives one (m x M) @ (M x G) product per sent row.  It is built per
+        tile from the label bits, so no M x m x M array is held.  numpy lays
+        each row of it out column-major, and that layout sets the product's
+        rounding: a row-major copy of the same values rounds some entries
+        otherwise."""
+        bits = self._bits
+        np.matmul((bits.T == bits[rows, :, None]) * 1.0, exp_table, out=sums)
         np.log(sums, out=sums)
-        return np.subtract(log_sum[:, rows, None], sums, out=sums)
+        return np.subtract(log_sum[:, :, None], sums, out=sums)
 
     def pami_bits(self, points: np.ndarray, labels: np.ndarray) -> list[float]:
         """Bitwise rate of a (1, size) stack of points with its (1, size)
         labels, on a one-slot evaluator, as a list of one.
 
+        Each tile's table pass runs into the block's tile buffer, as in
+        `ami_bits`, and its m matched subset sums per sent row are taken
+        while it is in cache, into an m-deep buffer (`_bit_losses`).
+
         The table does not depend on the labels, and the evaluator keeps
-        one: the points, exp(metric - peak) and its log-sum over the
-        hypotheses of the last set scored.  A call whose points equal the
-        kept ones reuses it; any other call refills it, one tile at a time.
-        When the labels change, an (M, m, M) indicator is built whose entry
-        [j, i, h] marks the hypotheses h whose bit i matches that of the
-        label of point j; one (m x M) @ (M x G) product per sent row then
-        gives its m matched subset sums."""
+        the table of the last set scored where that costs no second copy:
+        where every block is one tile, its buffers hold their rows' table
+        after the call.  A multi-tile evaluator streams its first call
+        through the tiles and keeps nothing; from its second call on, one
+        full table takes the passes, for callers that repeat, as the
+        annealer does.  A call whose points equal the kept ones reuses the
+        table; any other call refills it, one tile at a time.  An AMI call,
+        which may overwrite the tiles, leaves no table to reuse."""
         if self._slots != 1:
             raise ValueError(f"PAMI scores one set, not a stack on {self._slots} channel slots")
         self._check(points, labels)
         labels, n = labels[0], self._size
-        fresh = self._pami is None or not (self._pami[0] == points[0]).all()
-        if self._pami is None:
-            size = self.noise.shape[-1]
-            self._pami = (np.empty(n, complex), np.empty((1, n, n, size)), np.empty((1, n, size)))
-        kept_points, exp_table, log_sum = self._pami
+        fresh = self._kept is None or not (self._kept == points[0]).all()
         if fresh:
-            kept_points[:] = np.nan  # matches no set until the pass below completes
+            self._kept = None  # matches no set until the passes below complete
             canonical = self._bind(points)
+            # A call has come before where the labels are set.
+            if not self._one_tile and self._full is None and self._labels is not None:
+                size = self.noise.shape[-1]
+                self._full = (np.empty((1, n, n, size)), np.empty((1, n, size)))
         if self._labels is None or not (self._labels == labels).all():
-            bits = _label_bits(labels)[0]
-            self._labels, self._matched = labels.copy(), (bits.T == bits[:, :, None])[None] * 1.0
-        m = self._matched.shape[2]
+            self._labels, self._bits = labels.copy(), _label_bits(labels)[0]
+        m, full = self._bits.shape[1], self._full
 
         def tile_losses(rows: slice, block: _Block) -> np.ndarray:
+            _, _, peak, _, log_sum = block.views(rows.stop - rows.start)
+            if full is None:
+                exp_table = block.table_of(rows, n)
+            else:
+                exp_table, log_sum = full[0][:, rows], full[1][:, rows]
             if fresh:
-                self._table_pass(canonical, rows, exp_table[:, rows], log_sum[:, rows], block)
-            losses = self._bit_losses(rows, exp_table, log_sum, block.table_of(rows, m))
-            return np.add.reduce(losses, axis=2, out=block.views(rows.stop - rows.start)[-1])
+                self._table_pass(canonical, rows, exp_table, log_sum, block)
+            losses = self._bit_losses(rows, exp_table, log_sum, block.table_of(rows, m, True))
+            return np.add.reduce(losses, axis=2, out=peak)
 
         bits = self._rates(tile_losses)
-        if fresh:
-            kept_points[:] = points[0]
+        if fresh and (self._one_tile or full is not None):
+            self._kept = points[0].copy()
         return bits
 
 

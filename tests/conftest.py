@@ -73,6 +73,21 @@ def spy_bit_losses(monkeypatch):
     return last
 
 
+def spy_table_rows(monkeypatch):
+    """The sent rows of every quadrature table pass from now on, one count
+    per tile."""
+    from phasecon.capacity import QuadEvaluator
+
+    rows, real = [], QuadEvaluator._table_pass
+
+    def spy(ev, points, tile, *args):
+        rows.append(tile.stop - tile.start)
+        return real(ev, points, tile, *args)
+
+    monkeypatch.setattr(QuadEvaluator, "_table_pass", spy)
+    return rows
+
+
 # Relative tolerance for detecting tied nearest-neighbour distances.
 GRAY_TIE_RTOL = 1e-9
 

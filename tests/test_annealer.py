@@ -18,7 +18,7 @@ from phasecon import (
 )
 from phasecon.annealer import _pass_lengths
 from phasecon.capacity import QuadEvaluator
-from conftest import channel, is_gray, set_threads, spy_pools
+from conftest import channel, is_gray, set_threads, spy_pools, spy_table_rows
 
 
 def small_config(**over):
@@ -438,3 +438,37 @@ def test_label_swaps_rebuild_the_table_only_after_a_reheat(grid7, monkeypatch):
     after_reject = swap[1:] & ~swap[:-1] & ~trace.accepted[:-1]
     assert after_reject.any()
     assert swap[200] and trace.current_bits[199] != trace.best_bits[199]
+
+
+@pytest.mark.parametrize("size", [8, 32])
+def test_swap_heavy_pami_anneal_passes_one_table_per_point_move(size, grid7, monkeypatch):
+    """Without re-heats, the table passes of a swap-heavy PAMI anneal cover
+    one table for the first evaluation and one per scored point move: label
+    swaps reuse the table kept for the current state, in the tiles of an
+    8-point evaluator.  A 32-point evaluator's table spans several tiles; it
+    streams its first call and keeps nothing, so a swap that is its second
+    call passes one table more."""
+    rows, calls, original_pami = spy_table_rows(monkeypatch), [], QuadEvaluator.pami_bits
+
+    def counted_pami(ev, *args):
+        before = sum(rows)
+        bits = original_pami(ev, *args)
+        calls.append((ev, sum(rows) - before))
+        return bits
+
+    monkeypatch.setattr(QuadEvaluator, "pami_bits", counted_pami)
+    cfg = SAConfig(iterations=150, seed=3, label_swap_prob=0.5, reanneal_count=0)
+    _, trace = sa_optimize(size, channel(14.0, 20.0), "PAMI", grid7, cfg)
+    # Call k + 1 scores step k: no step collides.
+    assert len(calls) == trace.step.size + 1
+    swap = np.concatenate([[False], trace.move_type == "swap"])
+    nth, swaps_passed = {}, 0
+    for k, (ev, passed) in enumerate(calls):
+        nth[ev] = nth.get(ev, 0) + 1
+        streamed_before = not ev._one_tile and nth[ev] == 2
+        assert passed == (size if not swap[k] or streamed_before else 0), k
+        swaps_passed += bool(swap[k] and passed)
+    assert swaps_passed == (size == 32) and len(nth) == 2
+    # The run covers swaps, and point moves accepted and rejected.
+    moves = ~swap[1:]
+    assert swap.any() and (moves & trace.accepted).any() and (moves & ~trace.accepted).any()

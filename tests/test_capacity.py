@@ -31,6 +31,7 @@ from conftest import (
     set_threads,
     spy_bit_losses,
     spy_pools,
+    spy_table_rows,
 )
 
 
@@ -609,6 +610,79 @@ def test_ami_allocates_tiles_not_the_table(grid7, monkeypatch):
     assert peak < 2 * 8 * capacity._TILE_ENTRIES, peak
 
 
+def test_pami_allocates_tiles_not_the_table(grid7, monkeypatch):
+    """One 64-QAM PAMI evaluation streams its 64 x 64 x 343 table (11.2 MB)
+    through the row tiles and keeps none: it holds less than two tiles and
+    their m-deep matched subset sums at its peak."""
+    set_threads(monkeypatch, 1)
+    c, p = reference_constellation("qam", 64), channel(12.0, 20.0)
+    tracemalloc.start()
+    try:
+        pami_quadrature(c, p, grid7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = 8 * capacity._TILE_ENTRIES
+    assert peak < 2 * tile + tile * c.m // c.size, peak
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("size, tile_entries", [(32, None), (64, 1)], ids=["32", "64-two-rows"])
+def test_multi_tile_pami_streams_then_keeps_the_table(size, tile_entries, threads, grid7, monkeypatch):
+    """A multi-tile evaluator streams its first PAMI call through the tiles
+    and keeps nothing; its second call fills a full table, which a label
+    swap reuses.  The streamed call, the kept-table call and the swap give
+    the rates of fresh evaluators to the bit.  On four threads the 32-point
+    table is one tile per block, which the tiles keep from the first call."""
+    set_threads(monkeypatch, threads)
+    if tile_entries is not None:
+        monkeypatch.setattr(capacity, "_TILE_ENTRIES", tile_entries)
+    p, c = channel(12.0, 20.0), reference_constellation("qam", size)
+    points, labels = c.points[None], c.labels[None]
+    swapped = labels.copy()
+    swapped[0, [0, 5]] = swapped[0, [5, 0]]
+    fresh = {
+        "labels": capacity.QuadEvaluator((p,), grid7, size).pami_bits(points, labels),
+        "swapped": capacity.QuadEvaluator((p,), grid7, size).pami_bits(points, swapped),
+    }
+    rows = spy_table_rows(monkeypatch)
+    ev = capacity.QuadEvaluator((p,), grid7, size)
+    one_tile = ev._one_tile
+    assert one_tile == (size == 32 and threads == 4) and len(ev._blocks) == threads
+    calls = [  # labels, table rows passed, full table held after the call
+        ("labels", size, False),  # streamed
+        ("labels", 0 if one_tile else size, not one_tile),  # kept
+        ("swapped", 0, not one_tile),  # reused
+        ("labels", 0, not one_tile),
+    ]
+    for which, passed, held in calls:
+        rows.clear()
+        labels_now = labels if which == "labels" else swapped
+        assert ev.pami_bits(points.copy(), labels_now) == fresh[which], which
+        assert sum(rows) == passed and (ev._full is not None) == held, which
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ami_between_pami_calls_leaves_no_stale_table(grid7, threads, monkeypatch):
+    """An 8-point evaluator's one tile holds PAMI's table, and an AMI
+    evaluation overwrites it: PAMI afterwards, on the points whose table
+    was kept or on the ones AMI scored, gives a fresh evaluator's rate."""
+    set_threads(monkeypatch, threads)
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    p, rng = channel(12.0, 20.0), np.random.default_rng(22)
+    kept, other = (random_unit_power_constellation(rng) for _ in range(2))
+
+    def fresh(c):
+        return capacity.QuadEvaluator((p,), grid7, 8).pami_bits(c.points[None], c.labels[None])
+
+    ev = capacity.QuadEvaluator((p,), grid7, 8)
+    assert ev._one_tile and len(ev._blocks) == threads
+    for c in (kept, other):
+        ev.pami_bits(kept.points[None], kept.labels[None])
+        ev.ami_bits(other.points[None])
+        assert ev.pami_bits(c.points[None], c.labels[None]) == fresh(c)
+
+
 def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
     """An 8 x 8 x 343 table is one tile: a reused evaluator runs it on the
     arrays it already holds, AMI and PAMI alike, and allocates no table."""
@@ -616,8 +690,8 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
     ev = capacity.QuadEvaluator((channel(12.0, 20.0),), grid7, 8)
 
     def work_arrays():
-        blocks = [a for b in ev._blocks for a in (b.y, b.nodes, b.peak, b._table)]
-        return [ev._hyp, ev._half_u2, *ev._pami, *blocks]
+        blocks = [a for b in ev._blocks for a in (b.y, b.nodes, b.peak, b.log_sum, *b._buffers)]
+        return [ev._hyp, ev._half_u2, *blocks]
 
     # Alternating between two point sets, every PAMI call runs the table pass.
     points, labels = psk8.points[None], psk8.labels[None]
@@ -650,8 +724,8 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
 def test_pami_table_is_reused_for_equal_points_only(grid7, monkeypatch):
     """An evaluator keeps the PAMI table of the last points it scored: a
     fresh evaluator runs a table pass, equal points reuse the table at any
-    labels, and other points or a failed pass rebuild it.  A set of another
-    size is refused and leaves the table."""
+    labels, and other points, an AMI evaluation or a failed pass rebuild
+    it.  A set of another size is refused and leaves the table."""
     set_threads(monkeypatch, 1)
     p = channel(12.0, 20.0)
     qam16, psk8 = reference_constellation("qam", 16), reference_constellation("psk", 8)
@@ -682,11 +756,12 @@ def test_pami_table_is_reused_for_equal_points_only(grid7, monkeypatch):
             ev.pami_bits(x, y)
     assert ev.pami_bits(turned, labels) == fresh[-1]
     assert passes == []
-    # An AMI evaluation keeps the table.
+    # An AMI evaluation overwrites the tiles that hold the table, and leaves
+    # none to reuse.
     ev.ami_bits(qam16.points[None])
     passes.clear()
     assert ev.pami_bits(turned, labels) == fresh[-1]
-    assert passes == []
+    assert passes == [1]
     # A call whose pass fails after filling the table leaves none to reuse.
     def failing_pass(*a):
         original(*a)

@@ -37,6 +37,11 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   (seven more on a ring of uneven radii), so their stacks hold sets that
   fall back to the scalar rotation beside sets that do not: each chain's
   design fingerprint, best rate and trace sha256;
+- streamed: one-shot quadrature AMI and PAMI of 128-QAM at 12 and 30 dB,
+  0 and 10 deg, whose tables stream through many row tiles, and on one
+  16-point evaluator, whose one tile holds PAMI's table, PAMI, AMI and
+  PAMI again on two sets in turn, so AMI overwrites a kept table; on 1 and
+  2 threads with blocks of any size, each rate printed with repr;
 - a library `mismatch_matrix` of a 4-point and an 8-point design on a 0 and
   a 20 deg channel, which builds one evaluator per channel and design size,
   on 1 and 2 threads with blocks of any size: the repr of every entry of
@@ -205,6 +210,32 @@ for threads in (1, 2):
                   digest)
 """
 
+STREAMED = """
+import os
+import numpy as np
+import phasecon as pc
+from phasecon import capacity
+
+capacity._MIN_BLOCK_ENTRIES = 1
+grid = pc.QuadratureGrid.of_degree(7)
+qam128, qam16 = pc.reference_constellation("qam", 128), pc.reference_constellation("qam", 16)
+bent = pc.normalize_average_power(
+    pc.make_constellation(qam16.points * np.exp(0.2j * qam16.points.real), qam16.labels))
+for threads in (1, 2):
+    os.environ["PHASECON_THREADS"] = str(threads)
+    for snr in (12.0, 30.0):
+        for pnsd in (0.0, 10.0):
+            p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
+            for rate in (pc.ami_quadrature, pc.pami_quadrature):
+                print(threads, 128, snr, pnsd, rate.__name__, repr(rate(qam128, p, grid).bits))
+            ev = capacity.QuadEvaluator((p,), grid, 16)
+            for first, second in ((qam16, bent), (bent, qam16)):
+                pami = ev.pami_bits(first.points[None], first.labels[None])
+                ami = ev.ami_bits(second.points[None])
+                again = [ev.pami_bits(c.points[None], c.labels[None]) for c in (second, first)]
+                print(threads, 16, snr, pnsd, *map(repr, pami + ami + again[0] + again[1]))
+"""
+
 MISMATCH = """
 import os
 import phasecon as pc
@@ -241,6 +272,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", GOLDEN], out, src, "golden")
     run([py, "-c", CAMPAIGNS], out, src, "campaigns")
     run([py, "-c", LOCKSTEP], out, src, "lockstep")
+    run([py, "-c", STREAMED], out, src, "streamed")
     run([py, "-c", MISMATCH], out, src, "mismatch")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -2,20 +2,24 @@
 
     PYTHONPATH=src python3 tools/throughput.py
 
-Prints the median rate of interleaved runs, one thread (PHASECON_THREADS
-unset or 1): Monte Carlo samples/s of 8-PSK at 12 dB, 20 deg (5e4 samples)
-and 9 dB, 0 deg (1e4) and of 64-QAM at 16 dB, 10 deg (1e4), AMI and PAMI,
-medians of MC_RUNS; 8-point anneal steps/s (ANNEAL_STEPS steps, seeds
-0, 1, ...) for AMI at 9 dB, 0 deg and AMI and PAMI at 12 dB, 20 deg; and
-the steps/s per chain of an 8-point AMI campaign of three cells at 6, 9 and
-12 dB, 0 deg (ANNEAL_STEPS steps per cell), whose cells anneal as lockstep
-chains, medians of ANNEAL_RUNS.
+Prints the median of interleaved runs and, in brackets, their min-max range,
+one thread (PHASECON_THREADS unset or 1): Monte Carlo samples/s of 8-PSK at
+12 dB, 20 deg (5e4 samples) and 9 dB, 0 deg (1e4) and of 64-QAM at 16 dB,
+10 deg (1e4), AMI and PAMI, over MC_RUNS; 8-point anneal steps/s
+(ANNEAL_STEPS steps, seeds 0, 1, ...) for AMI at 9 dB, 0 deg and AMI and
+PAMI at 12 dB, 20 deg, and the steps/s per chain of an 8-point AMI campaign
+of three cells at 6, 9 and 12 dB, 0 deg (ANNEAL_STEPS steps per cell),
+whose cells anneal as lockstep chains, over ANNEAL_RUNS; and the time of a
+one-shot `ami_quadrature` and `pami_quadrature` of 16-, 64- and 128-QAM at
+20 dB, 10 deg, each on a fresh evaluator, over ONE_SHOT_RUNS, with the
+tracemalloc peak of one more call.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
+import tracemalloc
 
 import phasecon as pc
 
@@ -23,9 +27,19 @@ MC_JOBS = [("psk", 8, 12.0, 20.0, 50000), ("psk", 8, 9.0, 0.0, 10000),
            ("qam", 64, 16.0, 10.0, 10000)]
 ANNEAL_JOBS = [("AMI", 9.0, 0.0), ("AMI", 12.0, 20.0), ("PAMI", 12.0, 20.0)]
 CAMPAIGN_SNRS = (6.0, 9.0, 12.0)
+ONE_SHOT_SIZES = (16, 64, 128)
+ONE_SHOT_CHANNEL = (20.0, 10.0)
 MC_RUNS = 11
-ANNEAL_RUNS = 3
+# One-chain anneals of one tree spread about +-10% over three runs.
+ANNEAL_RUNS = 11
 ANNEAL_STEPS = 4000
+ONE_SHOT_RUNS = 11
+
+
+def spread(values: list[float], fmt: str) -> str:
+    """The median of `values` and, in brackets, their min-max range."""
+    return (f"{statistics.median(values):{fmt}} "
+            f"[{min(values):{fmt}}-{max(values):{fmt}}]")
 
 
 def main() -> None:
@@ -42,7 +56,7 @@ def main() -> None:
                 key = (kind, size, snr, pnsd, samples, rate.__name__)
                 mc.setdefault(key, []).append(samples / (time.perf_counter() - start))
     for key, rates in mc.items():
-        print(*key, f"{statistics.median(rates):,.0f} samples/s")
+        print(*key, spread(rates, ",.0f"), "samples/s")
 
     anneal, campaign = {}, []
     for seed in range(ANNEAL_RUNS):
@@ -58,9 +72,28 @@ def main() -> None:
         list(pc.campaign_cells(8, CAMPAIGN_SNRS, [0.0], "AMI", grid, cfg))
         campaign.append(len(CAMPAIGN_SNRS) * ANNEAL_STEPS / (time.perf_counter() - start))
     for key, rates in anneal.items():
-        print("anneal 8", *key, f"{statistics.median(rates):,.0f} steps/s")
-    print("campaign 8 AMI", *CAMPAIGN_SNRS, 0.0,
-          f"{statistics.median(campaign):,.0f} steps/s per chain")
+        print("anneal 8", *key, spread(rates, ",.0f"), "steps/s")
+    print("campaign 8 AMI", *CAMPAIGN_SNRS, 0.0, spread(campaign, ",.0f"), "steps/s per chain")
+
+    p = pc.ChannelParams.from_snr_pnsd(*ONE_SHOT_CHANNEL)
+    rates = (pc.ami_quadrature, pc.pami_quadrature)
+    one_shot = {}
+    for _ in range(ONE_SHOT_RUNS):
+        for size in ONE_SHOT_SIZES:
+            c = pc.reference_constellation("qam", size)
+            for rate in rates:
+                start = time.perf_counter()
+                rate(c, p, grid)
+                one_shot.setdefault((size, rate), []).append(1e3 * (time.perf_counter() - start))
+    for (size, rate), times in one_shot.items():
+        tracemalloc.start()
+        try:
+            rate(pc.reference_constellation("qam", size), p, grid)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        print("one-shot", rate.__name__, "qam", size, *ONE_SHOT_CHANNEL,
+              spread(times, ".2f"), f"ms/call, peak {peak:.1f} MB")
 
 
 if __name__ == "__main__":
