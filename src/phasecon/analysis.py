@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annealer import SAConfig, _anneal_chains
-from .capacity import AMI, PAMI, QuadEvaluator, QuadratureGrid, _quadrature, _sets_per_tile
+from .capacity import AMI, PAMI, QuadratureGrid, _quadrature, _sets_per_tile
 from .model import ChannelParams, Constellation
 
 SNR_BRACKET_DB = (-10.0, 40.0)
@@ -84,7 +84,7 @@ def snr_sweep(
 ) -> CapacityCurve:
     """Evaluate the chosen objective across SNR at a fixed phase spread.
 
-    Each point is the plain evaluator result; nothing is cached or
+    Each point is the plain evaluator result; no rate is cached or
     interpolated between points.
     """
     return _sweep(c, "snr_db", snr_db_list, "pnsd_deg", pnsd_deg, objective, grid)
@@ -211,9 +211,10 @@ def mismatch_matrix(
     """Cross-evaluate every design on every (snr, pnsd) evaluation cell.
 
     Every cell's channel is built, and so checked, before the first
-    evaluation.  Each evaluation channel builds one evaluator per design
-    size, which scores every design of that size in turn on the work arrays
-    it keeps; a campaign's designs share one size."""
+    evaluation.  The cells are scored channel by channel, every design in
+    turn, on the evaluator `_quadrature` keeps per set size and jitter
+    class, which is rebound once per channel and design size; a campaign's
+    designs share one size."""
     if not designs:
         raise ValueError("designs must not be empty")
     snrs = np.asarray(eval_snr_db_list, dtype=np.float64)
@@ -224,12 +225,9 @@ def mismatch_matrix(
     eval_cells = [(float(s), float(p)) for s in snrs for p in pnsds]
     channels = [ChannelParams.from_snr_pnsd(snr, pnsd) for snr, pnsd in eval_cells]
     bits = np.empty((len(design_cells), len(eval_cells)))
-    sizes = sorted({c.size for c in designs.values()})
     for e, params in enumerate(channels):
-        evaluators = {n: QuadEvaluator((params,), grid, n) for n in sizes}
         for d, cell in enumerate(design_cells):
-            c = designs[cell]
-            bits[d, e] = _quadrature(c, params, grid, AMI, evaluators[c.size]).bits
+            bits[d, e] = _quadrature(designs[cell], params, grid, AMI).bits
     loss = np.empty_like(bits)
     for e, cell in enumerate(eval_cells):
         if cell in designs:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -158,7 +159,8 @@ class CapacityResult:
 
 def _resolve_threads() -> int:
     """The thread count PHASECON_THREADS sets (default 1, at least 1): the
-    one place it is read, once per evaluator build and Monte Carlo call."""
+    one place it is read: once per evaluator build, quadrature call and
+    Monte Carlo call."""
     raw = os.environ.get("PHASECON_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -283,24 +285,19 @@ def _channel_nodes(params: ChannelParams, grid: QuadratureGrid):
     # rule and expanded to the product nodes.
     phases = _SQRT2 * params.pnsd_rad * grid.nodes
     log_1d = _log_prior_ratio(phases, params.k_phi)
-    ratio = np.exp(log_1d - float(log_1d.max()))
-    total = float(np.dot(grid.weights, ratio))
-    if total <= 0.0:
+    top = float(log_1d.max())
+    if top == -math.inf:
         raise ValueError(
             "phase spread too wide for the quadrature rule: every "
             "node falls outside one period"
         )
+    ratio = np.exp(log_1d - top)
+    total = float(np.dot(grid.weights, ratio))
     index = grid._phase_index
     weights = grid._weights3 * ratio[index] / (math.pi * total)
     cross = 2.0 * params.k_phi * params.k_n
     factors = (cross, cross, params.k_n**2, params.k_phi**2, 0.5 * params.k_n)
     return _SQRT2 * sigma * grid._noise3, np.exp(1j * phases)[index], weights, factors
-
-
-def _slot_rows(arrays) -> np.ndarray:
-    """Equal-shaped arrays, one per channel slot, as rows of an (S, 1, ...)
-    array: a view of the array itself where there is one."""
-    return arrays[0][None, None] if len(arrays) == 1 else np.stack(arrays)[:, None]
 
 
 def _split(start: int, stop: int, parts: int) -> list[slice]:
@@ -320,10 +317,11 @@ def _sets_per_tile(size: int, params: ChannelParams, grid: QuadratureGrid) -> in
 class _Block:
     """One thread block of a table pass: its sent rows cut into tiles, and
     the work arrays each tile in turn reuses, sized for the longest tile of
-    a stack of `sets` sets, among them the two buffers (`table_of`) that
-    hold the table tile and PAMI's matched subset sums.  Where the block is
-    one tile, the table buffer and `log_sum` are the block's share of the
-    table PAMI keeps.
+    a stack of `sets` sets, among them the three buffers that hold the
+    table tile and PAMI's matched subset sums (`table_of`) and its
+    matched-bit indicator (`indicator_of`).  Where the block is one tile,
+    the table buffer and `log_sum` are the block's share of the table PAMI
+    keeps.
 
     A tile holds at most `tile_rows` rows, but two rows or more where the
     block has two: numpy would sum a lone row on a one-node grid pairwise
@@ -338,7 +336,7 @@ class _Block:
         self.nodes = np.empty((sets, longest, width, size))
         self.nodes[:, :, -1] = 1.0
         self.peak, self.sent, self.log_sum = np.empty((3, sets, longest, size))
-        self._buffers = [np.empty(0), np.empty(0)]
+        self._buffers = [np.empty(0), np.empty(0), np.empty(0)]
 
     def views(self, count: int) -> tuple:
         """y, nodes, peak, sent and log_sum for `count` rows: the arrays
@@ -366,6 +364,16 @@ class _Block:
         count = rows.stop - rows.start
         return self._buffers[sums][: sets * count * depth * size].reshape(sets, count, depth, size)
 
+    def indicator_of(self, rows: slice, n: int, m: int) -> np.ndarray:
+        """A (rows, m, n) view, for PAMI's matched-bit indicator of a stack
+        of `n`-point sets with m-bit labels, of the block's third buffer,
+        laid out (rows, n, m), allocated at the first use that needs it
+        larger (`QuadEvaluator._bit_losses`)."""
+        longest, count = self.y.shape[1], rows.stop - rows.start
+        if self._buffers[2].size < longest * n * m:
+            self._buffers[2] = np.empty(longest * n * m)
+        return self._buffers[2][: count * n * m].reshape(count, n, m).transpose(0, 2, 1)
+
 
 class QuadEvaluator:
     """Reusable quadrature machinery for sets of `size` points on a sequence
@@ -373,15 +381,19 @@ class QuadEvaluator:
     they share the grid's G nodes.
 
     `noise`, `rotation` (None without jitter) and the node weights hold a
-    (1, G) row per slot, shaped to broadcast over a stack's sent rows.
-    `ami_bits` scores an (S, size) stack, set j on slot j, and returns S
-    rates: one call turns the whole stack to its canonical orientation, one
-    table pass per tile scores it, and one np.vecdot per tile takes the
-    weighted sums of its rows.  Every rotation, entry, hypothesis-ordered
-    sum and per-row weighted sum of a set is computed as when it is scored
-    alone, so each set's rate is the same to the bit.  `pami_bits` scores
-    a (1, size) stack on a one-slot evaluator and returns one rate in a
-    list.  A stack of any other shape raises ValueError.
+    (1, G) row per slot, shaped to broadcast over a stack's sent rows;
+    `_bind_channels` refills them in place for other channels of the same
+    count and jitter class, so one evaluator can score a sequence of
+    channels in turn (`_quadrature` keeps one per thread, set size and
+    jitter class).  `ami_bits` scores an (S, size) stack, set j on slot j,
+    and returns S rates: one call turns the whole stack to its canonical
+    orientation, one table pass per tile scores it, and one np.vecdot per
+    tile takes the weighted sums of its rows.  Every rotation, entry,
+    hypothesis-ordered sum and per-row weighted sum of a set is computed as
+    when it is scored alone, so each set's rate is the same to the bit.
+    `pami_bits` scores a (1, size) stack on a one-slot evaluator and
+    returns one rate in a list.  A stack of any other shape raises
+    ValueError.
 
     The entry points take raw point/label arrays so an optimizer can call
     them in a hot loop.  The evaluator allocates its work arrays when it is
@@ -391,41 +403,45 @@ class QuadEvaluator:
     _MIN_BLOCK_ENTRIES table entries or more and two sent rows or more, and
     each sized for one tile of at most _TILE_ENTRIES table entries over the
     whole stack (`_Block`): the node columns, received samples, peaks, sent
-    metrics, log-sums, and two buffers, each allocated at its first use,
-    that hold the table tile and PAMI's matched subset sums.  So a one-shot
-    AMI or PAMI evaluation holds its tiles, never the M x M x G table.  PAMI
-    keeps the table of its last set for a label swap to reuse (`pami_bits`):
-    in the tile buffers where every block is one tile, else in one full
-    table allocated at its second call.  The thread count is read from
+    metrics, log-sums, and three buffers, each allocated at its first use,
+    that hold the table tile, PAMI's matched subset sums and its matched-bit
+    indicator.  So a one-shot AMI or PAMI evaluation holds its tiles, never
+    the M x M x G table.  PAMI keeps the table of its last set for a label
+    swap to reuse (`pami_bits`): in the tile buffers where every block is
+    one tile, else in one full table allocated at its second call; binding
+    other channels drops it.  The thread count is read from
     PHASECON_THREADS once, when the evaluator is built.
     """
 
     def __init__(self, channels, grid: QuadratureGrid, size: int):
         threads = _resolve_threads()
-        if len({params.has_phase_noise for params in channels}) > 1:
+        jitter = {params.has_phase_noise for params in channels}
+        if len(jitter) > 1:
             raise ValueError("an evaluator's channels must all have jitter or none")
-        noise, rotation, weights, factors = zip(*(_channel_nodes(p, grid) for p in channels))
-        sets, n, nodes = len(noise), size, noise[0].size
-        self._slots, self._size, self._weights = sets, n, _slot_rows(weights)
-        self.noise = _slot_rows(noise)
-        self.rotation = None if rotation[0] is None else _slot_rows(rotation)
-        # Per slot, shaped to scale a set's (n, 2) points and (n,) energies:
-        # the factors of the hypothesis columns Re u and Im u, of |u|^2, the
-        # fourth column k_phi^2, and the factor of the half-energies, the
-        # last two with jitter only (`_bind`).
-        factors = np.array(factors)[:, None]
-        self._re_im_factor, self._u2_factor = factors[..., :1], factors[..., 2]
-        self._half_factor = factors[..., 4]
+        sets, n, jitter = len(channels), size, jitter.pop()
+        nodes = (grid._weights3 if jitter else grid._weights2).size
+        self._grid, self._slots, self._size = grid, sets, n
+        # What a kept evaluator must match to serve a call (`_evaluator`).
+        self._layout = (grid, threads, _TILE_ENTRIES, _MIN_BLOCK_ENTRIES)
+        # Per slot, a (1, G) row of the node offsets, rotations and weights,
+        # and the factors, shaped to scale a set's (n, 2) points and (n,)
+        # energies, of the hypothesis columns Re u and Im u, of |u|^2, the
+        # fourth column k_phi^2, and of the half-energies, the last two with
+        # jitter only (`_bind`); `_bind_channels` fills them.
+        self.noise = np.empty((sets, 1, nodes), dtype=np.complex128)
+        self.rotation = np.empty_like(self.noise) if jitter else None
+        self._weights, self._factors = np.empty((sets, 1, nodes)), np.empty((sets, 1, 5))
+        self._re_im_factor, self._u2_factor = self._factors[..., :1], self._factors[..., 2]
+        self._half_factor = self._factors[..., 4]
         # The hypothesis matrices and half-energy grids carry a unit axis for
         # the sent rows, which the table pass broadcasts them over; `_bind`
         # fills them through the views kept here.
-        width = 3 if self.rotation is None else 4
+        width = 4 if jitter else 3
         self._canonical, self._u2 = np.empty((sets, n), dtype=np.complex128), np.empty((sets, n))
         self._re_im = self._canonical.view(np.float64).reshape(sets, n, 2)
         self._hyp = np.empty((sets, 1, n, width))
         self._hyp_re_im, self._hyp_u2 = self._hyp[:, 0, :, :2], self._hyp[:, 0, :, 2]
-        if self.rotation is not None:
-            self._hyp[:, 0, :, 3] = factors[..., 3]
+        if jitter:
             self._half_u2, self._half = np.empty((sets, 1, n, nodes)), np.empty((sets, n))
         k = max(1, min(threads, n // 2, sets * n * n * nodes // _MIN_BLOCK_ENTRIES))
         tile_rows = max(2, _TILE_ENTRIES // (sets * n * nodes))
@@ -434,7 +450,24 @@ class QuadEvaluator:
         # PAMI's state: the points whose table is kept, the full table of a
         # multi-tile evaluator, and the labels, whose bits are kept with them
         # (`pami_bits`, `_bit_losses`).
-        self._kept = self._full = self._labels = None
+        self._full = self._labels = None
+        self._bind_channels(channels)
+
+    def _bind_channels(self, channels) -> None:
+        """Score on `channels`, one per slot, all of the evaluator's jitter
+        class: refill the node offsets, rotations, weights and factors in
+        place, and drop PAMI's kept table.  Every channel is resolved before
+        the first array is written, so a refused one leaves the evaluator
+        as it was."""
+        channels = tuple(channels)
+        noise, rotation, weights, factors = zip(*(_channel_nodes(p, self._grid) for p in channels))
+        np.copyto(self.noise[:, 0], noise)
+        np.copyto(self._weights[:, 0], weights)
+        np.copyto(self._factors[:, 0], factors)
+        if self.rotation is not None:
+            np.copyto(self.rotation[:, 0], rotation)
+            self._hyp[:, 0, :, 3] = self._factors[..., 3]
+        self._channels, self._kept = channels, None
 
     def _check(self, *stacks: np.ndarray) -> None:
         """Refuse stacks that are not (S, size), one set per channel slot."""
@@ -585,20 +618,20 @@ class QuadEvaluator:
 
         return self._rates(tile_losses)
 
-    def _bit_losses(self, rows: slice, exp_table, log_sum, sums) -> np.ndarray:
+    def _bit_losses(self, rows: slice, exp_table, log_sum, sums, indicator) -> np.ndarray:
         """Per sent row of `rows` and label bit, the information PAMI loses:
         the tile's `log_sum` minus the log of its `exp_table` summed over
         the hypotheses whose bit matches the sent label's, made in `sums`.
 
-        The tile's (rows, m, M) indicator, whose entry [j, i, h] marks the
+        The tile's (rows, m, M) `indicator`, whose entry [j, i, h] marks the
         hypotheses h whose bit i matches that of the label of sent point j,
         gives one (m x M) @ (M x G) product per sent row.  It is built per
-        tile from the label bits, so no M x m x M array is held.  numpy lays
-        each row of it out column-major, and that layout sets the product's
-        rounding: a row-major copy of the same values rounds some entries
-        otherwise."""
+        tile from the label bits, so no M x m x M array is held.  Each row
+        of it is laid out column-major (`_Block.indicator_of`), and that
+        layout sets the product's rounding: a row-major copy of the same
+        values rounds some entries otherwise."""
         bits = self._bits
-        np.matmul((bits.T == bits[rows, :, None]) * 1.0, exp_table, out=sums)
+        np.matmul(np.equal(bits.T, bits[rows, :, None], out=indicator), exp_table, out=sums)
         np.log(sums, out=sums)
         return np.subtract(log_sum[:, :, None], sums, out=sums)
 
@@ -643,7 +676,8 @@ class QuadEvaluator:
                 exp_table, log_sum = full[0][:, rows], full[1][:, rows]
             if fresh:
                 self._table_pass(canonical, rows, exp_table, log_sum, block)
-            losses = self._bit_losses(rows, exp_table, log_sum, block.table_of(rows, m, True))
+            sums, indicator = block.table_of(rows, m, True), block.indicator_of(rows, n, m)
+            losses = self._bit_losses(rows, exp_table, log_sum, sums, indicator)
             return np.add.reduce(losses, axis=2, out=peak)
 
         bits = self._rates(tile_losses)
@@ -672,23 +706,55 @@ def _wrap_result(
     )
 
 
+class _Kept(threading.local):
+    """The evaluators `_quadrature` keeps on one thread, by set size and
+    jitter class: at most one each, and only one-tile ones."""
+
+    def __init__(self):
+        self.evaluators = {}
+
+
+_KEPT = _Kept()
+
+
+def _evaluator(params: ChannelParams, grid: QuadratureGrid, size: int) -> QuadEvaluator:
+    """An evaluator for sets of `size` points on `params` and `grid`: the
+    calling thread's kept one for that size and jitter class, bound to
+    `params` if it is not already, where it was built on `grid` with the
+    thread count and tile layout now in force; else a new one, which is
+    kept in its place where every block is one tile.  A kept evaluator's
+    PAMI table therefore lives in its tiles, and a one-shot call never
+    allocates a full table."""
+    key, kept = (size, params.has_phase_noise), _KEPT.evaluators
+    ev = kept.get(key)
+    if ev is None or ev._layout != (grid, _resolve_threads(), _TILE_ENTRIES, _MIN_BLOCK_ENTRIES):
+        ev = QuadEvaluator((params,), grid, size)
+        if ev._one_tile:
+            kept[key] = ev
+        else:
+            kept.pop(key, None)
+    elif ev._channels != (params,):
+        ev._bind_channels((params,))
+    return ev
+
+
 def _quadrature(
     c: Constellation,
     params: ChannelParams,
     grid: QuadratureGrid,
     objective: str,
-    evaluator: QuadEvaluator | None = None,
 ) -> CapacityResult:
     """The chosen objective by quadrature: the one place that dispatches
     it, and the one adapter from a Constellation to the evaluator's stacks.
-    `evaluator`, built for `(params,)` on `grid` and sets of `c.size`
-    points, is used where given, so a caller scoring many sets of one size
-    on one channel builds it once."""
+    It scores on the calling thread's kept evaluator for the set's size
+    and jitter class where there is one (`_evaluator`), so the sweeps,
+    `snr_at_rate`, `mismatch_matrix` and repeated one-shot calls build
+    their machinery once, and rebind it only when the channel changes."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     _require_normalized(c)
     _warn_wide_phase(params, 4)
-    ev = QuadEvaluator((params,), grid, c.size) if evaluator is None else evaluator
+    ev = _evaluator(params, grid, c.size)
     if objective == AMI:
         bits = ev.ami_bits(c.points[None])
     else:

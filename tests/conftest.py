@@ -19,6 +19,16 @@ def grid15():
     return QuadratureGrid.of_degree(15)
 
 
+@pytest.fixture(autouse=True)
+def no_kept_evaluators():
+    """Every test starts with no evaluator kept on its thread by
+    `capacity._quadrature`, so what it counts or measures does not depend on
+    the tests before it."""
+    from phasecon import capacity
+
+    capacity._KEPT.evaluators.clear()
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

@@ -22,7 +22,7 @@ from phasecon import (
     snr_sweep,
 )
 from phasecon.capacity import QuadEvaluator
-from conftest import channel, set_threads
+from conftest import channel, random_unit_power_constellation, set_threads
 
 
 def tiny_config(**over):
@@ -267,6 +267,30 @@ def test_mixed_size_mismatch_builds_one_evaluator_per_channel_and_size(grid7, mo
         for e, (snr, pnsd) in enumerate(report.eval_cells):
             want = ami_quadrature(designs[dcell], channel(snr, pnsd), grid7).bits
             assert report.bits[d, e] == want
+
+
+def test_mismatch_on_one_jitter_class_builds_one_evaluator_per_size(grid7, monkeypatch):
+    """Three 20-deg-class evaluation channels and designs of 4 and 8 points:
+    one evaluator per design size scores every cell, rebound once per
+    channel, and every cell equals a fresh evaluator's rate."""
+    designs = {(10.0, 5.0): reference_constellation("qam", 4),
+               (10.0, 10.0): reference_constellation("psk", 8),
+               (12.0, 20.0): random_unit_power_constellation(np.random.default_rng(3))}
+    builds, real = [], QuadEvaluator.__init__
+
+    def spy(ev, channels, grid, size):
+        builds.append((len(channels), size))
+        real(ev, channels, grid, size)
+
+    monkeypatch.setattr(QuadEvaluator, "__init__", spy)
+    report = mismatch_matrix(designs, [10.0], [5.0, 10.0, 20.0], grid7)
+    assert builds == [(1, 4), (1, 8)]
+    monkeypatch.setattr(QuadEvaluator, "__init__", real)
+    for d, dcell in enumerate(report.design_cells):
+        c = designs[dcell]
+        for e, (snr, pnsd) in enumerate(report.eval_cells):
+            ev = QuadEvaluator((channel(snr, pnsd),), grid7, c.size)
+            assert report.bits[d, e] == ev.ami_bits(c.points[None])[0], (dcell, e)
 
 
 def test_mismatch_off_grid_reference_is_the_column_best(two_designs, grid7):

@@ -611,19 +611,140 @@ def test_ami_allocates_tiles_not_the_table(grid7, monkeypatch):
 
 
 def test_pami_allocates_tiles_not_the_table(grid7, monkeypatch):
-    """One 64-QAM PAMI evaluation streams its 64 x 64 x 343 table (11.2 MB)
-    through the row tiles and keeps none: it holds less than two tiles and
-    their m-deep matched subset sums at its peak."""
+    """A 64-QAM PAMI evaluation streams its 64 x 64 x 343 table (11.2 MB)
+    through the row tiles and keeps none: two calls in turn hold less than
+    two tiles and their m-deep matched subset sums at their peak.  The
+    64-point evaluator spans several tiles, so no evaluator is kept for a
+    second call, which would allocate the full table."""
     set_threads(monkeypatch, 1)
     c, p = reference_constellation("qam", 64), channel(12.0, 20.0)
     tracemalloc.start()
     try:
-        pami_quadrature(c, p, grid7)
+        for _ in range(2):
+            pami_quadrature(c, p, grid7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     tile = 8 * capacity._TILE_ENTRIES
     assert peak < 2 * tile + tile * c.m // c.size, peak
+
+
+# --- kept evaluators -------------------------------------------------------
+
+
+def count_builds(monkeypatch):
+    """The (slots, size) of every evaluator built from now on."""
+    builds, real = [], capacity.QuadEvaluator.__init__
+
+    def spy(ev, channels, grid, size):
+        builds.append((len(channels), size))
+        real(ev, channels, grid, size)
+
+    monkeypatch.setattr(capacity.QuadEvaluator, "__init__", spy)
+    return builds
+
+
+def fresh_rates(c, p, grid):
+    """AMI and PAMI of `c` on `p`, each on an evaluator of its own."""
+    points, labels = c.points[None], c.labels[None]
+    return (capacity.QuadEvaluator((p,), grid, c.size).ami_bits(points)[0],
+            capacity.QuadEvaluator((p,), grid, c.size).pami_bits(points, labels)[0])
+
+
+@pytest.mark.parametrize("pnsds", [(20.0, 10.0), (0.0, 0.0)], ids=["20-10deg", "0deg"])
+def test_one_shot_calls_rebind_one_kept_evaluator(pnsds, psk8, grid7, monkeypatch):
+    """One-shot PAMI of the same points on channel A, then B, then A, and
+    PAMI twice on one channel, score on one kept evaluator, rebound at each
+    change of channel, and give fresh evaluators' rates to the bit: a
+    rebinding drops the table PAMI kept for those points."""
+    builds = count_builds(monkeypatch)
+    a, b = channel(12.0, pnsds[0]), channel(14.0, pnsds[1])
+    want = {p: fresh_rates(psk8, p, grid7)[1] for p in (a, b)}
+    builds.clear()
+    for p in (a, b, a, a, b):
+        assert pami_quadrature(psk8, p, grid7).bits == want[p], p
+    assert builds == [(1, 8)]
+
+
+def test_a_refused_channel_leaves_the_kept_evaluator_bound(psk8, monkeypatch):
+    """On the degree-2 rule every phase node lies outside one period at
+    200 deg, so that channel is refused; the kept evaluator is left bound
+    to the channel before it, whose next call neither rebuilds nor rebinds
+    it and gives a fresh evaluator's rates."""
+    grid, p = QuadratureGrid.of_degree(2), channel(12.0, 10.0)
+    want = fresh_rates(psk8, p, grid)
+    assert pami_quadrature(psk8, p, grid).bits == want[1]
+    builds, binds, real = count_builds(monkeypatch), [], capacity.QuadEvaluator._bind_channels
+    monkeypatch.setattr(capacity.QuadEvaluator, "_bind_channels",
+                        lambda ev, channels: binds.append(channels) or real(ev, channels))
+    with pytest.warns(UserWarning, match="exceeds"), pytest.raises(ValueError, match="too wide"):
+        ami_quadrature(psk8, channel(12.0, 200.0), grid)
+    assert (ami_quadrature(psk8, p, grid).bits, pami_quadrature(psk8, p, grid).bits) == want
+    assert builds == [] and len(binds) == 1
+
+
+def test_threads_keep_evaluators_of_their_own(grid7, monkeypatch):
+    """Two threads score AMI and PAMI of 8-point sets on channels of one
+    jitter class at the same time, each on the evaluator its thread keeps,
+    and get fresh evaluators' rates: an evaluator kept for the whole
+    process would be rebound, and its work arrays overwritten, under the
+    other thread's calls."""
+    import threading
+
+    rng = np.random.default_rng(24)
+    jobs = [(random_unit_power_constellation(rng), channel(snr, 20.0)) for snr in (8.0, 16.0)]
+    want = [fresh_rates(c, p, grid7) for c, p in jobs]
+    start, got = threading.Barrier(len(jobs)), [[] for _ in jobs]
+
+    def score(k):
+        c, p = jobs[k]
+        start.wait()
+        for _ in range(40):
+            got[k].append((ami_quadrature(c, p, grid7).bits, pami_quadrature(c, p, grid7).bits))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(k,)) for k in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for k, rates in enumerate(got):
+        assert rates == [want[k]] * 40, k
+
+
+def test_a_new_layout_builds_a_new_evaluator(grid7, monkeypatch):
+    """A change of PHASECON_THREADS, _TILE_ENTRIES or _MIN_BLOCK_ENTRIES
+    between one-shot calls scores on an evaluator with the new block
+    layout, as a fresh one has it, to the same bits; a multi-tile layout is
+    not kept, so its next call builds again."""
+    c, p = reference_constellation("qam", 16), channel(12.0, 20.0)
+    want = fresh_rates(c, p, grid7)
+    rows, builds = spy_table_rows(monkeypatch), count_builds(monkeypatch)
+    default_tile, default_block = capacity._TILE_ENTRIES, capacity._MIN_BLOCK_ENTRIES
+    # threads, tile entries, block entries, rows per tile, evaluators built
+    steps = [
+        (1, default_tile, default_block, [16], 1),
+        (1, default_tile, default_block, [16], 0),
+        (2, default_tile, default_block, [16], 1),  # 16 x 16 x 343: one block
+        (2, default_tile, 1, [8, 8], 1),
+        (2, default_tile, 1, [8, 8], 0),
+        (2, 1, 1, [2] * 8, 2),  # two-row tiles: not kept
+        (2, 1, 1, [2] * 8, 2),
+        (2, default_tile, 1, [8, 8], 1),
+        (1, default_tile, 1, [16], 1),
+    ]
+    for threads, tile, block, tiles, built in steps:
+        set_threads(monkeypatch, threads)
+        monkeypatch.setattr(capacity, "_TILE_ENTRIES", tile)
+        monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", block)
+        rows.clear(), builds.clear()
+        got = (ami_quadrature(c, p, grid7).bits, pami_quadrature(c, p, grid7).bits)
+        assert got == want, (threads, tile, block)
+        assert rows == tiles * 2 and len(builds) == built, (threads, tile, block)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])

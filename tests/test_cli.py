@@ -38,7 +38,6 @@ def no_evaluation(monkeypatch):
         raise AssertionError("a rate was evaluated before the bad value was seen")
 
     monkeypatch.setattr(analysis, "_quadrature", refuse)
-    monkeypatch.setattr(analysis, "QuadEvaluator", refuse)
 
 
 # --- parser ----------------------------------------------------------------

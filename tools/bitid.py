@@ -42,10 +42,17 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   16-point evaluator, whose one tile holds PAMI's table, PAMI, AMI and
   PAMI again on two sets in turn, so AMI overwrites a kept table; on 1 and
   2 threads with blocks of any size, each rate printed with repr;
+- store: one interpreter's sequence of one-shot `ami_quadrature` and
+  `pami_quadrature` calls that takes the evaluators `_quadrature` keeps
+  through every transition: 8-PSK and 16-QAM, AMI and PAMI, on a 0 deg and
+  a 20 deg channel, the same points on a second channel of the class and
+  back on the first, PAMI twice on one set, a 64-QAM call in between and a
+  change of grid (degree 7 to 5 and back), on 1 and 2 threads with blocks
+  of any size, each rate printed with repr;
 - a library `mismatch_matrix` of a 4-point and an 8-point design on a 0 and
-  a 20 deg channel, which builds one evaluator per channel and design size,
-  on 1 and 2 threads with blocks of any size: the repr of every entry of
-  its bits and loss;
+  a 20 deg channel, which scores each design size on one kept evaluator
+  per jitter class, on 1 and 2 threads with blocks of any size: the repr
+  of every entry of its bits and loss;
 - with --acceptance, the verdict lines of the tests/test_acceptance.py
   beside each `src` tree, so each tree runs its own criteria against its
   own API (about two minutes a side).
@@ -236,6 +243,31 @@ for threads in (1, 2):
                 print(threads, 16, snr, pnsd, *map(repr, pami + ami + again[0] + again[1]))
 """
 
+STORE = """
+import os
+import phasecon as pc
+from phasecon import capacity
+
+capacity._MIN_BLOCK_ENTRIES = 1
+grids = {7: pc.QuadratureGrid.of_degree(7), 5: pc.QuadratureGrid.of_degree(5)}
+sets = {"psk8": pc.reference_constellation("psk", 8), "qam16": pc.reference_constellation("qam", 16),
+        "qam64": pc.reference_constellation("qam", 64)}
+AMI, PAMI = pc.ami_quadrature, pc.pami_quadrature
+for threads in (1, 2):
+    os.environ["PHASECON_THREADS"] = str(threads)
+    for first, second in (((12.0, 0.0), (16.0, 0.0)), ((12.0, 20.0), (14.0, 10.0))):
+        for name in ("psk8", "qam16"):
+            calls = [(name, first, 7, AMI), (name, first, 7, PAMI), (name, second, 7, PAMI),
+                     (name, second, 7, AMI), (name, first, 7, PAMI), (name, first, 7, PAMI),
+                     ("qam64", first, 7, PAMI), (name, first, 7, PAMI), (name, first, 5, PAMI),
+                     (name, first, 5, AMI), (name, second, 5, PAMI), (name, first, 7, PAMI),
+                     (name, second, 7, AMI), (name, second, 7, PAMI)]
+            for set_name, (snr, pnsd), degree, rate in calls:
+                p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
+                bits = rate(sets[set_name], p, grids[degree]).bits
+                print(threads, set_name, snr, pnsd, degree, rate.__name__, repr(bits))
+"""
+
 MISMATCH = """
 import os
 import phasecon as pc
@@ -273,6 +305,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", CAMPAIGNS], out, src, "campaigns")
     run([py, "-c", LOCKSTEP], out, src, "lockstep")
     run([py, "-c", STREAMED], out, src, "streamed")
+    run([py, "-c", STORE], out, src, "store")
     run([py, "-c", MISMATCH], out, src, "mismatch")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",

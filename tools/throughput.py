@@ -11,8 +11,11 @@ PAMI at 12 dB, 20 deg, and the steps/s per chain of an 8-point AMI campaign
 of three cells at 6, 9 and 12 dB, 0 deg (ANNEAL_STEPS steps per cell),
 whose cells anneal as lockstep chains, over ANNEAL_RUNS; and the time of a
 one-shot `ami_quadrature` and `pami_quadrature` of 16-, 64- and 128-QAM at
-20 dB, 10 deg, each on a fresh evaluator, over ONE_SHOT_RUNS, with the
-tracemalloc peak of one more call.
+20 dB, 10 deg, over ONE_SHOT_RUNS, with the tracemalloc peak of one more
+call.  The 16-QAM calls score on the evaluator `_quadrature` keeps for
+16-point sets, built by the first of them, so their peak holds no work
+arrays; the 64- and 128-QAM tables span several row tiles, and each of
+their calls builds a fresh evaluator.
 """
 
 from __future__ import annotations
