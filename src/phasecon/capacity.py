@@ -447,9 +447,9 @@ class QuadEvaluator:
         tile_rows = max(2, _TILE_ENTRIES // (sets * n * nodes))
         self._blocks = [_Block(b, tile_rows, width, nodes, sets) for b in _split(0, n, k)]
         self._one_tile = all(len(block.tiles) == 1 for block in self._blocks)
-        # PAMI's state: the points whose table is kept, the full table of a
-        # multi-tile evaluator, and the labels, whose bits are kept with them
-        # (`pami_bits`, `_bit_losses`).
+        # PAMI's state: the full table of a multi-tile evaluator, the labels,
+        # whose bits are kept with them (`pami_bits`, `_bit_losses`), and the
+        # points whose table is kept, which `_bind_channels` clears.
         self._full = self._labels = None
         self._bind_channels(channels)
 
