@@ -21,6 +21,9 @@ matched-bit indicator built for each row tile (`QuadEvaluator.pami_bits`);
 Monte Carlo,
 whose columns each have their own sent point, forms all 2m bit-subset sums
 with one (2m x M) indicator product and keeps m of them (`_information`).
+The table does not depend on the objective, so on one set and channel one
+quadrature pass serves both: AMI reads its rate from the peaks, sent
+metrics and log-sums of the table PAMI keeps (`QuadEvaluator.ami_bits`).
 """
 
 from __future__ import annotations
@@ -135,13 +138,20 @@ class QuadratureGrid:
 
     @classmethod
     def of_degree(cls, degree: int) -> "QuadratureGrid":
-        """The rule for integrals of exp(-t^2) f(t), degrees 1..30."""
+        """The rule for integrals of exp(-t^2) f(t), degrees 1..30: one
+        object per degree, so every caller of a degree, such as each command
+        of one process, shares the evaluators `_quadrature` keeps for it."""
         if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
             raise ValueError(f"degree must be an integer, got {degree!r}")
         if not 1 <= degree <= 30:
             raise ValueError(f"degree must be in 1..30, got {degree}")
-        nodes, weights = np.polynomial.hermite.hermgauss(int(degree))
-        return cls(degree=int(degree), nodes=nodes, weights=weights)
+        return cls._built(int(degree))
+
+    @classmethod
+    @functools.cache
+    def _built(cls, degree: int) -> "QuadratureGrid":
+        nodes, weights = np.polynomial.hermite.hermgauss(degree)
+        return cls(degree=degree, nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -320,8 +330,10 @@ class _Block:
     a stack of `sets` sets, among them the three buffers that hold the
     table tile and PAMI's matched subset sums (`table_of`) and its
     matched-bit indicator (`indicator_of`).  Where the block is one tile,
-    the table buffer and `log_sum` are the block's share of the table PAMI
-    keeps.
+    the table buffer, `peak`, `sent` and `log_sum` are the block's share of
+    the table PAMI keeps, from which AMI of the same points reads its rate;
+    both objectives write their per-row losses to `loss`, which leaves
+    that share as it is.
 
     A tile holds at most `tile_rows` rows, but two rows or more where the
     block has two: numpy would sum a lone row on a one-node grid pairwise
@@ -335,13 +347,13 @@ class _Block:
         self.y = np.empty((sets, longest, size), dtype=np.complex128)
         self.nodes = np.empty((sets, longest, width, size))
         self.nodes[:, :, -1] = 1.0
-        self.peak, self.sent, self.log_sum = np.empty((3, sets, longest, size))
+        self.peak, self.sent, self.log_sum, self.loss = np.empty((4, sets, longest, size))
         self._buffers = [np.empty(0), np.empty(0), np.empty(0)]
 
     def views(self, count: int) -> tuple:
-        """y, nodes, peak, sent and log_sum for `count` rows: the arrays
-        themselves where they have that many."""
-        arrays = (self.y, self.nodes, self.peak, self.sent, self.log_sum)
+        """y, nodes, peak, sent, log_sum and loss for `count` rows: the
+        arrays themselves where they have that many."""
+        arrays = (self.y, self.nodes, self.peak, self.sent, self.log_sum, self.loss)
         if count == self.y.shape[1]:
             return arrays
         return tuple(a[:, :count] for a in arrays)
@@ -351,8 +363,9 @@ class _Block:
         the table tile, M deep, that AMI's and PAMI's table passes write, or
         with `sums` PAMI's matched subset sums, m deep.  Each is allocated
         at the first use that needs it deeper.  Where the block's rows are
-        one tile, the table buffer and `log_sum` hold the table of all its
-        rows after a pass, which PAMI keeps (`QuadEvaluator.pami_bits`).
+        one tile, the table buffer, `peak`, `sent` and `log_sum` hold the
+        table of all its rows after a pass, which PAMI keeps and AMI reads
+        (`QuadEvaluator.pami_bits`, `QuadEvaluator.ami_bits`).
         On a fresh evaluator the tile buffer is its only M-deep array: an
         M-deep tile allocated beside a kept 16-QAM table made glibc trim and
         re-fault the heap on every fresh evaluator, and PAMI at 14 dB, 10 deg
@@ -409,7 +422,9 @@ class QuadEvaluator:
     the M x M x G table.  PAMI keeps the table of its last set for a label
     swap to reuse (`pami_bits`): in the tile buffers where every block is
     one tile, else in one full table allocated at its second call; binding
-    other channels drops it.  The thread count is read from
+    other channels drops it.  Where it lives in the tiles, AMI of the same
+    points reads its rate from it with no pass (`ami_bits`); an AMI call
+    that runs its passes drops it.  The thread count is read from
     PHASECON_THREADS once, when the evaluator is built.
     """
 
@@ -548,7 +563,7 @@ class QuadEvaluator:
         start, stop, _ = rows.indices(self._size)
         size = self.noise.shape[-1]
         x = points[:, start:stop, None]
-        y, nodes, peak, sent, _ = work.views(stop - start)
+        y, nodes, peak, sent, _, _ = work.views(stop - start)
         if self.rotation is not None:
             np.multiply(x, self.rotation, out=y)
             y += self.noise
@@ -604,17 +619,29 @@ class QuadEvaluator:
         return [(n.bit_length() - 1) - math.fsum(slot) / n / _LN2 for slot in sums]
 
     def ami_bits(self, points: np.ndarray) -> list[float]:
-        """Symbol-wise rate of each set of an (S, size) stack."""
+        """Symbol-wise rate of each set of an (S, size) stack: per sent row
+        and node, the peak plus the log-sum less the sent point's metric.
+
+        Where PAMI keeps the table of these very points in the tiles (one
+        slot, every block one tile), the peaks, sent metrics and log-sums
+        its last pass left in the blocks are those a pass would give, and
+        the rate is read from them with no pass.  Else the passes run, and
+        since they may overwrite the tiles that hold PAMI's table, no table
+        is kept after them."""
         self._check(points)
-        # The passes below may overwrite the tiles that hold PAMI's table.
-        self._kept = None
-        canonical, n = self._bind(points), self._size
+        kept = self._kept
+        reuse = kept is not None and self._one_tile and (kept == points[0]).all()
+        if not reuse:
+            self._kept = None
+            canonical, n = self._bind(points), self._size
 
         def tile_losses(rows: slice, block: _Block) -> np.ndarray:
-            table, log_sum = block.table_of(rows, n), block.views(rows.stop - rows.start)[-1]
-            log_sum, peak, sent = self._table_pass(canonical, rows, table, log_sum, block)
-            np.add(peak, log_sum, out=peak)
-            return np.subtract(peak, sent, out=peak)
+            _, _, peak, sent, log_sum, loss = block.views(rows.stop - rows.start)
+            if not reuse:
+                table = block.table_of(rows, n)
+                self._table_pass(canonical, rows, table, log_sum, block)
+            np.add(peak, log_sum, out=loss)
+            return np.subtract(loss, sent, out=loss)
 
         return self._rates(tile_losses)
 
@@ -650,8 +677,12 @@ class QuadEvaluator:
         through the tiles and keeps nothing; from its second call on, one
         full table takes the passes, for callers that repeat, as the
         annealer does.  A call whose points equal the kept ones reuses the
-        table; any other call refills it, one tile at a time.  An AMI call,
-        which may overwrite the tiles, leaves no table to reuse."""
+        table; any other call refills it, one tile at a time.  AMI of the
+        kept points reads its rate from a table kept in the tiles and
+        leaves it for PAMI to reuse; an AMI call that runs its passes, which
+        may overwrite the tiles, leaves no table to reuse.  Each row's loss
+        goes to the block's `loss`, so the peaks AMI reads stay as the pass
+        left them."""
         if self._slots != 1:
             raise ValueError(f"PAMI scores one set, not a stack on {self._slots} channel slots")
         self._check(points, labels)
@@ -669,7 +700,7 @@ class QuadEvaluator:
         m, full = self._bits.shape[1], self._full
 
         def tile_losses(rows: slice, block: _Block) -> np.ndarray:
-            _, _, peak, _, log_sum = block.views(rows.stop - rows.start)
+            *_, log_sum, loss = block.views(rows.stop - rows.start)
             if full is None:
                 exp_table = block.table_of(rows, n)
             else:
@@ -678,7 +709,7 @@ class QuadEvaluator:
                 self._table_pass(canonical, rows, exp_table, log_sum, block)
             sums, indicator = block.table_of(rows, m, True), block.indicator_of(rows, n, m)
             losses = self._bit_losses(rows, exp_table, log_sum, sums, indicator)
-            return np.add.reduce(losses, axis=2, out=peak)
+            return np.add.reduce(losses, axis=2, out=loss)
 
         bits = self._rates(tile_losses)
         if fresh and (self._one_tile or full is not None):
@@ -749,7 +780,10 @@ def _quadrature(
     It scores on the calling thread's kept evaluator for the set's size
     and jitter class where there is one (`_evaluator`), so the sweeps,
     `snr_at_rate`, `mismatch_matrix` and repeated one-shot calls build
-    their machinery once, and rebind it only when the channel changes."""
+    their machinery once, and rebind it only when the channel changes.
+    AMI of the set whose table a PAMI call on the same channel left in the
+    evaluator's tiles runs no pass, nor does PAMI after it
+    (`QuadEvaluator.ami_bits`)."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     _require_normalized(c)

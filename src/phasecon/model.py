@@ -96,7 +96,12 @@ class Constellation:
         return int(self.points.size)
 
     def average_power(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
+        """Mean of |point|^2, kept in the instance dict like `fingerprint`."""
+        cached = self.__dict__.get("_average_power")
+        if cached is None:
+            cached = float(np.mean(np.abs(self.points) ** 2))
+            object.__setattr__(self, "_average_power", cached)
+        return cached
 
     def fingerprint(self) -> str:
         """Stable short hash of the serialized points and labels.

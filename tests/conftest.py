@@ -83,6 +83,20 @@ def spy_bit_losses(monkeypatch):
     return last
 
 
+def count_builds(monkeypatch):
+    """The (slots, size) of every evaluator built from now on."""
+    from phasecon.capacity import QuadEvaluator
+
+    builds, real = [], QuadEvaluator.__init__
+
+    def spy(ev, channels, grid, size):
+        builds.append((len(channels), size))
+        real(ev, channels, grid, size)
+
+    monkeypatch.setattr(QuadEvaluator, "__init__", spy)
+    return builds
+
+
 def spy_table_rows(monkeypatch):
     """The sent rows of every quadrature table pass from now on, one count
     per tile."""

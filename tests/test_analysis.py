@@ -22,7 +22,7 @@ from phasecon import (
     snr_sweep,
 )
 from phasecon.capacity import QuadEvaluator
-from conftest import channel, random_unit_power_constellation, set_threads
+from conftest import channel, count_builds, random_unit_power_constellation, set_threads
 
 
 def tiny_config(**over):
@@ -254,13 +254,7 @@ def test_mixed_size_mismatch_builds_one_evaluator_per_channel_and_size(grid7, mo
     equals a direct evaluation."""
     designs = {(10.0, 0.0): reference_constellation("qam", 4),
                (10.0, 20.0): reference_constellation("psk", 8)}
-    builds, real = [], QuadEvaluator.__init__
-
-    def spy(ev, channels, grid, size):
-        builds.append((len(channels), size))
-        real(ev, channels, grid, size)
-
-    monkeypatch.setattr(QuadEvaluator, "__init__", spy)
+    builds = count_builds(monkeypatch)
     report = mismatch_matrix(designs, [10.0], [0.0, 20.0], grid7)
     assert builds == [(1, 4), (1, 8)] * 2
     for d, dcell in enumerate(report.design_cells):
@@ -276,16 +270,10 @@ def test_mismatch_on_one_jitter_class_builds_one_evaluator_per_size(grid7, monke
     designs = {(10.0, 5.0): reference_constellation("qam", 4),
                (10.0, 10.0): reference_constellation("psk", 8),
                (12.0, 20.0): random_unit_power_constellation(np.random.default_rng(3))}
-    builds, real = [], QuadEvaluator.__init__
-
-    def spy(ev, channels, grid, size):
-        builds.append((len(channels), size))
-        real(ev, channels, grid, size)
-
-    monkeypatch.setattr(QuadEvaluator, "__init__", spy)
+    builds = count_builds(monkeypatch)
     report = mismatch_matrix(designs, [10.0], [5.0, 10.0, 20.0], grid7)
     assert builds == [(1, 4), (1, 8)]
-    monkeypatch.setattr(QuadEvaluator, "__init__", real)
+    monkeypatch.undo()
     for d, dcell in enumerate(report.design_cells):
         c = designs[dcell]
         for e, (snr, pnsd) in enumerate(report.eval_cells):

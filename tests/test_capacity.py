@@ -24,9 +24,10 @@ from phasecon import (
     pami_quadrature,
     reference_constellation,
 )
-from phasecon.capacity import _draw_channel_samples
+from phasecon.capacity import AMI, PAMI, _draw_channel_samples
 from conftest import (
     channel,
+    count_builds,
     random_unit_power_constellation,
     set_threads,
     spy_bit_losses,
@@ -90,6 +91,9 @@ def test_quadrature_grid_product_shapes_and_sums(grid7):
 
 
 def test_quadrature_grid_arrays_are_read_only(grid7):
+    """One grid object serves every caller of its degree, so none may
+    write to it."""
+    assert QuadratureGrid.of_degree(np.int64(7)) is grid7
     kept = ("nodes", "weights", "_noise3", "_weights3", "_phase_index", "_noise2", "_weights2")
     for name in kept:
         with pytest.raises(ValueError):
@@ -632,18 +636,6 @@ def test_pami_allocates_tiles_not_the_table(grid7, monkeypatch):
 # --- kept evaluators -------------------------------------------------------
 
 
-def count_builds(monkeypatch):
-    """The (slots, size) of every evaluator built from now on."""
-    builds, real = [], capacity.QuadEvaluator.__init__
-
-    def spy(ev, channels, grid, size):
-        builds.append((len(channels), size))
-        real(ev, channels, grid, size)
-
-    monkeypatch.setattr(capacity.QuadEvaluator, "__init__", spy)
-    return builds
-
-
 def fresh_rates(c, p, grid):
     """AMI and PAMI of `c` on `p`, each on an evaluator of its own."""
     points, labels = c.points[None], c.labels[None]
@@ -720,9 +712,11 @@ def test_a_new_layout_builds_a_new_evaluator(grid7, monkeypatch):
     """A change of PHASECON_THREADS, _TILE_ENTRIES or _MIN_BLOCK_ENTRIES
     between one-shot calls scores on an evaluator with the new block
     layout, as a fresh one has it, to the same bits; a multi-tile layout is
-    not kept, so its next call builds again."""
+    not kept, so its next call builds again.  AMI scores other points than
+    PAMI, so every call runs its passes on the layout in force."""
     c, p = reference_constellation("qam", 16), channel(12.0, 20.0)
-    want = fresh_rates(c, p, grid7)
+    turned = make_constellation(c.points * 1j, c.labels)
+    want = (fresh_rates(turned, p, grid7)[0], fresh_rates(c, p, grid7)[1])
     rows, builds = spy_table_rows(monkeypatch), count_builds(monkeypatch)
     default_tile, default_block = capacity._TILE_ENTRIES, capacity._MIN_BLOCK_ENTRIES
     # threads, tile entries, block entries, rows per tile, evaluators built
@@ -742,7 +736,7 @@ def test_a_new_layout_builds_a_new_evaluator(grid7, monkeypatch):
         monkeypatch.setattr(capacity, "_TILE_ENTRIES", tile)
         monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", block)
         rows.clear(), builds.clear()
-        got = (ami_quadrature(c, p, grid7).bits, pami_quadrature(c, p, grid7).bits)
+        got = (ami_quadrature(turned, p, grid7).bits, pami_quadrature(c, p, grid7).bits)
         assert got == want, (threads, tile, block)
         assert rows == tiles * 2 and len(builds) == built, (threads, tile, block)
 
@@ -804,6 +798,87 @@ def test_ami_between_pami_calls_leaves_no_stale_table(grid7, threads, monkeypatc
         assert ev.pami_bits(c.points[None], c.labels[None]) == fresh(c)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_ami_reads_the_table_pami_keeps(grid7, threads, monkeypatch):
+    """On a kept 8-point evaluator, one block a thread and each block one
+    tile, AMI of the points whose table PAMI keeps reads its rate from that
+    table, and PAMI, at any labels, reuses the table AMI read: after the
+    first AMI and PAMI no call runs a pass, and every rate is a fresh
+    evaluator's to the bit."""
+    set_threads(monkeypatch, threads)
+    monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
+    p, rng = channel(12.0, 20.0), np.random.default_rng(26)
+    c = random_unit_power_constellation(rng)
+    relabeled = make_constellation(c.points, rng.permutation(8))
+    want = {AMI: fresh_rates(c, p, grid7)[0], PAMI: fresh_rates(c, p, grid7)[1],
+            "relabeled": fresh_rates(relabeled, p, grid7)[1]}
+    rows, builds = spy_table_rows(monkeypatch), count_builds(monkeypatch)
+    calls = [  # evaluation, expected rate, table rows passed
+        (ami_quadrature, c, AMI, 8),
+        (pami_quadrature, c, PAMI, 8),
+        (ami_quadrature, c, AMI, 0),
+        (pami_quadrature, c, PAMI, 0),
+        (pami_quadrature, relabeled, "relabeled", 0),
+        (ami_quadrature, relabeled, AMI, 0),
+    ]
+    for k, (evaluate, design, which, passed) in enumerate(calls):
+        rows.clear()
+        assert evaluate(design, p, grid7).bits == want[which], k
+        assert sum(rows) == passed, k
+    ev = capacity._KEPT.evaluators[8, True]
+    assert len(builds) == 1 and ev._one_tile and len(ev._blocks) == threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("size, tile_entries", [(32, None), (64, 1)], ids=["32", "64-two-rows"])
+def test_ami_never_reads_a_multi_tile_table(size, tile_entries, threads, grid7, monkeypatch):
+    """A multi-tile evaluator keeps PAMI's table in `_full` from its second
+    call on, but its blocks hold only their last tile's peaks: AMI of the
+    kept points runs its passes, and PAMI after it runs them again, each to
+    a fresh evaluator's rate."""
+    set_threads(monkeypatch, threads)
+    if tile_entries is not None:
+        monkeypatch.setattr(capacity, "_TILE_ENTRIES", tile_entries)
+    p, c = channel(12.0, 20.0), reference_constellation("qam", size)
+    points, labels = c.points[None], c.labels[None]
+    want = fresh_rates(c, p, grid7)
+    ev = capacity.QuadEvaluator((p,), grid7, size)
+    ev.pami_bits(points, labels)
+    ev.pami_bits(points, labels)
+    assert not ev._one_tile and ev._full is not None and ev._kept is not None
+    rows = spy_table_rows(monkeypatch)
+    assert ev.ami_bits(points)[0] == want[0] and sum(rows) == size
+    assert ev.pami_bits(points, labels)[0] == want[1] and sum(rows) == 2 * size
+
+
+@pytest.mark.parametrize("pnsd", [20.0, 0.0], ids=["20deg", "0deg"])
+def test_a_rebind_or_other_points_make_both_objectives_pass(pnsd, psk8, grid7, monkeypatch):
+    """PAMI's kept table serves AMI of its points on its channel only: a
+    rebind to another channel, or AMI of other points, which overwrites the
+    tile, makes the next AMI and PAMI run a pass, to fresh rates."""
+    a, b = channel(12.0, pnsd), channel(14.0, pnsd)
+    other = random_unit_power_constellation(np.random.default_rng(7))
+    want = {(c.fingerprint(), q): fresh_rates(c, q, grid7) for c in (psk8, other) for q in (a, b)}
+    rows = spy_table_rows(monkeypatch)
+    calls = [  # objective, set, channel, table rows passed
+        (PAMI, psk8, a, 8),
+        (AMI, psk8, b, 8),  # rebind
+        (PAMI, psk8, b, 8),  # AMI's pass kept no table
+        (AMI, psk8, b, 0),
+        (PAMI, psk8, a, 8),  # rebind
+        (AMI, other, a, 8),  # other points
+        (PAMI, psk8, a, 8),  # AMI of other points dropped the table
+        (AMI, psk8, a, 0),
+        (AMI, other, a, 8),
+        (AMI, psk8, a, 8),
+    ]
+    for k, (objective, c, q, passed) in enumerate(calls):
+        rows.clear()
+        got = capacity._quadrature(c, q, grid7, objective).bits
+        assert got == want[c.fingerprint(), q][objective == PAMI], k
+        assert sum(rows) == passed, k
+
+
 def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
     """An 8 x 8 x 343 table is one tile: a reused evaluator runs it on the
     arrays it already holds, AMI and PAMI alike, and allocates no table."""
@@ -811,10 +886,12 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
     ev = capacity.QuadEvaluator((channel(12.0, 20.0),), grid7, 8)
 
     def work_arrays():
-        blocks = [a for b in ev._blocks for a in (b.y, b.nodes, b.peak, b.log_sum, *b._buffers)]
+        blocks = [a for b in ev._blocks for a in (b.y, b.nodes, b.peak, b.log_sum, b.loss,
+                                                  *b._buffers)]
         return [ev._hyp, ev._half_u2, *blocks]
 
-    # Alternating between two point sets, every PAMI call runs the table pass.
+    # PAMI alternating between two point sets and AMI scoring a third, every
+    # call runs the table pass.
     points, labels = psk8.points[None], psk8.labels[None]
     sets = (points, points * 1j)
     passes = []
@@ -822,7 +899,8 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
     monkeypatch.setattr(
         capacity.QuadEvaluator, "_table_pass", lambda *a: passes.append(1) or original(*a)
     )
-    ev.ami_bits(points)
+    other = -points
+    ev.ami_bits(other)
     ev.pami_bits(sets[1], labels)
     arrays = work_arrays()
     table_bytes = 8 * 8 * grid7.degree**3 * 8
@@ -830,7 +908,7 @@ def test_reused_evaluator_allocates_no_work_arrays(psk8, grid7, monkeypatch):
     try:
         start = tracemalloc.get_traced_memory()[0]
         for k in range(100):
-            ev.ami_bits(points)
+            ev.ami_bits(other)
             ev.pami_bits(sets[k % 2], labels)
         end, peak = tracemalloc.get_traced_memory()
     finally:

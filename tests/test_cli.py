@@ -15,6 +15,7 @@ from phasecon import (
     save_constellation,
 )
 from phasecon.cli import main
+from conftest import count_builds
 
 
 @pytest.fixture()
@@ -114,6 +115,17 @@ def test_evaluate_is_byte_identical_across_runs(psk8_file, tmp_path, capsys):
     assert run(capsys, *argv, "--output", str(out_b))[0] == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_text() == first.rstrip("\n") + "\n"
+
+
+def test_evaluate_commands_share_one_evaluator(psk8_file, monkeypatch, capsys):
+    """Each command asks for its grid by degree and gets the one object of
+    that degree, so two `evaluate` commands in one process, AMI then PAMI,
+    score on the one evaluator the first built."""
+    builds = count_builds(monkeypatch)
+    argv = ["evaluate", psk8_file, "--snr-db", "12", "--pnsd-deg", "20"]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--objective", "PAMI")[0] == 0
+    assert builds == [(1, 8)]
 
 
 def test_evaluate_pami_objective(psk8_file, capsys):

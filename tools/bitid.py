@@ -49,6 +49,13 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   back on the first, PAMI twice on one set, a 64-QAM call in between and a
   change of grid (degree 7 to 5 and back), on 1 and 2 threads with blocks
   of any size, each rate printed with repr;
+- shared: one interpreter's interleaved one-shot AMI and PAMI calls on
+  8-PSK and 16-QAM at 0 and 20 deg, where AMI may read the table PAMI
+  keeps: the same set, then a label change; other points in between; a
+  second channel of the class and back; and on one 32-point evaluator,
+  whose table spans several tiles, PAMI twice, which fills its full table,
+  then AMI, PAMI and AMI; on 1 and 2 threads with blocks of any size, each
+  rate printed with repr;
 - a library `mismatch_matrix` of a 4-point and an 8-point design on a 0 and
   a 20 deg channel, which scores each design size on one kept evaluator
   per jitter class, on 1 and 2 threads with blocks of any size: the repr
@@ -268,6 +275,49 @@ for threads in (1, 2):
                 print(threads, set_name, snr, pnsd, degree, rate.__name__, repr(bits))
 """
 
+SHARED = """
+import os
+import numpy as np
+import phasecon as pc
+from phasecon import capacity
+
+capacity._MIN_BLOCK_ENTRIES = 1
+grid = pc.QuadratureGrid.of_degree(7)
+AMI, PAMI = pc.ami_quadrature, pc.pami_quadrature
+
+
+def variants(c):
+    relabeled = pc.make_constellation(c.points, np.roll(c.labels, 3))
+    bent = pc.normalize_average_power(
+        pc.make_constellation(c.points * np.exp(0.2j * c.points.real), c.labels))
+    return c, relabeled, bent
+
+
+small = [pc.reference_constellation("psk", 8), pc.reference_constellation("qam", 16)]
+qam32 = pc.reference_constellation("qam", 32)
+for threads in (1, 2):
+    os.environ["PHASECON_THREADS"] = str(threads)
+    for first, second in (((12.0, 0.0), (16.0, 0.0)), ((12.0, 20.0), (14.0, 10.0))):
+        for c, relabeled, bent in map(variants, small):
+            calls = [(AMI, c, first), (PAMI, c, first), (AMI, c, first), (PAMI, relabeled, first),
+                     (AMI, relabeled, first), (PAMI, c, first),  # a label change
+                     (AMI, bent, first), (PAMI, c, first), (AMI, c, first), (PAMI, bent, first),
+                     (AMI, c, first), (AMI, bent, first),  # other points
+                     (AMI, c, second), (PAMI, c, second), (AMI, c, second), (PAMI, c, first),
+                     (AMI, c, first), (AMI, c, second), (PAMI, c, second)]  # another channel
+            for rate, design, (snr, pnsd) in calls:
+                p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
+                print(threads, design.size, design.fingerprint(), snr, pnsd, rate.__name__,
+                      repr(rate(design, p, grid).bits))
+        # A multi-tile evaluator: its second PAMI call fills the full table.
+        p = pc.ChannelParams.from_snr_pnsd(*first)
+        ev = capacity.QuadEvaluator((p,), grid, 32)
+        points, labels = qam32.points[None], qam32.labels[None]
+        rates = [ev.pami_bits(points, labels), ev.pami_bits(points, labels), ev.ami_bits(points),
+                 ev.pami_bits(points, labels), ev.ami_bits(points)]
+        print(threads, 32, *first, ev._full is not None, *(repr(r[0]) for r in rates))
+"""
+
 MISMATCH = """
 import os
 import phasecon as pc
@@ -306,6 +356,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", LOCKSTEP], out, src, "lockstep")
     run([py, "-c", STREAMED], out, src, "streamed")
     run([py, "-c", STORE], out, src, "store")
+    run([py, "-c", SHARED], out, src, "shared")
     run([py, "-c", MISMATCH], out, src, "mismatch")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -12,10 +12,12 @@ of three cells at 6, 9 and 12 dB, 0 deg (ANNEAL_STEPS steps per cell),
 whose cells anneal as lockstep chains, over ANNEAL_RUNS; and the time of a
 one-shot `ami_quadrature` and `pami_quadrature` of 16-, 64- and 128-QAM at
 20 dB, 10 deg, over ONE_SHOT_RUNS, with the tracemalloc peak of one more
-call.  The 16-QAM calls score on the evaluator `_quadrature` keeps for
-16-point sets, built by the first of them, so their peak holds no work
-arrays; the 64- and 128-QAM tables span several row tiles, and each of
-their calls builds a fresh evaluator.
+call, and of a one-shot AMI-then-PAMI pair of that 16-QAM set.  The 16-QAM
+calls score on the evaluator `_quadrature` keeps for 16-point sets, built
+by the first of them, so their peak holds no work arrays, and they repeat
+one set on one channel, so after the first PAMI call each AMI and PAMI
+call reads the table that call keeps; the 64- and 128-QAM tables span
+several row tiles, and each of their calls builds a fresh evaluator.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def main() -> None:
 
     p = pc.ChannelParams.from_snr_pnsd(*ONE_SHOT_CHANNEL)
     rates = (pc.ami_quadrature, pc.pami_quadrature)
-    one_shot = {}
+    one_shot, pair, qam16 = {}, [], pc.reference_constellation("qam", 16)
     for _ in range(ONE_SHOT_RUNS):
         for size in ONE_SHOT_SIZES:
             c = pc.reference_constellation("qam", size)
@@ -88,6 +90,10 @@ def main() -> None:
                 start = time.perf_counter()
                 rate(c, p, grid)
                 one_shot.setdefault((size, rate), []).append(1e3 * (time.perf_counter() - start))
+        start = time.perf_counter()
+        for rate in rates:
+            rate(qam16, p, grid)
+        pair.append(1e3 * (time.perf_counter() - start))
     for (size, rate), times in one_shot.items():
         tracemalloc.start()
         try:
@@ -97,6 +103,8 @@ def main() -> None:
             tracemalloc.stop()
         print("one-shot", rate.__name__, "qam", size, *ONE_SHOT_CHANNEL,
               spread(times, ".2f"), f"ms/call, peak {peak:.1f} MB")
+    print("one-shot ami_quadrature then pami_quadrature qam 16", *ONE_SHOT_CHANNEL,
+          spread(pair, ".2f"), "ms/pair")
 
 
 if __name__ == "__main__":
