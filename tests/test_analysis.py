@@ -273,7 +273,6 @@ def test_mismatch_on_one_jitter_class_builds_one_evaluator_per_size(grid7, monke
     builds = count_builds(monkeypatch)
     report = mismatch_matrix(designs, [10.0], [5.0, 10.0, 20.0], grid7)
     assert builds == [(1, 4), (1, 8)]
-    monkeypatch.undo()
     for d, dcell in enumerate(report.design_cells):
         c = designs[dcell]
         for e, (snr, pnsd) in enumerate(report.eval_cells):
