@@ -101,16 +101,17 @@ _MC_PEAK_BY_COPY = 32
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Gauss-Hermite rule of a given degree with cached product grids.
+    """Gauss-Hermite rule of a given degree, with the products a channel's
+    nodes are built from.
 
-    The 3-D product covers (noise real, noise imag, phase); the 2-D product
-    drops the phase dimension for the jitter-free channel.  Offsets are in
-    normalized units: evaluators scale Gaussian dimensions by sigma*sqrt(2)
-    and the phase dimension by sigma_phi*sqrt(2).  For each product the grid
-    keeps the unit complex noise offsets t1 + j t2 and the product weights,
-    and for the 3-D one the index of each node's phase in the 1-D rule, so
-    an evaluator computes its phase factors on the `degree` phase nodes and
-    expands them.
+    A channel's G nodes are the product of the d-node 1-D rule with itself:
+    d x d (noise real, noise imag) without jitter, d x d x d with the phase
+    last with it (`_node_shape`).  Offsets are in normalized units: evaluators
+    scale the Gaussian dimensions by sigma*sqrt(2) and the phase dimension
+    by sigma_phi*sqrt(2).  Beside the 1-D nodes and weights the grid keeps
+    the d x d unit complex noise offsets t1 + j t2 and the d x d and
+    d x d x d weight products, all read-only, from which `_channel_nodes`
+    gives a channel's nodes in that layout.
     """
 
     degree: int
@@ -120,17 +121,13 @@ class QuadratureGrid:
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=np.float64)
         weights = np.array(self.weights, dtype=np.float64)
-        k = np.arange(nodes.size)
-        i1, i2, i3 = (i.ravel() for i in np.meshgrid(k, k, k, indexing="ij"))
-        j1, j2 = (j.ravel() for j in np.meshgrid(k, k, indexing="ij"))
+        plane_weights = weights[:, None] * weights
         kept = {
             "nodes": nodes,
             "weights": weights,
-            "_noise3": nodes[i1] + 1j * nodes[i2],
-            "_weights3": weights[i1] * weights[i2] * weights[i3],
-            "_phase_index": i3,
-            "_noise2": nodes[j1] + 1j * nodes[j2],
-            "_weights2": weights[j1] * weights[j2],
+            "_plane": nodes[:, None] + 1j * nodes,
+            "_plane_weights": plane_weights,
+            "_cube_weights": plane_weights[:, :, None] * weights,
         }
         for name, arr in kept.items():
             arr.setflags(write=False)
@@ -152,6 +149,45 @@ class QuadratureGrid:
     def _built(cls, degree: int) -> "QuadratureGrid":
         nodes, weights = np.polynomial.hermite.hermgauss(degree)
         return cls(degree=degree, nodes=nodes, weights=weights)
+
+    def _channel_nodes(self, params: ChannelParams):
+        """One channel's received-sample offsets at the product nodes, the
+        phase rotation at each node (None without jitter), the normalized
+        node weights, and the factors `QuadEvaluator._bind` scales a set's
+        hypothesis columns by, and its half-energies.  Each array broadcasts
+        to the class's `_node_shape`: the offsets span the noise dimensions,
+        the rotations the phase dimension, the weights all of them."""
+        sigma = 1.0 / math.sqrt(params.k_n)
+        if not params.has_phase_noise:
+            factors = (params.k_n, params.k_n, -0.5 * params.k_n, 0.0, 0.0)
+            return _SQRT2 * sigma * self._plane, None, self._plane_weights / math.pi, factors
+        # The phase nodes are placed like a Gaussian of matching spread, but
+        # each node is reweighted by the von Mises / Gaussian density ratio
+        # (normalized over the one-dimensional phase rule), so the circular
+        # prior is integrated without a surrogate bias.  Nodes landing outside
+        # one period get zero weight.  Both factors are computed on the 1-D
+        # rule and broadcast along the phase dimension.
+        phases = _SQRT2 * params.pnsd_rad * self.nodes
+        log_1d = _log_prior_ratio(phases, params.k_phi)
+        top = float(log_1d.max())
+        if top == -math.inf:
+            raise ValueError(
+                "phase spread too wide for the quadrature rule: every "
+                "node falls outside one period"
+            )
+        ratio = np.exp(log_1d - top)
+        total = float(np.dot(self.weights, ratio))
+        weights = self._cube_weights * ratio / (math.pi * total)
+        cross = 2.0 * params.k_phi * params.k_n
+        factors = (cross, cross, params.k_n**2, params.k_phi**2, 0.5 * params.k_n)
+        return (_SQRT2 * sigma * self._plane)[:, :, None], np.exp(1j * phases), weights, factors
+
+
+def _node_shape(grid: QuadratureGrid, jitter: bool) -> tuple[int, ...]:
+    """The layout of the G product nodes of a jitter class on `grid`: d x d
+    without jitter, d x d x d with it, d the node count of the 1-D rule (not
+    its `degree`: a grid can be built directly)."""
+    return grid.nodes.shape * (3 if jitter else 2)
 
 
 @dataclass(frozen=True)
@@ -245,26 +281,25 @@ def _information(exp_table, log_sum, gap, sent, label_bits):
     return np.add.reduce(matched, axis=0)
 
 
-def _canonical_rotation(points: np.ndarray):
-    """The unit factor that rotates a signal set's first nonzero point onto
-    the positive real axis (`_canonical_points`)."""
-    anchor = points[0]
-    if anchor == 0:
-        nonzero = np.flatnonzero(np.abs(points) > 0.0)
-        if nonzero.size == 0:
-            raise ValueError("all-zero signal set")
-        anchor = points[nonzero[0]]
-    return anchor.conjugate() / abs(anchor)
-
-
-def _canonical_points(points: np.ndarray) -> np.ndarray:
-    """Rotate a signal set so its first nonzero point is real positive.
+def _canonical_points(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rotate each set of an (S, n) stack so its first nonzero point is real
+    positive, into `out` where given.
 
     Rates do not depend on global orientation, but the square quadrature
     grid is not perfectly isotropic; evaluating every set in a canonical
-    orientation makes rotated copies score identically.
+    orientation makes rotated copies score identically.  Each set turns
+    alike alone or in any stack.  Its anchor's modulus is np.hypot's, which
+    the golden runs' bits rest on; np.abs rounds some moduli otherwise.
     """
-    return points * _canonical_rotation(points)
+    anchors = stack[:, 0]
+    scale = np.hypot(anchors.real, anchors.imag)
+    if np.count_nonzero(scale) != scale.size:
+        # Some set starts at 0: every set anchors on its first nonzero point.
+        anchors = stack[np.arange(len(stack)), np.argmax(stack != 0, axis=1)]
+        scale = np.hypot(anchors.real, anchors.imag)
+        if np.count_nonzero(scale) != scale.size:
+            raise ValueError("all-zero signal set")
+    return np.multiply(stack, (anchors.conj() / scale)[:, None], out=out)
 
 
 def _log_prior_ratio(phases: np.ndarray, k_phi: float) -> np.ndarray:
@@ -278,38 +313,6 @@ def _log_prior_ratio(phases: np.ndarray, k_phi: float) -> np.ndarray:
     return np.where(np.abs(phases) <= math.pi, core, -np.inf)
 
 
-def _channel_nodes(params: ChannelParams, grid: QuadratureGrid):
-    """One channel's received-sample offsets at the G grid nodes, the phase
-    rotation at each node (None without jitter), the normalized node
-    weights, and the factors `_bind` scales a set's hypothesis columns by,
-    and its half-energies."""
-    sigma = 1.0 / math.sqrt(params.k_n)
-    if not params.has_phase_noise:
-        factors = (params.k_n, params.k_n, -0.5 * params.k_n, 0.0, 0.0)
-        return _SQRT2 * sigma * grid._noise2, None, grid._weights2 / math.pi, factors
-    # The phase nodes are placed like a Gaussian of matching spread, but
-    # each node is reweighted by the von Mises / Gaussian density ratio
-    # (normalized over the one-dimensional phase rule), so the circular
-    # prior is integrated without a surrogate bias.  Nodes landing outside
-    # one period get zero weight.  Both factors are computed on the 1-D
-    # rule and expanded to the product nodes.
-    phases = _SQRT2 * params.pnsd_rad * grid.nodes
-    log_1d = _log_prior_ratio(phases, params.k_phi)
-    top = float(log_1d.max())
-    if top == -math.inf:
-        raise ValueError(
-            "phase spread too wide for the quadrature rule: every "
-            "node falls outside one period"
-        )
-    ratio = np.exp(log_1d - top)
-    total = float(np.dot(grid.weights, ratio))
-    index = grid._phase_index
-    weights = grid._weights3 * ratio[index] / (math.pi * total)
-    cross = 2.0 * params.k_phi * params.k_n
-    factors = (cross, cross, params.k_n**2, params.k_phi**2, 0.5 * params.k_n)
-    return _SQRT2 * sigma * grid._noise3, np.exp(1j * phases)[index], weights, factors
-
-
 def _split(start: int, stop: int, parts: int) -> list[slice]:
     """Rows start..stop cut into `parts` contiguous slices of near-equal size."""
     n = stop - start
@@ -320,7 +323,7 @@ def _sets_per_tile(size: int, params: ChannelParams, grid: QuadratureGrid) -> in
     """How many sets of `size` points, on channels of the jitter class of
     `params`, one stack holds while its whole table, sets x size^2 x G
     entries on that class's G grid nodes, fits in one tile; at least one."""
-    nodes = (grid._weights3 if params.has_phase_noise else grid._weights2).size
+    nodes = math.prod(_node_shape(grid, params.has_phase_noise))
     return max(1, _TILE_ENTRIES // (size * size * nodes))
 
 
@@ -434,7 +437,8 @@ class QuadEvaluator:
         if len(jitter) > 1:
             raise ValueError("an evaluator's channels must all have jitter or none")
         sets, n, jitter = len(channels), size, jitter.pop()
-        nodes = (grid._weights3 if jitter else grid._weights2).size
+        shape = _node_shape(grid, jitter)
+        nodes = math.prod(shape)
         self._grid, self._slots, self._size = grid, sets, n
         # What a kept evaluator must match to serve a call (`_evaluator`).
         self._layout = (grid, threads, _TILE_ENTRIES, _MIN_BLOCK_ENTRIES)
@@ -442,10 +446,13 @@ class QuadEvaluator:
         # and the factors, shaped to scale a set's (n, 2) points and (n,)
         # energies, of the hypothesis columns Re u and Im u, of |u|^2, the
         # fourth column k_phi^2, and of the half-energies, the last two with
-        # jitter only (`_bind`); `_bind_channels` fills them.
+        # jitter only (`_bind`); `_bind_channels` fills them, the rows through
+        # views laid out as the grid's product nodes.
         self.noise = np.empty((sets, 1, nodes), dtype=np.complex128)
         self.rotation = np.empty_like(self.noise) if jitter else None
         self._weights, self._factors = np.empty((sets, 1, nodes)), np.empty((sets, 1, 5))
+        self._node_views = [a if a is None else a.reshape(sets, *shape)
+                            for a in (self.noise, self.rotation, self._weights)]
         self._re_im_factor, self._u2_factor = self._factors[..., :1], self._factors[..., 2]
         self._half_factor = self._factors[..., 4]
         # The hypothesis matrices and half-energy grids carry a unit axis for
@@ -475,12 +482,13 @@ class QuadEvaluator:
         the first array is written, so a refused one leaves the evaluator
         as it was."""
         channels = tuple(channels)
-        noise, rotation, weights, factors = zip(*(_channel_nodes(p, self._grid) for p in channels))
-        np.copyto(self.noise[:, 0], noise)
-        np.copyto(self._weights[:, 0], weights)
-        np.copyto(self._factors[:, 0], factors)
+        resolved = [self._grid._channel_nodes(p) for p in channels]
+        noise_view, rotation_view, weights_view = self._node_views
+        for j, (noise, rotation, weights, factors) in enumerate(resolved):
+            noise_view[j], weights_view[j], self._factors[j, 0] = noise, weights, factors
+            if rotation is not None:
+                rotation_view[j] = rotation
         if self.rotation is not None:
-            np.copyto(self.rotation[:, 0], rotation)
             self._hyp[:, 0, :, 3] = self._factors[..., 3]
         self._channels, self._kept = channels, None
 
@@ -494,16 +502,7 @@ class QuadEvaluator:
         """The canonical copies of the (S, size) stack `points`, with the
         hypothesis matrices and half-energy grids filled, set j for slot j's
         channel."""
-        canonical, u2 = self._canonical, self._u2
-        # Every set's rotation in one call where no set starts at 0; np.hypot
-        # is the scalar abs of `_canonical_rotation` to the bit, np.abs is not.
-        anchors = points[:, 0]
-        scale = np.hypot(anchors.real, anchors.imag)
-        if np.count_nonzero(scale) == scale.size:
-            rotation = anchors.conj() / scale
-        else:
-            rotation = np.array([_canonical_rotation(set_points) for set_points in points])
-        np.multiply(points, rotation[:, None], out=canonical)
+        canonical, u2 = _canonical_points(points, self._canonical), self._u2
         np.square(np.abs(canonical, out=u2), out=u2)
         # Columns Re u and Im u at once, from the (S, size, 2) float view of u.
         np.multiply(self._re_im, self._re_im_factor, out=self._hyp_re_im)
@@ -846,7 +845,7 @@ def _mc_sample_bits(
     k = _resolve_threads()
     if chunk is None:
         chunk = max(1, _MC_CHUNK_ENTRIES * min(k, 2) // c.points.size)
-    pts = _canonical_points(c.points)
+    pts = _canonical_points(c.points[None])[0]
     idx, y = _draw_channel_samples(pts, params, n_samples, seed)
     label_bits = _label_bits(c.labels) if objective == PAMI else None
     out = np.empty(n_samples)

@@ -1,5 +1,7 @@
 """Tests for the rate evaluators: quadrature rules, AMI/PAMI, sampling."""
 
+import cmath
+import itertools
 import math
 import sys
 import tracemalloc
@@ -76,28 +78,68 @@ def test_gauss_hermite_rejects_bad_degrees():
             QuadratureGrid.of_degree(degree)
 
 
-def test_quadrature_grid_product_shapes_and_sums(grid7):
-    assert grid7.degree == 7
-    assert grid7.nodes.size == 7
-    assert grid7._noise3.size == grid7._weights3.size == grid7._phase_index.size == 7**3
-    assert math.fsum(grid7._weights3) == pytest.approx(math.pi**1.5, rel=1e-12)
-    assert grid7._noise2.size == grid7._weights2.size == 7**2
-    assert math.fsum(grid7._weights2) == pytest.approx(math.pi, rel=1e-12)
-    # Node (i1, i2, i3) of the 3-D product is t[i1] + j t[i2] at phase t[i3].
-    t = grid7.nodes
-    assert grid7._noise3[7 * 7 * 2 + 7 * 5 + 3] == t[2] + 1j * t[5]
-    assert grid7._phase_index[7 * 7 * 2 + 7 * 5 + 3] == 3
-    assert grid7._noise2[7 * 4 + 6] == t[4] + 1j * t[6]
+def test_quadrature_grid_product_shapes_and_sums():
+    """On the d nodes t of the 1-D rule, an evaluator binds a channel's G
+    nodes as the d x d product without jitter and the d x d x d product with
+    it, the phase last: node (i1, i2, i3) sits at offset
+    sqrt(2) sigma (t[i1] + j t[i2]) with rotation exp(j sqrt(2) sigma_phi
+    t[i3]), and the weights of each slot sum to 1.  d is the rule's node
+    count, whatever the degree field of a grid built directly."""
+    grids = [QuadratureGrid.of_degree(d) for d in (1, 2, 7)]
+    grids.append(QuadratureGrid(0, *np.polynomial.hermite.hermgauss(3)))
+    classes = [(channel(12.0, 20.0), channel(3.0, 5.0), channel(20.0, 35.0)),
+               (channel(12.0, 0.0), channel(-5.0, 0.0))]
+    for grid, channels in itertools.product(grids, classes):
+        t, d = grid.nodes, grid.nodes.size
+        jitter = channels[0].has_phase_noise
+        ev = capacity.QuadEvaluator(channels, grid, 8)
+        assert ev.noise.shape == ev._weights.shape == (len(channels), 1, d**3 if jitter else d**2)
+        indices = list(itertools.product(range(d), repeat=3 if jitter else 2))
+        for slot, p in enumerate(channels):
+            sigma = math.sqrt(2.0 / p.k_n)
+            offsets = [sigma * complex(t[i[0]], t[i[1]]) for i in indices]
+            np.testing.assert_allclose(ev.noise[slot, 0], offsets, rtol=1e-15, atol=0.0)
+            assert math.fsum(ev._weights[slot, 0]) == pytest.approx(1.0, rel=1e-12)
+            if jitter:
+                turns = [cmath.exp(1j * math.sqrt(2.0) * p.pnsd_rad * t[i[2]]) for i in indices]
+                np.testing.assert_allclose(ev.rotation[slot, 0], turns, rtol=1e-15, atol=0.0)
+            else:
+                assert ev.rotation is None
 
 
 def test_quadrature_grid_arrays_are_read_only(grid7):
     """One grid object serves every caller of its degree, so none may
     write to it."""
     assert QuadratureGrid.of_degree(np.int64(7)) is grid7
-    kept = ("nodes", "weights", "_noise3", "_weights3", "_phase_index", "_noise2", "_weights2")
-    for name in kept:
+    arrays = [value for value in vars(grid7).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) >= 2
+    for arr in arrays:
         with pytest.raises(ValueError):
-            getattr(grid7, name)[0] = 0.0
+            arr[(0,) * arr.ndim] = 0.0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 7, 30])
+@pytest.mark.parametrize(
+    "before, after",
+    [([(12.0, 20.0)], [(14.0, 10.0)]), ([(12.0, 0.0)], [(16.0, 0.0)]),
+     ([(0.0, 10.0), (12.0, 20.0), (40.0, 45.0)], [(6.0, 1.0), (9.0, 30.0), (-10.0, 44.0)]),
+     ([(-10.0, 0.0), (12.0, 0.0), (40.0, 0.0)], [(6.0, 0.0), (20.0, 0.0), (-5.0, 0.0)])],
+    ids=["one-slot-20deg", "one-slot-0deg", "three-slots-jitter", "three-slots-0deg"],
+)
+def test_a_rebind_equals_a_fresh_build(before, after, degree):
+    """An evaluator bound to other channels of its class and rebound holds
+    the node offsets, rotations, weights, factors and hypothesis rows of one
+    built on the new channels, byte for byte."""
+    grid = QuadratureGrid.of_degree(degree)
+    old, new = ([channel(*c) for c in cells] for cells in (before, after))
+    points = np.repeat(reference_constellation("qam", 8).points[None], len(new), 0)
+    rebound, fresh = capacity.QuadEvaluator(old, grid, 8), capacity.QuadEvaluator(new, grid, 8)
+    rebound._bind_channels(new)
+    for ev in (rebound, fresh):
+        ev._bind(points)
+    for name in ("noise", "rotation", "_weights", "_factors", "_hyp"):
+        a, b = getattr(rebound, name), getattr(fresh, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 
 
 # --- AMI via quadrature ----------------------------------------------------
@@ -1005,8 +1047,9 @@ def test_stacked_ami_equals_each_set_scored_alone(pnsd, threads, grid7, monkeypa
     """A stacked `ami_bits` gives each set, to the bit, the rate a one-slot
     evaluator gives it alone, on blocks of any size.  The random sets' first
     points are ones whose rotation np.abs would round otherwise than the
-    scalar abs of a lone set; a stack that holds a set whose first point is
-    0, which turns on its first nonzero point, is scored too."""
+    scalar abs, whose bits np.hypot gives; a stack that holds a set whose
+    first point is 0, which turns on its first nonzero point, is scored
+    too."""
     set_threads(monkeypatch, threads)
     monkeypatch.setattr(capacity, "_MIN_BLOCK_ENTRIES", 1)
     rng = np.random.default_rng(21)

@@ -143,6 +143,15 @@ def test_evaluate_missing_file_is_a_file_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_evaluate_to_a_missing_directory_is_a_file_error(psk8_file, capsys, tmp_path):
+    """An output that cannot be written, after the result is printed, is a
+    file error: exit 2 and one error line."""
+    out = str(tmp_path / "missing" / "x.json")
+    code, _, err = run(capsys, "evaluate", psk8_file, "--snr-db", "10", "--output", out)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_evaluate_malformed_file_is_a_file_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -543,10 +552,12 @@ def _with_cell(**fields):
         lambda manifest: {**manifest, "cells": manifest["cells"] * 2},
         _with_cell(pnsd_deg=-5.0),
         _with_cell(snr_db=1e6),
+        lambda manifest: "{not json",
+        lambda manifest: {**manifest, "cells": []},
     ],
     ids=["root-list", "cell-without-file", "cells-object", "cell-number", "null-pnsd",
          "string-snr", "bool-snr", "nan-snr", "number-file", "repeated-cell",
-         "negative-pnsd", "overflowing-snr"],
+         "negative-pnsd", "overflowing-snr", "not-json", "no-cells"],
 )
 def test_mismatch_refuses_a_malformed_manifest(edit, psk8, tmp_path, capsys):
     """A manifest that is not an object with a list of distinct cells, each
@@ -563,7 +574,8 @@ def test_mismatch_refuses_a_malformed_manifest(edit, psk8, tmp_path, capsys):
     args = ("mismatch", "--designs-dir", str(out_dir), "--output", str(tmp_path / "m.csv"))
     path.write_text(json.dumps(manifest))
     assert run(capsys, *args)[0] == 0
-    path.write_text(json.dumps(edit(manifest)))
+    edited = edit(manifest)  # a string is the manifest's raw text
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1, err

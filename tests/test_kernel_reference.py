@@ -112,12 +112,12 @@ def _bits(points, partials):
 
 
 def reference_ami_bits(ev, params, points):
-    points = _canonical_points(points)
+    points = _canonical_points(points[None])[0]
     return _bits(points, _ami_row_means(ev, params, points, np.arange(points.size)))
 
 
 def reference_pami_bits(ev, params, points, labels):
-    points = _canonical_points(points)
+    points = _canonical_points(points[None])[0]
     return _bits(points, _pami_row_means(ev, params, points, labels, np.arange(points.size)))
 
 
@@ -180,7 +180,7 @@ def test_swap_path_reuses_the_table_and_equals_a_fresh_evaluation(monkeypatch):
 def reference_mc_sample_bits(c, params, n_samples, seed, chunk):
     """Per-sample AMI and PAMI bits of the former trapezoid scoring, and the
     largest magnitude of each sample's per-hypothesis values."""
-    pts = _canonical_points(c.points)
+    pts = _canonical_points(c.points[None])[0]
     idx, y = _draw_channel_samples(pts, params, n_samples, seed)
     m = c.m
     k_n = params.k_n
@@ -241,7 +241,7 @@ def test_mc_ami_bits_equal_the_masked_reference_on_the_package_values(kind, size
     c = reference_constellation(kind, size)
     params = channel(12.0, pnsd)
     n_samples, chunk = 1500, 256
-    pts = _canonical_points(c.points)
+    pts = _canonical_points(c.points[None])[0]
     idx, y = _draw_channel_samples(pts, params, n_samples, 5)
     want = np.concatenate([
         masked_scores(hypothesis_log_terms(y[s:s + chunk, None], pts, params), idx[s:s + chunk], c.m)

@@ -40,6 +40,16 @@ def test_make_constellation_rejects_non_power_of_two():
         make_constellation([1, 1j, -1], [0, 1, 2])
 
 
+@pytest.mark.parametrize(
+    "points, labels",
+    [([[1, 1j], [-1, -1j]], [[0, 1], [2, 3]]), ([1, 1j, -1, -1j], [0, 1])],
+    ids=["two-dimensional", "unequal-lengths"],
+)
+def test_make_constellation_rejects_arrays_of_another_shape(points, labels):
+    with pytest.raises(ConstellationError, match="one-dimensional|differ in length"):
+        make_constellation(points, labels)
+
+
 def test_make_constellation_rejects_single_point():
     with pytest.raises(ConstellationError):
         make_constellation([1.0], [0])
@@ -128,6 +138,7 @@ def test_constellation_equality_tracks_content():
     d = make_constellation([1, -1], [1, 0])
     assert a == b
     assert a != d
+    assert a != "a constellation" and a.__eq__(a.points) is NotImplemented
 
 
 def test_fingerprint_distinguishes_labelings():
@@ -190,6 +201,8 @@ def test_normalize_rejects_all_zero():
 
 def test_gray_code_sequence():
     assert [gray_code(i) for i in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
+    with pytest.raises(ValueError, match="non-negative"):
+        gray_code(-1)
 
 
 def test_is_gray_accepts_reflected_psk8(psk8):
@@ -266,6 +279,16 @@ def test_reference_apsk_requires_matching_counts():
         reference_constellation("apsk", 16, ring_spec=[(4, 1.0), (8, 2.0)])
 
 
+@pytest.mark.parametrize(
+    "kind, size, ring_spec",
+    [("psk", 6, None), ("apsk", 16, None), ("apsk", 16, [(4, 0.0), (12, 2.0)])],
+    ids=["size-6", "apsk-without-rings", "zero-radius"],
+)
+def test_reference_refuses_a_malformed_request(kind, size, ring_spec):
+    with pytest.raises(ConstellationError):
+        reference_constellation(kind, size, ring_spec)
+
+
 def test_reference_rejects_unknown_kind():
     with pytest.raises(ConstellationError):
         reference_constellation("pam", 8)
@@ -337,6 +360,11 @@ def test_channel_params_rejects_negative_pnsd():
         ChannelParams.from_snr_pnsd(10.0, -3.0)
 
 
+def test_channel_params_rejects_an_infinite_snr():
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        ChannelParams.from_snr_pnsd(math.inf, 0.0)
+
+
 # --- JSON serialization ----------------------------------------------------
 
 
@@ -379,8 +407,10 @@ def test_json_rejects_missing_field(psk8):
 
 
 def test_json_rejects_malformed_text():
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="not valid JSON"):
         constellation_from_json("{not json")
+    with pytest.raises(FormatError, match="root must be an object"):
+        constellation_from_json("[1, 2]")
 
 
 def test_json_rejects_point_shape(psk8):
@@ -417,9 +447,10 @@ def test_json_rejects_invalid_content(psk8):
         ("points", [[1, 0], [0, None], [-1, 0], [0, -1]]),
         ("points", [[1, 0], [0, 10**400], [-1, 0], [0, -1]]),
         ("m", 2.0),
+        ("meta", [1, 2]),
     ],
     ids=["float-labels", "integral-floats", "string-labels", "bool-labels", "label-string",
-         "huge-label", "bool-point", "null-point", "huge-point", "float-m"],
+         "huge-label", "bool-point", "null-point", "huge-point", "float-m", "list-meta"],
 )
 def test_json_refuses_values_of_the_wrong_json_type(field, value):
     """Labels and m are JSON integers and coordinates JSON numbers, never

@@ -35,8 +35,8 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   at 6, 9 and 12 dB, one group at 0 and one at 20 deg, on 1 and 2 threads
   with blocks of any size, warm-started from a set whose first point is 0
   (seven more on a ring of uneven radii), so their stacks hold sets that
-  fall back to the scalar rotation beside sets that do not: each chain's
-  design fingerprint, best rate and trace sha256;
+  anchor their canonical rotation on a later point beside sets that do
+  not: each chain's design fingerprint, best rate and trace sha256;
 - streamed: one-shot quadrature AMI and PAMI of 128-QAM at 12 and 30 dB,
   0 and 10 deg, whose tables stream through many row tiles, and on one
   16-point evaluator, whose one tile holds PAMI's table, PAMI, AMI and
@@ -56,6 +56,12 @@ PYTHONPATH set to it) and compares every output file byte for byte with
   whose table spans several tiles, PAMI twice, which fills its full table,
   then AMI, PAMI and AMI; on 1 and 2 threads with blocks of any size, each
   rate printed with repr;
+- rules: one interpreter's one-shot quadrature AMI and PAMI of 8-PSK and
+  16-QAM on the rules of degrees 1, 2, 3, 7, 15 and 30, at -10, 12 and
+  40 dB and 0, 5, 20, 45, 90 and 200 deg, on 1 and 2 threads with blocks
+  of any size, each rate printed with repr and each refusal as its error
+  text (the degree-2 rule refuses 200 deg: every phase node falls outside
+  one period);
 - a library `mismatch_matrix` of a 4-point and an 8-point design on a 0 and
   a 20 deg channel, which scores each design size on one kept evaluator
   per jitter class, on 1 and 2 threads with blocks of any size: the repr
@@ -318,6 +324,31 @@ for threads in (1, 2):
         print(threads, 32, *first, ev._full is not None, *(repr(r[0]) for r in rates))
 """
 
+RULES = """
+import os
+import warnings
+import phasecon as pc
+from phasecon import capacity
+
+warnings.simplefilter("ignore")
+capacity._MIN_BLOCK_ENTRIES = 1
+sets = {"psk8": pc.reference_constellation("psk", 8), "qam16": pc.reference_constellation("qam", 16)}
+for threads in (1, 2):
+    os.environ["PHASECON_THREADS"] = str(threads)
+    for degree in (1, 2, 3, 7, 15, 30):
+        grid = pc.QuadratureGrid.of_degree(degree)
+        for name, c in sets.items():
+            for snr in (-10.0, 12.0, 40.0):
+                for pnsd in (0.0, 5.0, 20.0, 45.0, 90.0, 200.0):
+                    for rate in (pc.ami_quadrature, pc.pami_quadrature):
+                        try:
+                            p = pc.ChannelParams.from_snr_pnsd(snr, pnsd)
+                            bits = repr(rate(c, p, grid).bits)
+                        except ValueError as exc:
+                            bits = f"refused: {exc}"
+                        print(threads, degree, name, snr, pnsd, rate.__name__, bits)
+"""
+
 MISMATCH = """
 import os
 import phasecon as pc
@@ -357,6 +388,7 @@ def run_side(src: Path, out: Path, acceptance: bool) -> None:
     run([py, "-c", STREAMED], out, src, "streamed")
     run([py, "-c", STORE], out, src, "store")
     run([py, "-c", SHARED], out, src, "shared")
+    run([py, "-c", RULES], out, src, "rules")
     run([py, "-c", MISMATCH], out, src, "mismatch")
     if acceptance:
         run([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
